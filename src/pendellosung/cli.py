@@ -48,7 +48,7 @@ import configparser
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import fringes, inference, lattice, planner
@@ -61,10 +61,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 
+# Reference b_ne hypotheses: [model] reference key -> (label, b_ne, sigma),
+# in fm, listed by the radius command in this order.
 _REFERENCE_BNE = {
-    "argonne": CODATA.b_ne_argonne_fm,
-    "dubna": CODATA.b_ne_dubna_fm,
-    "theory": CODATA.b_ne_theory_fm,
+    "theory": ("theory (Foldy)", CODATA.b_ne_theory_fm, CODATA.sigma_b_ne_theory_fm),
+    "argonne": ("argonne", CODATA.b_ne_argonne_fm, CODATA.sigma_b_ne_argonne_fm),
+    "dubna": ("dubna", CODATA.b_ne_dubna_fm, CODATA.sigma_b_ne_dubna_fm),
 }
 
 
@@ -137,24 +139,19 @@ def load_config(path: str | None) -> RunConfig:
     if base is None and not cp.has_option("crystal", "a0"):
         raise ConfigError(f"unknown crystal {name!r} and no inline constants given")
     try:
-        crystal = CrystalSpec(
-            name=name,
-            a0=get("crystal", "a0", float, base.a0 if base else 0.0),
-            Z=get("crystal", "z", int, base.Z if base else 0),
-            b_nuclear=get("crystal", "b_nuclear", float, base.b_nuclear if base else 0.0),
-            sigma_b_nuclear=get("crystal", "sigma_b_nuclear", float,
-                                base.sigma_b_nuclear if base else 0.0),
-            B=get("crystal", "b", float, base.B if base else 0.0),
-            sigma_B=get("crystal", "sigma_b", float, base.sigma_B if base else 0.0),
-        )
-        window = planner.SpectrumWindow(
-            lambda_min=get("spectrum", "lambda_min", float, 0.8),
-            lambda_max=get("spectrum", "lambda_max", float, 2.5),
-            lambda_peak=get("spectrum", "lambda_peak", float, 1.2),
-            two_theta_min=get("spectrum", "two_theta_min", float, 15.0),
-            two_theta_max=get("spectrum", "two_theta_max", float, 110.0),
-        )
-        blade = fringes.BladeGeometry(thickness_cm=get("blade", "thickness_cm", float, 1.0))
+        # [crystal] keys are the CrystalSpec field names, lower-cased.
+        crystal = CrystalSpec(name=name, **{
+            key: get("crystal", key.lower(), cast, getattr(base, key) if base else cast(0))
+            for key, cast in (("a0", float), ("Z", int), ("b_nuclear", float),
+                              ("sigma_b_nuclear", float), ("B", float), ("sigma_B", float))
+        })
+        # [spectrum] keys are the SpectrumWindow field names.
+        window = planner.SpectrumWindow(**{
+            f.name: get("spectrum", f.name, float, getattr(planner.DEFAULT_WINDOW, f.name))
+            for f in fields(planner.SpectrumWindow)
+        })
+        blade = fringes.BladeGeometry(thickness_cm=get(
+            "blade", "thickness_cm", float, fringes.BladeGeometry.thickness_cm))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -173,7 +170,7 @@ def load_config(path: str | None) -> RunConfig:
     reference = get("model", "reference", str, "argonne")
     if reference not in _REFERENCE_BNE:
         raise ConfigError(f"unknown model reference {reference!r}")
-    b_ne = get("model", "b_ne", float, _REFERENCE_BNE[reference])
+    b_ne = get("model", "b_ne", float, _REFERENCE_BNE[reference][1])
 
     return RunConfig(
         crystal=crystal, window=window, blade=blade, table=table,
@@ -320,7 +317,6 @@ def cmd_fit(cfg: RunConfig, args) -> int:
             for j, nj in enumerate(fit.param_names):
                 if j > i:
                     rows.append(["cov", ni, nj, _fmt(fit.covariance[i, j])])
-        r2, s_r2 = inference.charge_radius_from_bne(CODATA, bne, s_bne)
     elif mode == "B":
         big_b, s_b = inference.fit_temperature_factor(
             ms, crystal, include_forward=cfg.include_forward,
@@ -328,7 +324,6 @@ def cmd_fit(cfg: RunConfig, args) -> int:
         print(f"temperature factor from {len(ms)} reflections:")
         print(f"  B = {big_b:.6g} +- {s_b:.2g} A^2")
         rows += [["param", "B", "", _fmt(big_b)], ["sigma", "B", "", _fmt(s_b)]]
-        r2 = None
     else:
         bne, s_bne = inference.fit_bne(ms, crystal, cfg.table,
                                        include_forward=cfg.include_forward)
@@ -336,8 +331,8 @@ def cmd_fit(cfg: RunConfig, args) -> int:
         print(f"b_ne from {len(ms)} reflection(s){anchor}:")
         print(f"  b_ne = {bne:.6g} +- {s_bne:.2g} fm")
         rows += [["param", "b_ne", "", _fmt(bne)], ["sigma", "b_ne", "", _fmt(s_bne)]]
+    if mode != "B":
         r2, s_r2 = inference.charge_radius_from_bne(CODATA, bne, s_bne)
-    if r2 is not None:
         print(f"  <r_n^2> = {r2:.6g} +- {s_r2:.2g} fm^2")
         rows += [["param", "r2", "", _fmt(r2)], ["sigma", "r2", "", _fmt(s_r2)]]
     out = cfg.out_dir / "fit_report.csv"
@@ -394,11 +389,7 @@ def cmd_radius(cfg: RunConfig, args) -> int:
     r2, s = inference.charge_radius_from_bne(CODATA, args.bne, args.sigma)
     print(f"b_ne = {args.bne:.6g} fm -> <r_n^2> = {r2:.6g} +- {s:.2g} fm^2")
     print("reference values:")
-    for label, bne, sig in [
-        ("theory (Foldy)", CODATA.b_ne_theory_fm, CODATA.sigma_b_ne_theory_fm),
-        ("argonne", CODATA.b_ne_argonne_fm, CODATA.sigma_b_ne_argonne_fm),
-        ("dubna", CODATA.b_ne_dubna_fm, CODATA.sigma_b_ne_dubna_fm),
-    ]:
+    for label, bne, sig in _REFERENCE_BNE.values():
         rr, ss = inference.charge_radius_from_bne(CODATA, bne, sig)
         print(f"  {label:15s} b_ne = {bne:.6g} fm  <r_n^2> = {rr:.6g} +- {ss:.2g} fm^2")
     return EXIT_OK

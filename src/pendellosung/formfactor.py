@@ -46,6 +46,8 @@ class FormFactorTable:
     element: str
     samples: tuple  # ((q_over_4pi, f), ...) sorted, deduplicated
     _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
+    # (x, ln f, d ln f/dx) at x = q_max^2, the anchor of the extrapolation
+    _tail: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         samples = _dedupe_by_q(sorted(self.samples))
@@ -64,6 +66,9 @@ class FormFactorTable:
         object.__setattr__(self, "samples", tuple(samples))
         interp = PchipInterpolator(q * q, np.log(f), extrapolate=False)
         object.__setattr__(self, "_interp", interp)
+        x_last = samples[-1][0] ** 2
+        object.__setattr__(self, "_tail", (x_last, float(interp(x_last)),
+                                           float(interp.derivative()(x_last))))
 
     @property
     def q_max(self) -> float:
@@ -83,10 +88,8 @@ class FormFactorTable:
         if q <= self.q_max:
             return float(math.exp(self._interp(q * q)))
         if q <= self.q_max * (1.0 + EXTRAPOLATION_MARGIN):
-            x_last = self.q_max**2
-            slope = float(self._interp.derivative()(x_last))
-            y = float(self._interp(x_last)) + slope * (q * q - x_last)
-            return float(math.exp(y))
+            x_last, y_last, slope = self._tail
+            return float(math.exp(y_last + slope * (q * q - x_last)))
         raise FormFactorRangeError(
             f"{self.element}: q={q:.6g} beyond tabulated domain "
             f"(max {self.q_max:.6g} + {EXTRAPOLATION_MARGIN:.0%} margin)"

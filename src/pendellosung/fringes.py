@@ -23,14 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ANGSTROM_PER_CM, ANGSTROM_PER_FM
+from .errors import NoReflection, PendellosungError
 from .lattice import (
     CrystalSpec,
     Reflection,
     ScatteringModel,
+    q_over_4pi,
     require_observable,
     structure_factor_magnitude,
 )
-from .planner import SpectrumWindow, bragg_angle, reflection_window
+from .planner import SpectrumWindow, reflection_window
 
 # --- J0, Cephes-style double-precision rational approximations ---------
 # Interval [0, 5]: (w - r1^2)(w - r2^2) P3(w)/Q8(w) on w = x^2, r1, r2 the
@@ -152,8 +154,8 @@ class BladeGeometry:
     cut_plane: Reflection | None = None
 
     def __post_init__(self):
-        if self.thickness_cm <= 0:
-            raise ValueError("thickness must be positive")
+        if not 0 < self.thickness_cm < math.inf:
+            raise ValueError("thickness must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -197,13 +199,28 @@ class FringeCount:
     antinode_count: int    # round(delta/pi)
 
 
-def pendellosung_argument(crystal: CrystalSpec, model: ScatteringModel,
-                          r: Reflection, geom: BladeGeometry, lam: float) -> float:
-    """Dimensionless J0 argument t |F| lambda / (a0^3 cos theta(lambda))."""
-    theta = math.radians(bragg_angle(crystal, r, lam))
+def _sweep(crystal: CrystalSpec, model: ScatteringModel, r: Reflection,
+           geom: BladeGeometry, lam: np.ndarray):
+    """Bragg angle theta (radians), |F| (fm) and the J0 argument at each
+    wavelength of lam (angstrom); NoReflection unless 0 < sin(theta) <= 1."""
+    s = lam * q_over_4pi(crystal, r)
+    if not np.all((s > 0.0) & (s <= 1.0)):
+        raise NoReflection(f"({r.label()}): no Bragg angle for lambda in "
+                           f"[{lam.min():.4g}, {lam.max():.4g}] A")
+    theta = np.radians(np.degrees(np.arcsin(s)))
     f_mag = structure_factor_magnitude(crystal, model, r)
     t_a = geom.thickness_cm * ANGSTROM_PER_CM
-    return t_a * f_mag * ANGSTROM_PER_FM * lam / (crystal.a0**3 * math.cos(theta))
+    return theta, f_mag, t_a * f_mag * ANGSTROM_PER_FM * lam / (crystal.a0**3 * np.cos(theta))
+
+
+def pendellosung_argument(crystal: CrystalSpec, model: ScatteringModel,
+                          r: Reflection, geom: BladeGeometry, lam):
+    """Dimensionless J0 argument t |F| lambda / (a0^3 cos theta(lambda)).
+
+    lam is one wavelength (float result) or an array of them, in angstrom.
+    """
+    arg = _sweep(crystal, model, r, geom, np.asarray(lam, dtype=float))[2]
+    return float(arg) if np.ndim(arg) == 0 else arg
 
 
 def intensity_profile(spectrum: BeamSpectrum, crystal: CrystalSpec,
@@ -215,10 +232,7 @@ def intensity_profile(spectrum: BeamSpectrum, crystal: CrystalSpec,
     require_observable(r)
     (lam_lo, lam_hi), _ = reflection_window(crystal, r, spectrum.window)
     lam = np.linspace(lam_lo, lam_hi, n_samples)
-    theta = np.radians([bragg_angle(crystal, r, l) for l in lam])
-    f_mag = structure_factor_magnitude(crystal, model, r)
-    t_a = geom.thickness_cm * ANGSTROM_PER_CM
-    arg = t_a * f_mag * ANGSTROM_PER_FM * lam / (crystal.a0**3 * np.cos(theta))
+    theta, f_mag, arg = _sweep(crystal, model, r, geom, lam)
     raw = spectrum.intensity(lam) * lam**2 * f_mag**2 * bessel_j0(arg) ** 2
     peak = raw.max()
     return FringeProfile(
@@ -233,11 +247,12 @@ def fringe_count(crystal: CrystalSpec, model: ScatteringModel, r: Reflection,
     """Count fringes across the reflection's usable wavelength window."""
     require_observable(r)
     (lam_lo, lam_hi), _ = reflection_window(crystal, r, window)
-    a_lo = pendellosung_argument(crystal, model, r, geom, lam_lo)
-    a_hi = pendellosung_argument(crystal, model, r, geom, lam_hi)
-    # lambda/cos(theta) is increasing in lambda, so the sweep is monotone.
-    assert a_hi > a_lo, "argument sweep not increasing across the window"
-    delta = a_hi - a_lo
+    a_lo, a_hi = pendellosung_argument(crystal, model, r, geom, np.array([lam_lo, lam_hi]))
+    # lambda/cos(theta) is increasing in lambda, so the sweep is monotone
+    # unless a constant is NaN.
+    if not a_hi > a_lo:
+        raise PendellosungError(f"({r.label()}): argument sweep not increasing")
+    delta = float(a_hi - a_lo)
     return FringeCount(
         delta_argument=delta,
         period_count=round(delta / (2.0 * math.pi)),

@@ -10,7 +10,9 @@ such data are actually reduced:
 plus a joint two-parameter fit with Gauss-Newton refinement on the exact
 model, analytic covariances from the normal equations, projected error
 budgets for planned reflection sets, and Monte-Carlo validation of the
-analytic covariance.
+analytic covariance. All of them reduce the same weighted rows: log rows
+(x = q^2, y = ln b, sy = sigma/b) and Debye-Waller corrected rows
+(x = 1 - f), each optionally led by the forward datum at x = 0.
 
 Error conventions: one standard deviation, Gaussian, uncorrelated inputs.
 Removing the Debye-Waller attenuation inflates the error linearly,
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CODATA, PhysicalConstants
+from .constants import PhysicalConstants
 from .errors import (
     DegenerateAbscissa,
     DegenerateDesign,
@@ -130,7 +132,109 @@ def charge_radius_from_bne(constants: PhysicalConstants, b_ne: float,
     return b_ne / factor, sigma_b_ne / factor
 
 
-# --- weighted straight-line machinery -----------------------------------
+# --- shared reduction core ------------------------------------------------
+
+
+def _defaults(value, sigma, crystal_value, crystal_sigma):
+    """Resolve an optional (value, sigma) pair against the crystal's.
+
+    Without a value the crystal's pair is taken whole, even if a sigma was
+    passed; with a value, a missing sigma falls back to the crystal's.
+    """
+    if value is None:
+        return crystal_value, crystal_sigma
+    return value, crystal_sigma if sigma is None else sigma
+
+
+def _prepend(head, cols):
+    """Put the forward datum (x = 0), one value per column, in front."""
+    return tuple(np.concatenate([[h], c]) for h, c in zip(head, cols))
+
+
+def _log_rows(q, b, sigma, forward=None, *extra):
+    """Rows of ln b = ln b_nuclear - B q^2: (x = q^2, y = ln b, sy = sigma/b).
+
+    forward = (b_nuclear, sigma_b_nuclear) leads with the x = 0 datum;
+    extra abscissa columns are passed through and are 0 at that datum.
+    """
+    rows = (q * q, np.log(b), sigma / b, *extra)
+    if forward is None:
+        return rows
+    b0, s0 = forward
+    return _prepend((0.0, math.log(b0), s0 / b0) + (0.0,) * len(extra), rows)
+
+
+def _corrected_rows(q, f, b, sigma, B, sigma_B, forward=None):
+    """Rows of b(Q) = b_nuclear - b_ne Z (1 - f): (x = 1 - f, y = b(Q), sy).
+
+    b(Q) and sy come from debye_waller_correct; forward = (b_nuclear,
+    sigma_b_nuclear) leads with the x = 0 datum.
+    """
+    corrected = np.array([debye_waller_correct(bi, si, B, sigma_B, qi)
+                          for bi, si, qi in zip(b, np.broadcast_to(sigma, q.shape), q)])
+    rows = (1.0 - f, corrected[:, 0], corrected[:, 1])
+    return rows if forward is None else _prepend((0.0, *forward), rows)
+
+
+def _measured_rows(ms, crystal: CrystalSpec, table: FormFactorTable | None = None):
+    """Per-measurement (q, f or None without a table, b_meas, sigma) arrays."""
+    q = np.array([q_over_4pi(crystal, m.reflection) for m in ms])
+    f = None if table is None else np.array([table.f_at(qi) for qi in q])
+    return q, f, np.array([m.b_meas for m in ms]), np.array([m.sigma for m in ms])
+
+
+def _predicted_rows(model: ScatteringModel, crystal: CrystalSpec, reflections):
+    """Per-reflection (q, f, model b_meas) arrays for a planned set."""
+    q = np.array([q_over_4pi(crystal, r) for r in reflections])
+    f = np.array([model.form_factor.f_at(qi) for qi in q])
+    return q, f, np.array([b_meas(model, qi) for qi in q])
+
+
+def _wls_line(x, y, sigma, fixed_intercept=None):
+    """Weighted straight-line fit; returns (intercept, slope, cov2x2).
+
+    With fixed_intercept given, only the slope is estimated and the
+    intercept row/column of the covariance is zero.
+    """
+    w = 1.0 / sigma**2
+    if fixed_intercept is not None:
+        sxx = (w * x * x).sum()
+        if sxx <= 0:
+            raise DegenerateAbscissa("abscissas do not constrain a slope")
+        slope = (w * x * (y - fixed_intercept)).sum() / sxx
+        return fixed_intercept, slope, np.diag([0.0, 1.0 / sxx])
+    s = w.sum()
+    sx = (w * x).sum()
+    sy = (w * y).sum()
+    sxx = (w * x * x).sum()
+    sxy = (w * x * y).sum()
+    denom = s * sxx - sx * sx
+    if denom <= 0 or not np.isfinite(denom):
+        raise DegenerateAbscissa("abscissas do not constrain a slope")
+    slope = (s * sxy - sx * sy) / denom
+    intercept = (sxx * sy - sx * sxy) / denom
+    cov = np.array([[sxx, -sx], [-sx, s]]) / denom
+    return intercept, slope, cov
+
+
+def _joint_design(x1, x2, scale, free_intercept: bool):
+    """Columns of ln b = c - B x1 - b_ne scale x2 in (B, b_ne[, c]) order."""
+    cols = [-x1, -scale * x2]
+    if free_intercept:
+        cols.append(np.ones_like(x1))
+    return np.column_stack(cols)
+
+
+def _normal_cov(a, w):
+    """(A^T W A)^-1 of a weighted linear fit with design a and weights w."""
+    awa = a.T @ (w[:, None] * a)
+    try:
+        cov = np.linalg.inv(awa)
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesign("collinear fit abscissas") from exc
+    if not np.all(np.isfinite(cov)) or np.linalg.cond(awa) > 1e14:
+        raise SingularDesign("collinear fit abscissas")
+    return cov
 
 
 def slope_uncertainty(xs, sigmas) -> float:
@@ -146,54 +250,7 @@ def slope_uncertainty(xs, sigmas) -> float:
         raise InsufficientData("need at least two points for a slope")
     if np.any(sigmas <= 0):
         raise ValueError("sigmas must be positive")
-    w = 1.0 / sigmas**2
-    s = w.sum()
-    sx = (w * xs).sum()
-    sxx = (w * xs * xs).sum()
-    denom = s * sxx - sx * sx
-    if denom <= 0 or not np.isfinite(denom):
-        raise DegenerateAbscissa("abscissas do not constrain a slope")
-    return math.sqrt(s / denom)
-
-
-def _wls_line(x, y, sigma, fixed_intercept=None):
-    """Weighted straight-line fit; returns (intercept, slope, cov2x2).
-
-    With fixed_intercept given, only the slope is estimated and the
-    intercept row/column of the covariance is zero.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = 1.0 / np.asarray(sigma, dtype=float) ** 2
-    if fixed_intercept is not None:
-        sxx = (w * x * x).sum()
-        if sxx <= 0:
-            raise DegenerateAbscissa("abscissas do not constrain a slope")
-        slope = (w * x * (y - fixed_intercept)).sum() / sxx
-        cov = np.zeros((2, 2))
-        cov[1, 1] = 1.0 / sxx
-        return fixed_intercept, slope, cov
-    s = w.sum()
-    sx = (w * x).sum()
-    sy = (w * y).sum()
-    sxx = (w * x * x).sum()
-    sxy = (w * x * y).sum()
-    denom = s * sxx - sx * sx
-    if denom <= 0 or not np.isfinite(denom):
-        raise DegenerateAbscissa("abscissas do not constrain a slope")
-    slope = (s * sxy - sx * sy) / denom
-    intercept = (sxx * sy - sx * sxy) / denom
-    cov = np.array([[sxx, -sx], [-sx, s]]) / denom
-    return intercept, slope, cov
-
-
-def _measured_rows(ms, crystal: CrystalSpec, table: FormFactorTable):
-    """Per-measurement (q^2, 1-f, b_meas, sigma) arrays."""
-    q = np.array([q_over_4pi(crystal, m.reflection) for m in ms])
-    one_minus_f = np.array([1.0 - table.f_at(qi) for qi in q])
-    b = np.array([m.b_meas for m in ms])
-    s = np.array([m.sigma for m in ms])
-    return q * q, one_minus_f, b, s
+    return math.sqrt(_wls_line(xs, np.zeros_like(xs), sigmas)[2][1, 1])
 
 
 # --- single-parameter fits ----------------------------------------------
@@ -210,25 +267,16 @@ def fit_temperature_factor(ms, crystal: CrystalSpec,
     forward value enters as the x = 0 datum (default) or pins the
     intercept when free_intercept=False.
     """
-    if b_nuclear is None:
-        b_nuclear, sigma_b_nuclear = crystal.b_nuclear, crystal.sigma_b_nuclear
-    if sigma_b_nuclear is None:
-        sigma_b_nuclear = crystal.sigma_b_nuclear
+    b_nuclear, sigma_b_nuclear = _defaults(b_nuclear, sigma_b_nuclear,
+                                           crystal.b_nuclear, crystal.sigma_b_nuclear)
     if not ms:
         raise InsufficientData("no measurements")
-    x = [q_over_4pi(crystal, m.reflection) ** 2 for m in ms]
-    y = [math.log(m.b_meas) for m in ms]
-    sy = [m.sigma / m.b_meas for m in ms]
-    if not free_intercept:
-        _, slope, cov = _wls_line(x, y, sy, fixed_intercept=math.log(b_nuclear))
-        return -slope, math.sqrt(cov[1, 1])
-    if include_forward:
-        x = [0.0] + x
-        y = [math.log(b_nuclear)] + y
-        sy = [sigma_b_nuclear / b_nuclear] + sy
-    if len(set(x)) < 2:
+    q, _, b, s = _measured_rows(ms, crystal)
+    forward = (b_nuclear, sigma_b_nuclear) if include_forward and free_intercept else None
+    x, y, sy = _log_rows(q, b, s, forward)
+    if free_intercept and np.ptp(x) == 0:
         raise InsufficientData("need two distinct Q values (or a fixed intercept)")
-    _, slope, cov = _wls_line(x, y, sy)
+    _, slope, cov = _wls_line(x, y, sy, None if free_intercept else math.log(b_nuclear))
     return -slope, math.sqrt(cov[1, 1])
 
 
@@ -241,28 +289,15 @@ def fit_bne(ms, crystal: CrystalSpec, table: FormFactorTable,
     Each amplitude is Debye-Waller corrected first (sigma_B propagated per
     the module convention); the forward value supplies the x = 0 datum.
     """
-    if b_nuclear is None:
-        b_nuclear, sigma_b_nuclear = crystal.b_nuclear, crystal.sigma_b_nuclear
-    if sigma_b_nuclear is None:
-        sigma_b_nuclear = crystal.sigma_b_nuclear
-    if B is None:
-        B, sigma_B = crystal.B, crystal.sigma_B
-    if sigma_B is None:
-        sigma_B = crystal.sigma_B
+    b_nuclear, sigma_b_nuclear = _defaults(b_nuclear, sigma_b_nuclear,
+                                           crystal.b_nuclear, crystal.sigma_b_nuclear)
+    B, sigma_B = _defaults(B, sigma_B, crystal.B, crystal.sigma_B)
     if not ms:
         raise InsufficientData("no measurements")
-    q2, one_minus_f, b, s = _measured_rows(ms, crystal, table)
-    q = np.sqrt(q2)
-    corrected = [debye_waller_correct(bi, si, B, sigma_B, qi)
-                 for bi, si, qi in zip(b, s, q)]
-    x = list(one_minus_f)
-    y = [c[0] for c in corrected]
-    sy = [c[1] for c in corrected]
-    if include_forward:
-        x = [0.0] + x
-        y = [b_nuclear] + y
-        sy = [sigma_b_nuclear] + sy
-    if len(set(x)) < 2:
+    q, f, b, s = _measured_rows(ms, crystal, table)
+    forward = (b_nuclear, sigma_b_nuclear) if include_forward else None
+    x, y, sy = _corrected_rows(q, f, b, s, B, sigma_B, forward)
+    if np.ptp(x) == 0:
         raise InsufficientData("need two distinct form-factor abscissas")
     _, slope, cov = _wls_line(x, y, sy)
     return -slope / crystal.Z, math.sqrt(cov[1, 1]) / crystal.Z
@@ -284,56 +319,33 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable,
     step stalls (at most four; noiseless data recover parameters to
     ~1e-12 relative). Covariance comes from the final normal equations.
     """
-    if b_nuclear is None:
-        b_nuclear, sigma_b_nuclear = crystal.b_nuclear, crystal.sigma_b_nuclear
-    if sigma_b_nuclear is None:
-        sigma_b_nuclear = crystal.sigma_b_nuclear
+    b_nuclear, sigma_b_nuclear = _defaults(b_nuclear, sigma_b_nuclear,
+                                           crystal.b_nuclear, crystal.sigma_b_nuclear)
     if len(ms) < 2:
         raise InsufficientData("joint fit needs at least two reflections")
-    q2, one_minus_f, b, s = _measured_rows(ms, crystal, table)
-    if np.ptp(q2) == 0 and np.ptp(one_minus_f) == 0:
+    q, f, b, s = _measured_rows(ms, crystal, table)
+    if np.ptp(q) == 0 and np.ptp(f) == 0:
         raise SingularDesign("all measurements share one (q^2, 1-f) point")
-
-    y = np.log(b)
-    sy = s / b
-    x1, x2 = q2, one_minus_f
-    if include_forward:
-        y = np.concatenate([[math.log(b_nuclear)], y])
-        sy = np.concatenate([[sigma_b_nuclear / b_nuclear], sy])
-        x1 = np.concatenate([[0.0], x1])
-        x2 = np.concatenate([[0.0], x2])
+    forward = (b_nuclear, sigma_b_nuclear) if include_forward else None
+    x1, y, sy, x2 = _log_rows(q, b, s, forward, 1.0 - f)
 
     names = ("B", "b_ne") + (("ln_b_nuclear",) if free_intercept else ())
-    cols = [-x1, -(crystal.Z / b_nuclear) * x2]
-    if free_intercept:
-        cols.append(np.ones_like(x1))
-    design = np.column_stack(cols)
+    design = _joint_design(x1, x2, crystal.Z / b_nuclear, free_intercept)
     w = 1.0 / sy**2
     offset = 0.0 if free_intercept else math.log(b_nuclear)
 
     def solve_normal(a, resid):
-        awa = a.T @ (w[:, None] * a)
-        try:
-            cov = np.linalg.inv(awa)
-        except np.linalg.LinAlgError as exc:
-            raise SingularDesign("collinear fit abscissas") from exc
-        if not np.all(np.isfinite(cov)) or np.linalg.cond(awa) > 1e14:
-            raise SingularDesign("collinear fit abscissas")
+        cov = _normal_cov(a, w)
         return cov @ (a.T @ (w * resid)), cov
 
     theta, cov = solve_normal(design, y - offset)
 
-    def unpack(t):
-        big_b, bne = t[0], t[1]
-        c = t[2] if free_intercept else math.log(b_nuclear)
-        return big_b, bne, c
-
     def exact_model(t):
-        big_b, bne, c = unpack(t)
-        bq = math.exp(c) - bne * crystal.Z * x2
+        c = t[2] if free_intercept else offset
+        bq = math.exp(c) - t[1] * crystal.Z * x2
         if np.any(bq <= 0):
             return None, None
-        return np.log(bq) - big_b * x1, bq
+        return np.log(bq) - t[0] * x1, bq
 
     model = design @ theta + offset
     if refine:
@@ -344,7 +356,7 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable,
             model = model_exact
             jac_cols = [-x1, -crystal.Z * x2 / bq]
             if free_intercept:
-                jac_cols.append(math.exp(unpack(theta)[2]) / bq)
+                jac_cols.append(math.exp(theta[2]) / bq)
             jac = np.column_stack(jac_cols)
             step, cov = solve_normal(jac, y - model)
             theta = theta + step
@@ -384,36 +396,17 @@ def error_budget(model: ScatteringModel, crystal: CrystalSpec,
     its projection then inflates the corrected-amplitude errors entering
     the b_ne slope (disable with propagate_sigma_B=False).
     """
-    refls = [r.canonical() for r in reflections]
+    refls = list(reflections)
     if (len(refls) + (1 if include_forward else 0)) < 2:
         raise DegenerateDesign("need two abscissas (reflections plus forward point)")
-    q = np.array([q_over_4pi(crystal, r) for r in refls])
-    q2 = q * q
-    f = np.array([model.form_factor.f_at(qi) for qi in q])
-    b_pred = np.array([b_meas(model, qi) for qi in q])
-    dw = np.array([debye_waller(model.B, qi) for qi in q])
-
-    x_b = list(q2)
-    s_b = list(sigma_b_meas / b_pred)  # ln-space errors
-    if include_forward:
-        x_b = [0.0] + x_b
-        s_b = [crystal.sigma_b_nuclear / crystal.b_nuclear] + s_b
+    q, f, b_pred = _predicted_rows(model, crystal, refls)
+    forward = (crystal.b_nuclear, crystal.sigma_b_nuclear) if include_forward else None
     try:
-        sigma_big_b = slope_uncertainty(x_b, s_b)
-    except (InsufficientData, DegenerateAbscissa) as exc:
-        raise DegenerateDesign(str(exc)) from exc
-
-    b_q = b_pred / dw
-    s_q = sigma_b_meas / dw
-    if propagate_sigma_B:
-        s_q = s_q + b_q * q2 * sigma_big_b
-    x_n = list(1.0 - f)
-    s_n = list(s_q)
-    if include_forward:
-        x_n = [0.0] + x_n
-        s_n = [crystal.sigma_b_nuclear] + s_n
-    try:
-        sigma_bne = slope_uncertainty(x_n, s_n) / crystal.Z
+        x, _, sy = _log_rows(q, b_pred, sigma_b_meas, forward)
+        sigma_big_b = slope_uncertainty(x, sy)
+        x, _, sy = _corrected_rows(q, f, b_pred, sigma_b_meas, model.B,
+                                   sigma_big_b if propagate_sigma_B else 0.0, forward)
+        sigma_bne = slope_uncertainty(x, sy) / crystal.Z
     except (InsufficientData, DegenerateAbscissa) as exc:
         raise DegenerateDesign(str(exc)) from exc
 
@@ -489,6 +482,7 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     counter-based Philox generator keyed by the seed, making the result
     independent of any batching or scheduling of trials.
     """
+    names = ("B", "b_ne", "ln_b_nuclear")
     if n_trials < 2:
         raise ValueError("need at least two trials")
     if sigma < 0:
@@ -496,51 +490,19 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     if sigma == 0:
         # Perfect measurements pin the parameters: both covariances vanish.
         zero = np.zeros((3, 3))
-        return MonteCarloResult(param_names=("B", "b_ne", "ln_b_nuclear"),
-                                analytic_cov=zero, empirical_cov=zero,
-                                n_trials=n_trials)
-    refls = [r.canonical() for r in reflections]
-    q = np.array([q_over_4pi(crystal, r) for r in refls])
-    f = np.array([model.form_factor.f_at(qi) for qi in q])
-    b_pred = np.array([b_meas(model, qi) for qi in q])
-
-    x1 = q * q
-    x2 = 1.0 - f
-    sy = np.full(len(refls), sigma) / b_pred
-    y0 = np.log(b_pred)
-    if include_forward:
-        x1 = np.concatenate([[0.0], x1])
-        x2 = np.concatenate([[0.0], x2])
-        sy = np.concatenate([[crystal.sigma_b_nuclear / crystal.b_nuclear], sy])
-        y0 = np.concatenate([[math.log(crystal.b_nuclear)], y0])
-
-    design = np.column_stack([-x1, -(crystal.Z / crystal.b_nuclear) * x2,
-                              np.ones_like(x1)])
+        return MonteCarloResult(param_names=names, analytic_cov=zero,
+                                empirical_cov=zero, n_trials=n_trials)
+    q, f, b_pred = _predicted_rows(model, crystal, reflections)
+    forward = (crystal.b_nuclear, crystal.sigma_b_nuclear) if include_forward else None
+    x1, _, sy, x2 = _log_rows(q, b_pred, sigma, forward, 1.0 - f)
+    design = _joint_design(x1, x2, crystal.Z / crystal.b_nuclear, free_intercept=True)
     w = 1.0 / sy**2
-    awa = design.T @ (w[:, None] * design)
-    try:
-        analytic = np.linalg.inv(awa)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesign("collinear fit abscissas") from exc
+    analytic = _normal_cov(design, w)
     estimator = analytic @ design.T @ np.diag(w)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    noise = rng.standard_normal((n_trials, len(y0))) * sy
+    noise = rng.standard_normal((n_trials, len(sy))) * sy
     params = noise @ estimator.T  # deviations from the noiseless solution
     empirical = np.cov(params, rowvar=False)
-    return MonteCarloResult(param_names=("B", "b_ne", "ln_b_nuclear"),
-                            analytic_cov=analytic, empirical_cov=empirical,
-                            n_trials=n_trials)
-
-
-def reference_models(crystal: CrystalSpec, table: FormFactorTable,
-                     constants: PhysicalConstants = CODATA):
-    """The three standard b_ne hypotheses as ScatteringModels."""
-    def mk(bne):
-        return ScatteringModel(b_nuclear=crystal.b_nuclear, b_ne=bne,
-                               Z=crystal.Z, B=crystal.B, form_factor=table)
-    return {
-        "theory": mk(constants.b_ne_theory_fm),
-        "argonne": mk(constants.b_ne_argonne_fm),
-        "dubna": mk(constants.b_ne_dubna_fm),
-    }
+    return MonteCarloResult(param_names=names, analytic_cov=analytic,
+                            empirical_cov=empirical, n_trials=n_trials)

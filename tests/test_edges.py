@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from pendellosung import (
     BladeGeometry,
     Measurement,
     NoReflection,
+    PendellosungError,
     Reflection,
     SpectrumWindow,
     blade_assignment,
     error_budget,
     fit_bne,
     fit_temperature_factor,
+    fringe_count,
     intensity_profile,
     joint_fit,
     monte_carlo_validate,
@@ -87,6 +90,38 @@ class TestFringeEdges:
     def test_blade_thickness_validated(self):
         with pytest.raises(ValueError):
             BladeGeometry(thickness_cm=0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_blade_thickness_must_be_finite(self, t):
+        with pytest.raises(ValueError):
+            BladeGeometry(thickness_cm=t)
+
+    def test_argument_array_matches_scalar_calls(self, si_model, blade):
+        r = Reflection(7, 1, 1)
+        lam = np.linspace(0.8, 1.3, 7)
+        arr = pendellosung_argument(SILICON, si_model, r, blade, lam)
+        one = [pendellosung_argument(SILICON, si_model, r, blade, x) for x in lam]
+        assert isinstance(one[0], float)
+        np.testing.assert_allclose(arr, one, rtol=1e-15)
+
+    @pytest.mark.parametrize("lam", [[0.8, 7.0], [0.0, 0.8], [-1.0]])
+    def test_argument_array_rejects_any_unreachable_wavelength(self, si_model, blade, lam):
+        with pytest.raises(NoReflection):
+            pendellosung_argument(SILICON, si_model, Reflection(1, 1, 1), blade,
+                                  np.array(lam))
+
+    def test_nan_sweep_is_a_typed_error(self, si_model, blade):
+        # A NaN constant makes the argument sweep non-increasing; the check
+        # raises a toolkit error (not an assert, so it also holds under -O).
+        nan_model = replace(si_model, b_nuclear=math.nan)
+        with pytest.raises(PendellosungError, match="not increasing"):
+            fringe_count(SILICON, nan_model, Reflection(7, 1, 1), blade, SpectrumWindow())
+
+    def test_cli_nan_blade_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.ini"
+        cfg.write_text("[blade]\nthickness_cm = nan\n")
+        assert run("--config", str(cfg), "simulate", "711", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestInferenceEdges:

@@ -109,6 +109,21 @@ class TestIntensityProfile:
         near_zero = prof.intensity < 1e-4
         assert near_zero.sum() >= len(expected)
 
+    def test_matches_per_sample_bragg_angle_loop(self, si_model, blade):
+        # Reference: the planner's scalar Bragg angle, one sample at a time.
+        from pendellosung import bragg_angle, structure_factor_magnitude
+
+        r = Reflection(7, 1, 1)
+        prof = intensity_profile(BeamSpectrum(window=SpectrumWindow()), SILICON,
+                                 si_model, r, blade, n_samples=500)
+        f = structure_factor_magnitude(SILICON, si_model, r)
+        theta = [math.radians(bragg_angle(SILICON, r, lam)) for lam in prof.lam]
+        arg = [1e8 * f * 1e-5 * lam / (SILICON.a0**3 * math.cos(t))
+               for lam, t in zip(prof.lam, theta)]
+        np.testing.assert_allclose(prof.two_theta_deg, np.degrees(2.0 * np.array(theta)),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(prof.argument, arg, rtol=1e-14)
+
     def test_exact_zero_at_j0_zero(self, si_model, blade):
         # Invert the argument to place a sample exactly on a J0 zero.
         r = Reflection(1, 1, 1)

@@ -355,6 +355,35 @@ class TestMonteCarlo:
             assert ratio == pytest.approx(1.0, abs=0.03)
 
 
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "no-forward"])
+class TestSharedReduction:
+    """The fits, the projected budget and the Monte Carlo reduce the same
+    weighted rows, so on noiseless data their uncertainties agree exactly."""
+
+    @pytest.fixture(scope="class")
+    def exact(self, si_model, new_eight):
+        return synth_measurements(si_model, SILICON, new_eight, sigma=0.0)
+
+    def test_joint_covariance_is_mc_analytic(self, si_model, new_eight, exact, forward):
+        fit = joint_fit(exact, SILICON, si_model.form_factor,
+                        include_forward=forward, refine=False)
+        mc = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=2,
+                                  include_forward=forward)
+        assert np.array_equal(fit.covariance, mc.analytic_cov)
+
+    def test_temperature_factor_sigma_is_budget_sigma_B(self, si_model, new_eight,
+                                                         exact, forward):
+        _, sigma_B = fit_temperature_factor(exact, SILICON, include_forward=forward)
+        budget = error_budget(si_model, SILICON, new_eight, include_forward=forward)
+        assert sigma_B == budget.sigma_B
+
+    def test_bne_sigma_is_budget_sigma_bne(self, si_model, new_eight, exact, forward):
+        budget = error_budget(si_model, SILICON, new_eight, include_forward=forward)
+        _, sigma = fit_bne(exact, SILICON, si_model.form_factor, B=si_model.B,
+                           sigma_B=budget.sigma_B, include_forward=forward)
+        assert sigma == budget.sigma_bne
+
+
 class TestMeasurementInvariants:
     def test_positive_sigma_required(self):
         with pytest.raises(ValueError):
