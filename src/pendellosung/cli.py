@@ -57,6 +57,26 @@ from .errors import ConfigError, FormFactorRangeError, PendellosungError
 from .formfactor import BUILTIN_TABLES, FormFactorTable, table_from_csv
 from .lattice import CrystalSpec, Reflection, ScatteringModel
 
+
+def _checked(cast, ok, name):
+    """Range-checked argument type. argparse quotes name in its message
+    ("invalid integer >= 2 value: '1'"); load_config turns the ValueError
+    into a ConfigError."""
+    def convert(text):
+        value = cast(text)
+        if not ok(value):
+            raise ValueError(name)
+        return value
+    convert.__name__ = name
+    return convert
+
+
+_SEED = _checked(int, lambda v: v >= 0, "non-negative integer")
+_COUNT = _checked(int, lambda v: v >= 2, "integer >= 2")
+_FINITE = _checked(float, math.isfinite, "finite number")
+_SIGMA = _checked(float, lambda v: 0 <= v < math.inf, "non-negative finite number")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive finite number")
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -84,10 +104,7 @@ class RunConfig:
     out_dir: Path
 
     def model(self) -> ScatteringModel:
-        return ScatteringModel(
-            b_nuclear=self.crystal.b_nuclear, b_ne=self.b_ne,
-            Z=self.crystal.Z, B=self.model_B, form_factor=self.table,
-        )
+        return lattice.scattering_model(self.crystal, self.b_ne, self.table, self.model_B)
 
 
 _SCHEMA = {
@@ -177,7 +194,7 @@ def load_config(path: str | None) -> RunConfig:
         b_ne=b_ne, model_B=get("model", "b", float, crystal.B),
         include_forward=get_bool("fit", "include_forward", True),
         free_intercept=get_bool("fit", "free_intercept", True),
-        seed=get("run", "seed", int, 0),
+        seed=get("run", "seed", _SEED, 0),
         out_dir=Path(get("run", "out", str, "out")),
     )
 
@@ -223,6 +240,8 @@ def read_measurements_csv(path) -> list:
             for row in reader:
                 if not row:
                     continue
+                if len(row) != 5:
+                    raise ValueError(f"expected 5 fields, got {len(row)}")
                 out.append(inference.Measurement(
                     reflection=Reflection(int(row[0]), int(row[1]), int(row[2])),
                     b_meas=float(row[3]), sigma=float(row[4]),
@@ -437,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Global flags are accepted both before and after the subcommand.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS, help="INI config file")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--seed", type=_SEED, default=argparse.SUPPRESS,
                         help="override [run] seed")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="override [run] out directory")
@@ -458,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="fringe profile for one reflection", parents=[common])
     sp.add_argument("hkl", help="Miller indices, e.g. 711 or 7,1,1")
-    sp.add_argument("--samples", type=int, default=2000)
+    sp.add_argument("--samples", type=_COUNT, default=2000)
     sp.add_argument("--spectrum", choices=("flat", "maxwellian"), default="flat")
 
     sp = sub.add_parser("fit", help="fit B and b_ne to a measurement CSV", parents=[common])
@@ -466,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("auto", "joint", "bne", "B"), default="auto")
 
     sp = sub.add_parser("budget", help="projected uncertainties for reflection sets", parents=[common])
-    sp.add_argument("--sigma", type=float, default=inference.DEFAULT_SIGMA_B_MEAS,
+    sp.add_argument("--sigma", type=_POSITIVE, default=inference.DEFAULT_SIGMA_B_MEAS,
                     help="assumed per-reflection amplitude error, fm")
     sp.add_argument("--hkl", nargs="*", default=None,
                     help="custom reflection set, e.g. --hkl 422 620 642")
@@ -474,19 +493,19 @@ def build_parser() -> argparse.ArgumentParser:
                     help="only the forward+propagated configuration")
 
     sp = sub.add_parser("radius", help="convert b_ne to the mean-square charge radius", parents=[common])
-    sp.add_argument("bne", type=float, help="b_ne in fm")
-    sp.add_argument("--sigma", type=float, default=0.0)
+    sp.add_argument("bne", type=_FINITE, help="b_ne in fm")
+    sp.add_argument("--sigma", type=_SIGMA, default=0.0)
 
     sp = sub.add_parser("synth", help="synthetic measurement CSV", parents=[common])
-    sp.add_argument("--sigma", type=float, default=inference.DEFAULT_SIGMA_B_MEAS)
+    sp.add_argument("--sigma", type=_SIGMA, default=inference.DEFAULT_SIGMA_B_MEAS)
     sp.add_argument("--error-model", choices=("flat", "temperature-factor"),
                     default="flat")
     sp.add_argument("--all-pure", action="store_true",
                     help="include the reference (111) reflection")
 
     sp = sub.add_parser("mc", help="Monte-Carlo check of the fit covariance", parents=[common])
-    sp.add_argument("--trials", type=int, default=10_000)
-    sp.add_argument("--sigma", type=float, default=inference.DEFAULT_SIGMA_B_MEAS)
+    sp.add_argument("--trials", type=_COUNT, default=10_000)
+    sp.add_argument("--sigma", type=_SIGMA, default=inference.DEFAULT_SIGMA_B_MEAS)
 
     return p
 
@@ -518,7 +537,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PendellosungError as exc:
+    except (PendellosungError, ValueError) as exc:
+        # A ValueError here is a library argument check tripped by the data
+        # (e.g. synthetic noise driving an amplitude non-positive).
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,10 +1,13 @@
 """Normalized atomic form factors f(Q) with monotone interpolation.
 
 Tables are sampled on Q/4pi (inverse angstrom) with f(0)=1 as the first
-sample. Interpolation runs on (q^2, ln f) with a monotone piecewise-cubic
-(PCHIP) scheme, which reproduces every sample exactly and cannot overshoot
-between samples. A precise f between samples is not physically critical
-here, but monotonicity is.
+sample. Interpolation runs on (q^2, ln f) with the monotone piecewise-cubic
+Hermite (PCHIP) scheme of Fritsch and Carlson (SIAM J. Numer. Anal. 17, 238,
+1980) and the three-point end rule (Moler, Numerical Computing with MATLAB,
+2004, sec. 3.6), which reproduces every sample exactly and cannot overshoot
+between samples. Coefficients and evaluation order are those of scipy's
+PchipInterpolator, so values agree with it to the bit. A precise f between
+samples is not physically critical here, but monotonicity is.
 
 Built-in tables cover silicon and germanium at the momentum transfers of
 the thermal-survey reflections; further elements can be loaded from CSV
@@ -13,12 +16,12 @@ the thermal-survey reflections; further elements can be loaded from CSV
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import FormFactorRangeError
 
@@ -39,13 +42,41 @@ def _dedupe_by_q(samples):
     return out
 
 
+def _end_slope(h0, h1, m0, m1):
+    """Three-point end rule, 0 where it turns against the end secant (its
+    3 m0 clamp needs m0 and m1 of opposite sign, which tables never have)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    return d if np.sign(d) == np.sign(m0) else 0.0
+
+
+def _pchip(x, y):
+    """Piecewise-cubic coefficients (4, n-1), highest power first, of the
+    monotone Hermite interpolant through (x, y)."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(x) == 2:
+        d = np.array([m[0], m[0]])  # two samples: the straight line
+    else:
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d = np.concatenate([[_end_slope(h[0], h[1], m[0], m[1])], inner,
+                            [_end_slope(h[-1], h[-2], m[-1], m[-2])]])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
 @dataclass(frozen=True)
 class FormFactorTable:
     """Immutable f(Q) table for one element."""
 
     element: str
     samples: tuple  # ((q_over_4pi, f), ...) sorted, deduplicated
-    _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
+    # knots x = q^2 and, per interval, the cubic (c0, c1, c2, c3) in x - knot
+    _knots: tuple = field(init=False, repr=False, compare=False)
+    _coefs: tuple = field(init=False, repr=False, compare=False)
     # (x, ln f, d ln f/dx) at x = q_max^2, the anchor of the extrapolation
     _tail: tuple = field(init=False, repr=False, compare=False)
 
@@ -64,15 +95,24 @@ class FormFactorTable:
         if np.any(f <= 0) or np.any(f > 1):
             raise ValueError("f must lie in (0, 1]")
         object.__setattr__(self, "samples", tuple(samples))
-        interp = PchipInterpolator(q * q, np.log(f), extrapolate=False)
-        object.__setattr__(self, "_interp", interp)
-        x_last = samples[-1][0] ** 2
-        object.__setattr__(self, "_tail", (x_last, float(interp(x_last)),
-                                           float(interp.derivative()(x_last))))
+        x = q * q
+        object.__setattr__(self, "_knots", tuple(x.tolist()))
+        object.__setattr__(self, "_coefs", tuple(map(tuple, _pchip(x, np.log(f)).T.tolist())))
+        c0, c1, c2, _ = self._coefs[-1]
+        h = self._knots[-1] - self._knots[-2]
+        object.__setattr__(self, "_tail", (self._knots[-1], self._ln_f(self._knots[-1]),
+                                           c2 + 2 * c1 * h + 3 * c0 * (h * h)))
 
     @property
     def q_max(self) -> float:
         return self.samples[-1][0]
+
+    def _ln_f(self, x: float) -> float:
+        """Interpolated ln f at x = q^2 in [0, q_max^2]."""
+        i = min(bisect.bisect_right(self._knots, x), len(self._knots) - 1) - 1
+        c0, c1, c2, c3 = self._coefs[i]
+        s = x - self._knots[i]
+        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
 
     def f_at(self, q_over_4pi: float) -> float:
         """Interpolated f at the given Q/4pi (1/angstrom).
@@ -86,10 +126,10 @@ class FormFactorTable:
         if q < 0.0:
             raise FormFactorRangeError(f"negative momentum transfer q={q}")
         if q <= self.q_max:
-            return float(math.exp(self._interp(q * q)))
+            return math.exp(self._ln_f(q * q))
         if q <= self.q_max * (1.0 + EXTRAPOLATION_MARGIN):
             x_last, y_last, slope = self._tail
-            return float(math.exp(y_last + slope * (q * q - x_last)))
+            return math.exp(y_last + slope * (q * q - x_last))
         raise FormFactorRangeError(
             f"{self.element}: q={q:.6g} beyond tabulated domain "
             f"(max {self.q_max:.6g} + {EXTRAPOLATION_MARGIN:.0%} margin)"

@@ -46,7 +46,7 @@ _RP = [
     9.70862251047306323952e15,
 ]
 _RQ = [
-    # 1.0
+    1.0,
     4.99563147152651017219e2,
     1.73785401676374683123e5,
     4.84409658339962045305e7,
@@ -85,7 +85,7 @@ _QP = [
     -6.05014350600728481186e0,
 ]
 _QQ = [
-    # 1.0
+    1.0,
     6.43178256118178023184e1,
     8.56430025976980587198e2,
     3.88240183605401609683e3,
@@ -107,13 +107,6 @@ def _polevl(x, coef):
     return ans
 
 
-def _p1evl(x, coef):
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
 def bessel_j0(x):
     """Bessel function J0; scalar in, float out; arrays pass through.
 
@@ -126,7 +119,7 @@ def bessel_j0(x):
     small = ax <= 5.0
     if np.any(small):
         z = ax[small] ** 2
-        p = (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _p1evl(z, _RQ)
+        p = (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _polevl(z, _RQ)
         tiny = ax[small] < 1e-5
         if np.any(tiny):
             p[tiny] = 1.0 - z[tiny] / 4.0
@@ -137,7 +130,7 @@ def bessel_j0(x):
         w = 5.0 / xl
         z = w * w
         p = _polevl(z, _PP) / _polevl(z, _PQ)
-        q = _polevl(z, _QP) / _p1evl(z, _QQ)
+        q = _polevl(z, _QP) / _polevl(z, _QQ)
         xn = xl - _PIO4
         out[large] = _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(xl)
     return float(out) if scalar else out

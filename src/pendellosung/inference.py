@@ -47,6 +47,7 @@ from .lattice import (
     b_meas,
     debye_waller,
     q_over_4pi,
+    require_observable,
 )
 
 DEFAULT_SIGMA_B_MEAS = 0.0008  # fm, per-reflection amplitude precision
@@ -61,10 +62,10 @@ class Measurement:
     sigma: float = DEFAULT_SIGMA_B_MEAS
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.b_meas <= 0:
-            raise ValueError("b_meas must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        if not 0 < self.b_meas < math.inf:
+            raise ValueError("b_meas must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -394,9 +395,12 @@ def error_budget(model: ScatteringModel, crystal: CrystalSpec,
     Two-stage reduction mirroring the fits: the temperature-factor slope
     error comes first (free-intercept line through the forward datum);
     its projection then inflates the corrected-amplitude errors entering
-    the b_ne slope (disable with propagate_sigma_B=False).
+    the b_ne slope (disable with propagate_sigma_B=False). An extinct
+    reflection in the set raises ForbiddenReflection.
     """
     refls = list(reflections)
+    for r in refls:
+        require_observable(r)
     if (len(refls) + (1 if include_forward else 0)) < 2:
         raise DegenerateDesign("need two abscissas (reflections plus forward point)")
     q, f, b_pred = _predicted_rows(model, crystal, refls)

@@ -119,6 +119,9 @@ class CrystalSpec:
     structure: str = "diamond"
 
     def __post_init__(self):
+        for name in ("a0", "b_nuclear", "sigma_b_nuclear", "B", "sigma_B"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.a0 <= 0:
             raise ValueError("a0 must be positive")
         if self.Z < 1:

@@ -71,6 +71,8 @@ class SpectrumWindow:
     def __post_init__(self):
         if not 0 < self.lambda_min < self.lambda_max:
             raise ValueError("need 0 < lambda_min < lambda_max")
+        if not (0 < self.lambda_max < math.inf and 0 < self.lambda_peak < math.inf):
+            raise ValueError("lambda_peak and lambda_max must be positive and finite")
         if not 0 <= self.two_theta_min < self.two_theta_max <= 180:
             raise ValueError("need 0 <= two_theta_min < two_theta_max <= 180")
 

@@ -154,6 +154,16 @@ class TestBudget:
         rows = read_rows(tmp_path / "budget.csv")
         assert rows[1][0] == "custom" and rows[1][1] == "3"
 
+    @pytest.mark.parametrize("hkl, message", [
+        (["100", "200"], "error: (100) is disallowed (|F| = 0)"),
+        (["222"], "error: (222) is forbidden (|F| = 0)"),
+        (["422", "110"], "error: (110) is disallowed (|F| = 0)"),
+    ])
+    def test_extinct_reflections_rejected(self, tmp_path, capsys, hkl, message):
+        assert run("budget", "--hkl", *hkl, "--out", str(tmp_path)) == 3
+        assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "budget.csv").exists()
+
 
 class TestRadius:
     def test_report(self, capsys):

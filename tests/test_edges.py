@@ -218,3 +218,81 @@ class TestMeasurementCsvEdges:
         path = tmp_path / "bad.csv"
         path.write_text("h,k,l,b_meas_fm,sigma_fm\n1,1,1,abc,0.0008\n")
         assert run("fit", str(path), "--out", str(tmp_path)) == 3
+
+
+class TestErrorBoundary:
+    """Every bad argument or value ends in exit 2 (configuration) or 3 (data)
+    with a message on stderr, never in a traceback."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["simulate", "711", "--samples", "1"], 2),
+        (["mc", "--trials", "1"], 2),
+        (["mc", "--sigma", "-1"], 2),
+        (["mc", "--sigma", "nan"], 2),
+        (["synth", "--sigma", "-1"], 2),
+        (["budget", "--sigma", "0"], 2),
+        (["synth", "--seed", "-1"], 2),
+        (["--seed", "-1", "mc"], 2),
+        (["plan", "--config", "{seed_config}"], 2),
+        (["synth", "--sigma", "10"], 3),
+        (["radius", "--sigma", "-1", "--", "-0.00131"], 2),
+        (["radius", "--", "nan"], 2),
+    ])
+    def test_exit_code_without_traceback(self, tmp_path, capsys, argv, code):
+        seed_config = tmp_path / "seed.ini"
+        seed_config.write_text("[run]\nseed = -3\n")
+        argv = [a.format(seed_config=seed_config) for a in argv]
+        try:
+            rc = main(["--out", str(tmp_path)] + argv)
+        except SystemExit as exc:  # argparse rejects the value
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == code
+        assert "Traceback" not in err
+        assert "error:" in err.strip().splitlines()[-1]
+
+
+class TestFiniteValues:
+    @pytest.mark.parametrize("field", ["a0", "b_nuclear", "sigma_b_nuclear", "B", "sigma_B"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_crystal_constants_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            replace(SILICON, **{field: value})
+
+    @pytest.mark.parametrize("field", ["b_meas", "sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_measurement_must_be_positive_and_finite(self, field, value):
+        m = Measurement(reflection=Reflection(4, 2, 2), b_meas=3.8, sigma=0.0008)
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            replace(m, **{field: value})
+
+    @pytest.mark.parametrize("field", ["lambda_peak", "lambda_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_window_wavelengths_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError):
+            replace(SpectrumWindow(), **{field: value})
+
+    def test_cli_infinite_temperature_factor(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[crystal]\nb = inf\n")
+        assert run("--config", str(cfg), "budget", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.strip() == "config error: B must be finite"
+
+    def test_cli_nan_lambda_peak(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[spectrum]\nlambda_peak = nan\n")
+        assert run("--config", str(cfg), "simulate", "711", "--spectrum", "maxwellian",
+                   "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("config error: lambda_peak")
+
+    def test_cli_nan_b_meas_row(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("h,k,l,b_meas_fm,sigma_fm\n4,2,2,nan,0.0008\n6,2,0,3.9,0.0008\n")
+        assert run("fit", str(path), "--out", str(tmp_path)) == 3
+        assert "bad measurement row: b_meas must be positive and finite" in capsys.readouterr().err
+
+    def test_cli_short_measurement_row(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("h,k,l,b_meas_fm,sigma_fm\n4,2,2,3.9\n6,2,0,3.9,0.0008\n")
+        assert run("fit", str(path), "--out", str(tmp_path)) == 3
+        assert "bad measurement row: expected 5 fields, got 4" in capsys.readouterr().err

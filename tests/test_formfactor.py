@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pendellosung
 from pendellosung import FormFactorRangeError, FormFactorTable
 from pendellosung.formfactor import (
     GERMANIUM_TABLE,
@@ -108,3 +113,52 @@ class TestCsvRoundTrip:
         path.write_text("q_over_4pi_A_inv,f\n0.1,0.9\n0.2,0.8\n")
         with pytest.raises(ValueError):
             table_from_csv(path)
+
+
+@st.composite
+def decreasing_tables(draw):
+    """Tables of 2-12 samples, strictly increasing q, strictly decreasing f."""
+    n = draw(st.integers(2, 12))
+    steps = draw(st.lists(st.floats(1e-3, 0.5), min_size=n - 1, max_size=n - 1))
+    ratios = draw(st.lists(st.floats(0.05, 0.999), min_size=n - 1, max_size=n - 1))
+    q = np.concatenate([[0.0], np.cumsum(steps)])
+    f = np.concatenate([[1.0], np.cumprod(ratios)])
+    return FormFactorTable(element="X", samples=tuple(zip(q.tolist(), f.tolist())))
+
+
+def assert_matches_scipy_pchip(table):
+    """f_at equals scipy's PchipInterpolator on (q^2, ln f) to the bit, and
+    past q_max equals the line along its derivative at the last knot."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    q = np.array([s[0] for s in table.samples])
+    x = q * q
+    ref = interpolate.PchipInterpolator(x, np.log([s[1] for s in table.samples]))
+    inside = np.concatenate([q, np.linspace(0.0, table.q_max, 301), (q[:-1] + q[1:]) / 2])
+    for qi in inside.tolist():
+        assert table.f_at(qi) == math.exp(ref(qi * qi))
+    x_last = float(x[-1])
+    y_last, slope = float(ref(x_last)), float(ref.derivative()(x_last))
+    for qi in np.linspace(table.q_max, table.q_max * 1.05, 12)[1:].tolist():
+        assert table.f_at(qi) == math.exp(y_last + slope * (qi * qi - x_last))
+
+
+class TestScipyOracle:
+    @pytest.mark.parametrize("table", [SILICON_TABLE, GERMANIUM_TABLE], ids=["Si", "Ge"])
+    def test_builtin_tables_bit_identical(self, table):
+        assert_matches_scipy_pchip(table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(decreasing_tables())
+    def test_generated_tables_bit_identical(self, table):
+        assert_matches_scipy_pchip(table)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(pendellosung.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, pendellosung; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
