@@ -74,7 +74,7 @@ def _checked(cast, ok, name):
 _SEED = _checked(int, lambda v: v >= 0, "non-negative integer")
 _COUNT = _checked(int, lambda v: v >= 2, "integer >= 2")
 _FINITE = _checked(float, math.isfinite, "finite number")
-_SIGMA = _checked(float, lambda v: 0 <= v < math.inf, "non-negative finite number")
+_NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "non-negative finite number")
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive finite number")
 
 EXIT_OK = 0
@@ -187,11 +187,11 @@ def load_config(path: str | None) -> RunConfig:
     reference = get("model", "reference", str, "argonne")
     if reference not in _REFERENCE_BNE:
         raise ConfigError(f"unknown model reference {reference!r}")
-    b_ne = get("model", "b_ne", float, _REFERENCE_BNE[reference][1])
+    b_ne = get("model", "b_ne", _FINITE, _REFERENCE_BNE[reference][1])
 
     return RunConfig(
         crystal=crystal, window=window, blade=blade, table=table,
-        b_ne=b_ne, model_B=get("model", "b", float, crystal.B),
+        b_ne=b_ne, model_B=get("model", "b", _NON_NEGATIVE, crystal.B),
         include_forward=get_bool("fit", "include_forward", True),
         free_intercept=get_bool("fit", "free_intercept", True),
         seed=get("run", "seed", _SEED, 0),
@@ -202,8 +202,12 @@ def load_config(path: str | None) -> RunConfig:
 # --- small formatting helpers -------------------------------------------
 
 
+# Six significant digits for every number a CSV carries.
+_FMT = "{:.6g}"
+
+
 def _fmt(x) -> str:
-    return f"{x:.6g}"
+    return _FMT.format(x)
 
 
 def _parse_hkl(text: str) -> Reflection:
@@ -226,6 +230,17 @@ def _write_csv(path: Path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_columns(path: Path, header, columns):
+    """CSV of equal-length numeric columns, written a row at a time from
+    one template. A .6g number never holds a comma, a quote or a newline,
+    so no field needs the quoting of the csv module."""
+    row = ",".join([_FMT] * len(columns)) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(row.format, *(c.tolist() for c in columns)))
 
 
 def read_measurements_csv(path) -> list:
@@ -300,10 +315,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
                                         cfg.blade, n_samples=args.samples)
     counts = fringes.fringe_count(cfg.crystal, model, r, cfg.blade, cfg.window)
     out = cfg.out_dir / f"fringes_{r.canonical().label()}.csv"
-    _write_csv(out, ["lambda_A", "two_theta_deg", "argument_rad", "intensity_norm"],
-               [[_fmt(l), _fmt(t), _fmt(a), _fmt(i)]
-                for l, t, a, i in zip(profile.lam, profile.two_theta_deg,
-                                      profile.argument, profile.intensity)])
+    _write_columns(out, ["lambda_A", "two_theta_deg", "argument_rad", "intensity_norm"],
+                   [profile.lam, profile.two_theta_deg, profile.argument, profile.intensity])
     print(f"({r.canonical().label()}) t={_fmt(cfg.blade.thickness_cm)} cm: "
           f"delta_argument={_fmt(counts.delta_argument)} rad, "
           f"periods={counts.period_count}, antinodes={counts.antinode_count}")
@@ -494,10 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("radius", help="convert b_ne to the mean-square charge radius", parents=[common])
     sp.add_argument("bne", type=_FINITE, help="b_ne in fm")
-    sp.add_argument("--sigma", type=_SIGMA, default=0.0)
+    sp.add_argument("--sigma", type=_NON_NEGATIVE, default=0.0)
 
     sp = sub.add_parser("synth", help="synthetic measurement CSV", parents=[common])
-    sp.add_argument("--sigma", type=_SIGMA, default=inference.DEFAULT_SIGMA_B_MEAS)
+    sp.add_argument("--sigma", type=_NON_NEGATIVE, default=inference.DEFAULT_SIGMA_B_MEAS)
     sp.add_argument("--error-model", choices=("flat", "temperature-factor"),
                     default="flat")
     sp.add_argument("--all-pure", action="store_true",
@@ -505,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mc", help="Monte-Carlo check of the fit covariance", parents=[common])
     sp.add_argument("--trials", type=_COUNT, default=10_000)
-    sp.add_argument("--sigma", type=_SIGMA, default=inference.DEFAULT_SIGMA_B_MEAS)
+    # Zero noise leaves no spread to compare, so the sigma ratios are undefined.
+    sp.add_argument("--sigma", type=_POSITIVE, default=inference.DEFAULT_SIGMA_B_MEAS)
 
     return p
 
@@ -541,6 +555,10 @@ def main(argv=None) -> int:
         # A ValueError here is a library argument check tripped by the data
         # (e.g. synthetic noise driving an amplitude non-positive).
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        # Sizes such as --samples are only bounded by what numpy can allocate.
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_DATA
 
 

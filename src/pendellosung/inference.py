@@ -462,6 +462,23 @@ def temperature_factor_sigmas(model: ScatteringModel, crystal: CrystalSpec,
     return np.array(out)
 
 
+# Monte-Carlo trials drawn per noise block: about 5 MB of noise for the
+# default nine observations, whatever the trial count.
+_MC_CHUNK = 1 << 16
+
+
+def _normal_chunks(seed: int, n_rows: int, n_cols: int):
+    """The first n_rows x n_cols standard normals of the seed's Philox
+    stream, in order, as successive views of one reused buffer of at most
+    _MC_CHUNK rows; concatenated, they equal a single n_rows-row draw."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    buf = np.empty((min(_MC_CHUNK, n_rows), n_cols))
+    for start in range(0, n_rows, _MC_CHUNK):
+        chunk = buf[:min(_MC_CHUNK, n_rows - start)]
+        rng.standard_normal(out=chunk)
+        yield chunk
+
+
 @dataclass(frozen=True)
 class MonteCarloResult:
     param_names: tuple
@@ -482,9 +499,11 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     """Empirical covariance of the linearized joint fit over noisy trials.
 
     The fit is linear in the observations, so all trials reduce to one
-    estimator matrix applied to a noise block; the noise comes from the
+    estimator matrix applied to the noise; the noise comes from the
     counter-based Philox generator keyed by the seed, making the result
-    independent of any batching or scheduling of trials.
+    independent of any batching or scheduling of trials. Trials are drawn
+    in fixed chunks of that one stream, and only the parameter sums and
+    cross products are kept, so memory does not grow with n_trials.
     """
     names = ("B", "b_ne", "ln_b_nuclear")
     if n_trials < 2:
@@ -504,9 +523,14 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     analytic = _normal_cov(design, w)
     estimator = analytic @ design.T @ np.diag(w)
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    noise = rng.standard_normal((n_trials, len(sy))) * sy
-    params = noise @ estimator.T  # deviations from the noiseless solution
-    empirical = np.cov(params, rowvar=False)
+    scaled = (estimator * sy).T  # unit-normal noise -> parameter deviations
+    total = np.zeros(len(names))
+    cross = np.zeros((len(names), len(names)))
+    for noise in _normal_chunks(seed, n_trials, len(sy)):
+        params = noise @ scaled  # deviations from the noiseless solution
+        total += params.sum(axis=0)
+        cross += params.T @ params
+    mean = total / n_trials
+    empirical = (cross - n_trials * np.outer(mean, mean)) / (n_trials - 1)
     return MonteCarloResult(param_names=names, analytic_cov=analytic,
                             empirical_cov=empirical, n_trials=n_trials)

@@ -128,8 +128,9 @@ class CrystalSpec:
             raise ValueError("Z must be >= 1")
         if self.b_nuclear <= 0:
             raise ValueError("b_nuclear must be positive")
-        if self.B < 0:
-            raise ValueError("B must be non-negative")
+        for name in ("B", "sigma_b_nuclear", "sigma_B"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.structure != "diamond":
             raise ValueError(f"unsupported structure {self.structure!r}")
 

@@ -1,8 +1,9 @@
 import csv
 
+import numpy as np
 import pytest
 
-from pendellosung.cli import main, read_measurements_csv
+from pendellosung.cli import _write_columns, main, read_measurements_csv
 
 
 def run(*argv):
@@ -74,6 +75,20 @@ class TestSimulate:
 
     def test_bad_hkl(self, tmp_path):
         assert run("simulate", "zzz", "--out", str(tmp_path)) == 2
+
+    def test_column_writer_matches_csv_module(self, tmp_path):
+        # The reference: the csv module over numpy scalars, one format call each.
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -123456.5, 999999.5, 1e16]
+        rng = np.random.default_rng(1)
+        columns = [np.concatenate([special, rng.standard_normal(200) * 10.0**k])
+                   for k in (-8, 0, 3, 12)]
+        header = ["a", "b", "c", "d"]
+        _write_columns(tmp_path / "fast.csv", header, columns)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([f"{x:.6g}" for x in row] for row in zip(*columns))
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestSynthFitRoundTrip:

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pendellosung import (
     SILICON,
@@ -28,6 +29,7 @@ from pendellosung import (
     scattering_model,
     synth_measurements,
 )
+from pendellosung import fringes
 from pendellosung.cli import main
 
 
@@ -237,6 +239,7 @@ class TestErrorBoundary:
         (["synth", "--sigma", "10"], 3),
         (["radius", "--sigma", "-1", "--", "-0.00131"], 2),
         (["radius", "--", "nan"], 2),
+        (["mc", "--sigma", "0"], 2),  # no spread: the sigma ratios would divide by zero
     ])
     def test_exit_code_without_traceback(self, tmp_path, capsys, argv, code):
         seed_config = tmp_path / "seed.ini"
@@ -250,6 +253,121 @@ class TestErrorBoundary:
         assert rc == code
         assert "Traceback" not in err
         assert "error:" in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 EiB for an array"])
+    def test_out_of_memory_is_a_data_error(self, tmp_path, capsys, monkeypatch, message):
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(fringes, "intensity_profile", refuse)
+        assert run("simulate", "711", "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith("error: out of memory")
+        assert message in err
+
+
+# Small generated configurations: each key takes one of its own values (mostly
+# valid) or one of the generic bad ones.
+_BAD_VALUES = ("nan", "inf", "-inf", "-1", "0", "abc", "")
+_KEY_VALUES = {
+    "crystal": {"name": ("Si", "Ge", "W"), "a0": ("5.43072", "5.6575"), "z": ("14", "32", "1.5"),
+                "b_nuclear": ("4.1507", "8.185"), "sigma_b_nuclear": ("0.0002", "0.01"),
+                "b": ("0.4613", "0.5"), "sigma_b": ("0.0027", "0.01"),
+                "form_factor_csv": ("missing.csv",)},
+    "spectrum": {"lambda_min": ("0.7", "0.8", "1.5"), "lambda_max": ("2.0", "2.5", "3.0"),
+                 "lambda_peak": ("1.2", "2.0"), "two_theta_min": ("5", "15", "40"),
+                 "two_theta_max": ("60", "110", "180", "200")},
+    "blade": {"thickness_cm": ("0.5", "1.0", "3.0")},
+    "model": {"reference": ("argonne", "dubna", "theory", "none"),
+              "b_ne": ("-1.31e-3", "0.01"), "b": ("0.4613", "0.3")},
+    "fit": {"include_forward": ("true", "false"), "free_intercept": ("true", "false")},
+    "run": {"seed": ("0", "7", "-3")},
+}
+_ENTRIES = [(section, key) for section, keys in _KEY_VALUES.items() for key in keys]
+
+
+@st.composite
+def _config_text(draw):
+    chosen = draw(st.lists(st.sampled_from(_ENTRIES), max_size=4, unique=True))
+    sections = {}
+    for section, key in chosen:
+        value = draw(st.sampled_from(_KEY_VALUES[section][key]) | st.sampled_from(_BAD_VALUES))
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    if draw(st.booleans()):
+        sections.setdefault(draw(st.sampled_from(["crystal", "extra"])), []).append("bogus = 1")
+    return "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines)
+                   for name, lines in sections.items())
+
+
+_NUMBERS = st.sampled_from(["0.0008", "0.01", "10", "0", "-1", "nan", "inf", "x"])
+_HKL = st.sampled_from(["111", "422", "711", "642", "222", "100", "999", "4,2,2", "zzz"])
+_COUNTS = st.integers(-1, 2000).map(str)
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def _switch(name):
+    return st.sampled_from([[], [name]])
+
+
+def _concat(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+_COMMAND_ARGS = {
+    "plan": _concat(_switch("--all"), _switch("--strict")),
+    "simulate": _concat(_HKL.map(lambda h: [h]), _flag("--samples", _COUNTS),
+                        _flag("--spectrum", st.sampled_from(["flat", "maxwellian", "hot"]))),
+    "fit": _concat(st.just(["{measurements}"]),
+                   _flag("--mode", st.sampled_from(["auto", "joint", "bne", "B"]))),
+    "budget": _concat(_flag("--sigma", _NUMBERS), _switch("--primary-only"),
+                      st.one_of(st.just([]), st.lists(_HKL, max_size=3).map(
+                          lambda hs: ["--hkl", *hs]))),
+    "radius": _concat(_flag("--sigma", _NUMBERS), _NUMBERS.map(lambda v: ["--", v])),
+    "synth": _concat(_flag("--sigma", _NUMBERS), _switch("--all-pure"),
+                     _flag("--error-model", st.sampled_from(["flat", "temperature-factor"]))),
+    "mc": _concat(_flag("--trials", _COUNTS), _flag("--sigma", _NUMBERS)),
+}
+
+
+@st.composite
+def _measurement_text(draw):
+    rows = draw(st.lists(st.tuples(_HKL.filter(lambda h: h.isdigit()),
+                                   st.sampled_from(["3.7876", "3.9", "-1", "nan", "x"]),
+                                   st.sampled_from(["0.0008", "0", "inf"])), max_size=4))
+    lines = [",".join([*hkl, b, s]) for hkl, b, s in rows]
+    if draw(st.booleans()):
+        lines.append("4,2,2,3.9")
+    return "h,k,l,b_meas_fm,sigma_fm\n" + "".join(f"{line}\n" for line in lines)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(command=st.sampled_from(sorted(_COMMAND_ARGS)), data=st.data(),
+       config=st.one_of(st.none(), _config_text()), measurements=_measurement_text(),
+       seed=st.one_of(st.just([]), st.sampled_from(["0", "5", "-1"]).map(lambda v: ["--seed", v])))
+def test_exit_code_property(tmp_path, capsys, command, data, config, measurements, seed):
+    """Any argv for any subcommand, under any small config, exits 0, 2 or 3;
+    a failure ends in an error line on stderr, never in a traceback."""
+    (tmp_path / "m.csv").write_text(measurements)
+    args = [a.format(measurements=tmp_path / "m.csv") for a in data.draw(_COMMAND_ARGS[command])]
+    argv = ["--out", str(tmp_path / "out"), *seed]
+    if config is not None:
+        (tmp_path / "c.ini").write_text(config.replace("missing.csv", str(tmp_path / "no.csv")))
+        argv += ["--config", str(tmp_path / "c.ini")]
+    try:
+        rc = main([command, *argv, *args])
+    except SystemExit as exc:  # argparse rejects the argv
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err
+    if rc != 0:
+        last = err.strip().splitlines()[-1]
+        assert "error:" in last
 
 
 class TestFiniteValues:
@@ -296,3 +414,38 @@ class TestFiniteValues:
         path.write_text("h,k,l,b_meas_fm,sigma_fm\n4,2,2,3.9\n6,2,0,3.9,0.0008\n")
         assert run("fit", str(path), "--out", str(tmp_path)) == 3
         assert "bad measurement row: expected 5 fields, got 4" in capsys.readouterr().err
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("field", ["sigma_b_nuclear", "sigma_B"])
+    def test_crystal_sigmas_must_be_non_negative(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            replace(SILICON, **{field: -0.01})
+
+    def test_zero_crystal_sigmas_are_allowed(self):
+        assert replace(SILICON, sigma_b_nuclear=0.0, sigma_B=0.0).sigma_B == 0.0
+
+    @pytest.mark.parametrize("key, field", [("sigma_b", "sigma_B"),
+                                            ("sigma_b_nuclear", "sigma_b_nuclear")])
+    def test_cli_negative_crystal_sigma(self, tmp_path, capsys, key, field):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[crystal]\n{key} = -0.01\n")
+        assert run("--config", str(cfg), "budget", "--out", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == f"config error: {field} must be non-negative"
+        assert "sigma_B =" not in captured.out
+
+    @pytest.mark.parametrize("key, value", [("b", "nan"), ("b", "inf"), ("b", "-0.1"),
+                                            ("b_ne", "inf"), ("b_ne", "nan")])
+    def test_cli_model_values_are_range_checked(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[model]\n{key} = {value}\n")
+        for argv in (["budget"], ["simulate", "711"]):
+            assert run("--config", str(cfg), *argv, "--out", str(tmp_path)) == 2
+            assert capsys.readouterr().err.strip() == f"config error: bad value for [model] {key}"
+
+    def test_cli_model_zero_temperature_factor_is_allowed(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[model]\nb = 0\nb_ne = 0\n")
+        assert run("--config", str(cfg), "simulate", "711", "--samples", "50",
+                   "--out", str(tmp_path)) == 0

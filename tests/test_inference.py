@@ -29,6 +29,7 @@ from pendellosung import (
     slope_uncertainty,
     synth_measurements,
 )
+from pendellosung import inference
 from pendellosung.inference import temperature_factor_sigmas
 from pendellosung.lattice import ReflectionClass
 
@@ -353,6 +354,52 @@ class TestMonteCarlo:
                                    n_trials=30_000, seed=11, include_forward=False)
         for ratio in res.sigma_ratios:
             assert ratio == pytest.approx(1.0, abs=0.03)
+
+
+class TestChunkedMonteCarlo:
+    """The Monte Carlo draws its noise in fixed chunks of one Philox stream
+    and keeps only running sums, yet matches the single-block computation."""
+
+    def test_chunks_concatenate_to_the_single_block_draw(self, monkeypatch):
+        monkeypatch.setattr(inference, "_MC_CHUNK", 7)
+        chunks = [c.copy() for c in inference._normal_chunks(5, 1000, 9)]
+        assert [len(c) for c in chunks] == [7] * 142 + [6]
+        single = np.random.Generator(np.random.Philox(key=5)).standard_normal((1000, 9))
+        assert np.array_equal(np.concatenate(chunks), single)
+
+    def test_default_chunks_concatenate_to_the_single_block_draw(self):
+        n = 2 * inference._MC_CHUNK + 3
+        chunks = np.concatenate([c.copy() for c in inference._normal_chunks(3, n, 9)])
+        single = np.random.Generator(np.random.Philox(key=3)).standard_normal((n, 9))
+        assert np.array_equal(chunks, single)
+
+    @pytest.mark.parametrize("forward", [True, False], ids=["forward", "no-forward"])
+    def test_covariance_equals_np_cov_of_one_block(self, monkeypatch, si_model,
+                                                   new_eight, forward):
+        monkeypatch.setattr(inference, "_MC_CHUNK", 7)
+        n_trials, seed, sigma = 1000, 4, 0.0008
+        res = monte_carlo_validate(si_model, SILICON, new_eight, sigma=sigma,
+                                   n_trials=n_trials, seed=seed,
+                                   include_forward=forward)
+        # The single-block reference: every trial's parameters at once.
+        q, f, b_pred = inference._predicted_rows(si_model, SILICON, new_eight)
+        anchor = (SILICON.b_nuclear, SILICON.sigma_b_nuclear) if forward else None
+        x1, _, sy, x2 = inference._log_rows(q, b_pred, sigma, anchor, 1.0 - f)
+        design = inference._joint_design(x1, x2, SILICON.Z / SILICON.b_nuclear, True)
+        w = 1.0 / sy**2
+        estimator = inference._normal_cov(design, w) @ design.T @ np.diag(w)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        params = (rng.standard_normal((n_trials, len(sy))) * sy) @ estimator.T
+        np.testing.assert_allclose(res.empirical_cov, np.cov(params, rowvar=False),
+                                   rtol=1e-12, atol=0)
+
+    def test_covariance_does_not_depend_on_the_chunk_size(self, monkeypatch,
+                                                          si_model, new_eight):
+        whole = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=1000, seed=8)
+        monkeypatch.setattr(inference, "_MC_CHUNK", 7)
+        chunked = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=1000, seed=8)
+        np.testing.assert_allclose(chunked.empirical_cov, whole.empirical_cov,
+                                   rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("forward", [True, False], ids=["forward", "no-forward"])
