@@ -107,15 +107,25 @@ class RunConfig:
         return lattice.scattering_model(self.crystal, self.b_ne, self.table, self.model_B)
 
 
+def _boolean(text):
+    """configparser's boolean words (true/false, yes/no, on/off, 1/0)."""
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
+    if value is None:
+        raise ValueError(f"not a boolean: {text}")
+    return value
+
+
+# Config section -> key -> converter of the raw string.
 _SCHEMA = {
-    "crystal": {"name", "a0", "z", "b_nuclear", "sigma_b_nuclear", "b", "sigma_b",
-                "form_factor_csv"},
-    "spectrum": {"lambda_min", "lambda_max", "lambda_peak",
-                 "two_theta_min", "two_theta_max"},
-    "blade": {"thickness_cm"},
-    "model": {"reference", "b_ne", "b"},
-    "fit": {"include_forward", "free_intercept"},
-    "run": {"seed", "out"},
+    "crystal": {"name": str, "a0": float, "z": int, "b_nuclear": float,
+                "sigma_b_nuclear": float, "b": float, "sigma_b": float,
+                "form_factor_csv": str},
+    # [spectrum] keys are the SpectrumWindow field names.
+    "spectrum": {f.name: float for f in fields(planner.SpectrumWindow)},
+    "blade": {"thickness_cm": float},
+    "model": {"reference": str, "b_ne": _FINITE, "b": _NON_NEGATIVE},
+    "fit": {"include_forward": _boolean, "free_intercept": _boolean},
+    "run": {"seed": _SEED, "out": str},
 }
 
 
@@ -137,42 +147,33 @@ def load_config(path: str | None) -> RunConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    def get(section, key, cast, default):
+    def get(section, key, default):
         try:
             raw = cp.get(section, key, fallback=None)
-            return default if raw is None else cast(raw)
+            return default if raw is None else _SCHEMA[section][key](raw)
         except (ValueError, configparser.Error) as exc:
             raise ConfigError(f"bad value for [{section}] {key}") from exc
 
-    def get_bool(section, key, default):
-        try:
-            v = cp.getboolean(section, key, fallback=default)
-        except (ValueError, configparser.Error) as exc:
-            raise ConfigError(f"bad value for [{section}] {key}") from exc
-        return v
-
-    name = get("crystal", "name", str, "Si")
+    name = get("crystal", "name", "Si")
     base = lattice.BUILTIN_CRYSTALS.get(name)
     if base is None and not cp.has_option("crystal", "a0"):
         raise ConfigError(f"unknown crystal {name!r} and no inline constants given")
     try:
         # [crystal] keys are the CrystalSpec field names, lower-cased.
         crystal = CrystalSpec(name=name, **{
-            key: get("crystal", key.lower(), cast, getattr(base, key) if base else cast(0))
-            for key, cast in (("a0", float), ("Z", int), ("b_nuclear", float),
-                              ("sigma_b_nuclear", float), ("B", float), ("sigma_B", float))
+            key: get("crystal", key.lower(), getattr(base, key, 0))
+            for key in ("a0", "Z", "b_nuclear", "sigma_b_nuclear", "B", "sigma_B")
         })
-        # [spectrum] keys are the SpectrumWindow field names.
         window = planner.SpectrumWindow(**{
-            f.name: get("spectrum", f.name, float, getattr(planner.DEFAULT_WINDOW, f.name))
-            for f in fields(planner.SpectrumWindow)
+            key: get("spectrum", key, getattr(planner.DEFAULT_WINDOW, key))
+            for key in _SCHEMA["spectrum"]
         })
         blade = fringes.BladeGeometry(thickness_cm=get(
-            "blade", "thickness_cm", float, fringes.BladeGeometry.thickness_cm))
+            "blade", "thickness_cm", fringes.BladeGeometry.thickness_cm))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    table_path = cp.get("crystal", "form_factor_csv", fallback=None)
+    table_path = get("crystal", "form_factor_csv", None)
     if table_path is not None:
         try:
             table = table_from_csv(table_path, element=crystal.name)
@@ -184,18 +185,18 @@ def load_config(path: str | None) -> RunConfig:
             raise ConfigError(f"no built-in form factors for {crystal.name!r}; "
                               "set [crystal] form_factor_csv")
 
-    reference = get("model", "reference", str, "argonne")
+    reference = get("model", "reference", "argonne")
     if reference not in _REFERENCE_BNE:
         raise ConfigError(f"unknown model reference {reference!r}")
-    b_ne = get("model", "b_ne", _FINITE, _REFERENCE_BNE[reference][1])
 
     return RunConfig(
         crystal=crystal, window=window, blade=blade, table=table,
-        b_ne=b_ne, model_B=get("model", "b", _NON_NEGATIVE, crystal.B),
-        include_forward=get_bool("fit", "include_forward", True),
-        free_intercept=get_bool("fit", "free_intercept", True),
-        seed=get("run", "seed", _SEED, 0),
-        out_dir=Path(get("run", "out", str, "out")),
+        b_ne=get("model", "b_ne", _REFERENCE_BNE[reference][1]),
+        model_B=get("model", "b", crystal.B),
+        include_forward=get("fit", "include_forward", True),
+        free_intercept=get("fit", "free_intercept", True),
+        seed=get("run", "seed", 0),
+        out_dir=Path(get("run", "out", "out")),
     )
 
 
@@ -373,14 +374,19 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _new_reflections(pure) -> list:
+    """The pure reflections other than the reference (111): the program of
+    new reflections (eight under the default Si window)."""
+    return [p.reflection for p in pure if p.reflection != Reflection(1, 1, 1)]
+
+
 def _budget_sets(cfg: RunConfig, args):
     if args.hkl:
         return [("custom", [_parse_hkl(h) for h in args.hkl])]
     pure = planner.enumerate_pure(cfg.crystal, cfg.window)
     strong = [p.reflection for p in pure
               if p.reflection_class is lattice.ReflectionClass.STRONG]
-    new = [p.reflection for p in pure if p.reflection != Reflection(1, 1, 1)]
-    return [("strong", strong), ("new", new)]
+    return [("strong", strong), ("new", _new_reflections(pure))]
 
 
 def cmd_budget(cfg: RunConfig, args) -> int:
@@ -430,9 +436,7 @@ def cmd_radius(cfg: RunConfig, args) -> int:
 def cmd_synth(cfg: RunConfig, args) -> int:
     model = cfg.model()
     pure = planner.enumerate_pure(cfg.crystal, cfg.window)
-    refls = [p.reflection for p in pure]
-    if not args.all_pure:
-        refls = [r for r in refls if r != Reflection(1, 1, 1)]
+    refls = [p.reflection for p in pure] if args.all_pure else _new_reflections(pure)
     if args.error_model == "temperature-factor":
         sigma = inference.temperature_factor_sigmas(model, cfg.crystal, refls)
     else:
@@ -447,8 +451,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 def cmd_mc(cfg: RunConfig, args) -> int:
     model = cfg.model()
-    pure = planner.enumerate_pure(cfg.crystal, cfg.window)
-    refls = [p.reflection for p in pure if p.reflection != Reflection(1, 1, 1)]
+    refls = _new_reflections(planner.enumerate_pure(cfg.crystal, cfg.window))
     res = inference.monte_carlo_validate(model, cfg.crystal, refls,
                                          sigma=args.sigma, n_trials=args.trials,
                                          seed=cfg.seed,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-FM_PER_ANGSTROM = 1.0e5
 ANGSTROM_PER_FM = 1.0e-5
 ANGSTROM_PER_CM = 1.0e8
 

@@ -141,10 +141,9 @@ def bessel_j0(x):
 
 @dataclass(frozen=True)
 class BladeGeometry:
-    """Crystal blade: thickness in cm, optional cut plane (informational)."""
+    """Crystal blade of the given thickness in cm."""
 
     thickness_cm: float = 1.0
-    cut_plane: Reflection | None = None
 
     def __post_init__(self):
         if not 0 < self.thickness_cm < math.inf:

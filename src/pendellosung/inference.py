@@ -136,15 +136,9 @@ def charge_radius_from_bne(constants: PhysicalConstants, b_ne: float,
 # --- shared reduction core ------------------------------------------------
 
 
-def _defaults(value, sigma, crystal_value, crystal_sigma):
-    """Resolve an optional (value, sigma) pair against the crystal's.
-
-    Without a value the crystal's pair is taken whole, even if a sigma was
-    passed; with a value, a missing sigma falls back to the crystal's.
-    """
-    if value is None:
-        return crystal_value, crystal_sigma
-    return value, crystal_sigma if sigma is None else sigma
+def _forward(crystal: CrystalSpec, include_forward: bool):
+    """The forward datum (b_nuclear, sigma_b_nuclear) at x = 0, or None."""
+    return (crystal.b_nuclear, crystal.sigma_b_nuclear) if include_forward else None
 
 
 def _prepend(head, cols):
@@ -257,9 +251,7 @@ def slope_uncertainty(xs, sigmas) -> float:
 # --- single-parameter fits ----------------------------------------------
 
 
-def fit_temperature_factor(ms, crystal: CrystalSpec,
-                           b_nuclear: float | None = None,
-                           sigma_b_nuclear: float | None = None,
+def fit_temperature_factor(ms, crystal: CrystalSpec, *,
                            include_forward: bool = True,
                            free_intercept: bool = True):
     """Temperature factor from the log-linear relation; returns (B, sigma_B).
@@ -268,36 +260,29 @@ def fit_temperature_factor(ms, crystal: CrystalSpec,
     forward value enters as the x = 0 datum (default) or pins the
     intercept when free_intercept=False.
     """
-    b_nuclear, sigma_b_nuclear = _defaults(b_nuclear, sigma_b_nuclear,
-                                           crystal.b_nuclear, crystal.sigma_b_nuclear)
     if not ms:
         raise InsufficientData("no measurements")
     q, _, b, s = _measured_rows(ms, crystal)
-    forward = (b_nuclear, sigma_b_nuclear) if include_forward and free_intercept else None
-    x, y, sy = _log_rows(q, b, s, forward)
+    x, y, sy = _log_rows(q, b, s, _forward(crystal, include_forward and free_intercept))
     if free_intercept and np.ptp(x) == 0:
         raise InsufficientData("need two distinct Q values (or a fixed intercept)")
-    _, slope, cov = _wls_line(x, y, sy, None if free_intercept else math.log(b_nuclear))
+    _, slope, cov = _wls_line(x, y, sy,
+                              None if free_intercept else math.log(crystal.b_nuclear))
     return -slope, math.sqrt(cov[1, 1])
 
 
-def fit_bne(ms, crystal: CrystalSpec, table: FormFactorTable,
-            b_nuclear: float | None = None, sigma_b_nuclear: float | None = None,
-            B: float | None = None, sigma_B: float | None = None,
+def fit_bne(ms, crystal: CrystalSpec, table: FormFactorTable, *,
             include_forward: bool = True):
     """b_ne from the slope of b(Q) against 1 - f(Q); returns (b_ne, sigma).
 
     Each amplitude is Debye-Waller corrected first (sigma_B propagated per
     the module convention); the forward value supplies the x = 0 datum.
     """
-    b_nuclear, sigma_b_nuclear = _defaults(b_nuclear, sigma_b_nuclear,
-                                           crystal.b_nuclear, crystal.sigma_b_nuclear)
-    B, sigma_B = _defaults(B, sigma_B, crystal.B, crystal.sigma_B)
     if not ms:
         raise InsufficientData("no measurements")
     q, f, b, s = _measured_rows(ms, crystal, table)
-    forward = (b_nuclear, sigma_b_nuclear) if include_forward else None
-    x, y, sy = _corrected_rows(q, f, b, s, B, sigma_B, forward)
+    x, y, sy = _corrected_rows(q, f, b, s, crystal.B, crystal.sigma_B,
+                               _forward(crystal, include_forward))
     if np.ptp(x) == 0:
         raise InsufficientData("need two distinct form-factor abscissas")
     _, slope, cov = _wls_line(x, y, sy)
@@ -307,8 +292,7 @@ def fit_bne(ms, crystal: CrystalSpec, table: FormFactorTable,
 # --- joint fit -----------------------------------------------------------
 
 
-def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable,
-              b_nuclear: float | None = None, sigma_b_nuclear: float | None = None,
+def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
               include_forward: bool = True, free_intercept: bool = True,
               refine: bool = True) -> FitResult:
     """Simultaneous (B, b_ne) fit on the linearized log model.
@@ -320,20 +304,17 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable,
     step stalls (at most four; noiseless data recover parameters to
     ~1e-12 relative). Covariance comes from the final normal equations.
     """
-    b_nuclear, sigma_b_nuclear = _defaults(b_nuclear, sigma_b_nuclear,
-                                           crystal.b_nuclear, crystal.sigma_b_nuclear)
     if len(ms) < 2:
         raise InsufficientData("joint fit needs at least two reflections")
     q, f, b, s = _measured_rows(ms, crystal, table)
     if np.ptp(q) == 0 and np.ptp(f) == 0:
         raise SingularDesign("all measurements share one (q^2, 1-f) point")
-    forward = (b_nuclear, sigma_b_nuclear) if include_forward else None
-    x1, y, sy, x2 = _log_rows(q, b, s, forward, 1.0 - f)
+    x1, y, sy, x2 = _log_rows(q, b, s, _forward(crystal, include_forward), 1.0 - f)
 
     names = ("B", "b_ne") + (("ln_b_nuclear",) if free_intercept else ())
-    design = _joint_design(x1, x2, crystal.Z / b_nuclear, free_intercept)
+    design = _joint_design(x1, x2, crystal.Z / crystal.b_nuclear, free_intercept)
     w = 1.0 / sy**2
-    offset = 0.0 if free_intercept else math.log(b_nuclear)
+    offset = 0.0 if free_intercept else math.log(crystal.b_nuclear)
 
     def solve_normal(a, resid):
         cov = _normal_cov(a, w)
@@ -404,7 +385,7 @@ def error_budget(model: ScatteringModel, crystal: CrystalSpec,
     if (len(refls) + (1 if include_forward else 0)) < 2:
         raise DegenerateDesign("need two abscissas (reflections plus forward point)")
     q, f, b_pred = _predicted_rows(model, crystal, refls)
-    forward = (crystal.b_nuclear, crystal.sigma_b_nuclear) if include_forward else None
+    forward = _forward(crystal, include_forward)
     try:
         x, _, sy = _log_rows(q, b_pred, sigma_b_meas, forward)
         sigma_big_b = slope_uncertainty(x, sy)
@@ -446,19 +427,17 @@ def synth_measurements(model: ScatteringModel, crystal: CrystalSpec,
 
 
 def temperature_factor_sigmas(model: ScatteringModel, crystal: CrystalSpec,
-                              reflections, sigma_B: float | None = None):
+                              reflections):
     """Corrected-amplitude errors from the temperature factor alone.
 
     The ideal-experiment scenario: infinitely precise b_meas, so the only
-    error on b(Q) is b(Q) (Q/4pi)^2 sigma_B, growing with Q^2.
+    error on b(Q) is b(Q) (Q/4pi)^2 crystal.sigma_B, growing with Q^2.
     """
-    if sigma_B is None:
-        sigma_B = crystal.sigma_B
     out = []
     for r in reflections:
         q = q_over_4pi(crystal, r.canonical())
         b_q = b_meas(model, q) / debye_waller(model.B, q)
-        out.append(b_q * q * q * sigma_B)
+        out.append(b_q * q * q * crystal.sigma_B)
     return np.array(out)
 
 
@@ -488,8 +467,15 @@ class MonteCarloResult:
 
     @property
     def sigma_ratios(self) -> np.ndarray:
-        """Empirical / analytic one-sigma widths, per parameter."""
-        return np.sqrt(np.diag(self.empirical_cov) / np.diag(self.analytic_cov))
+        """Empirical / analytic one-sigma widths, per parameter.
+
+        Raises DegenerateDesign when an analytic variance is zero (the
+        sigma = 0 result), which leaves the ratio undefined.
+        """
+        analytic = np.diag(self.analytic_cov)
+        if np.any(analytic == 0):
+            raise DegenerateDesign("zero analytic variance: sigma ratios are undefined")
+        return np.sqrt(np.diag(self.empirical_cov) / analytic)
 
 
 def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
@@ -516,8 +502,7 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
         return MonteCarloResult(param_names=names, analytic_cov=zero,
                                 empirical_cov=zero, n_trials=n_trials)
     q, f, b_pred = _predicted_rows(model, crystal, reflections)
-    forward = (crystal.b_nuclear, crystal.sigma_b_nuclear) if include_forward else None
-    x1, _, sy, x2 = _log_rows(q, b_pred, sigma, forward, 1.0 - f)
+    x1, _, sy, x2 = _log_rows(q, b_pred, sigma, _forward(crystal, include_forward), 1.0 - f)
     design = _joint_design(x1, x2, crystal.Z / crystal.b_nuclear, free_intercept=True)
     w = 1.0 / sy**2
     analytic = _normal_cov(design, w)

@@ -294,7 +294,7 @@ def plan_reflection(crystal: CrystalSpec, r: Reflection,
     cont = tuple(contamination(crystal, r, w))
     pure = _strict_pure(cont)
     note = ""
-    if not strict and crystal.structure == "diamond":
+    if not strict:
         amended = _survey_verdicts(crystal).get((r.h, r.k, r.l))
         if amended is not None:
             pure, note = amended

@@ -449,3 +449,30 @@ class TestRangeChecks:
         cfg.write_text("[model]\nb = 0\nb_ne = 0\n")
         assert run("--config", str(cfg), "simulate", "711", "--samples", "50",
                    "--out", str(tmp_path)) == 0
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("word, value", [("yes", True), ("On", True), ("1", True),
+                                             ("TRUE", True), ("no", False), ("off", False),
+                                             ("0", False), ("False", False)])
+    def test_boolean_words(self, tmp_path, word, value):
+        from pendellosung.cli import load_config
+
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[fit]\ninclude_forward = {word}\nfree_intercept = {word}\n")
+        loaded = load_config(str(cfg))
+        assert loaded.include_forward is value and loaded.free_intercept is value
+
+    @pytest.mark.parametrize("key, value", [("include_forward", "maybe"),
+                                            ("free_intercept", "2")])
+    def test_bad_boolean(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[fit]\n{key} = {value}\n")
+        assert run("--config", str(cfg), "plan", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"config error: bad value for [fit] {key}\n"
+
+    def test_table_path_interpolation_error_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[crystal]\nform_factor_csv = a%b.csv\n")
+        assert run("--config", str(cfg), "plan", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == "config error: bad value for [crystal] form_factor_csv\n"

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,6 +325,14 @@ class TestMonteCarlo:
                                    n_trials=100, seed=2)
         assert np.all(res.empirical_cov == 0)
 
+    def test_zero_noise_sigma_ratios_are_a_typed_error(self, si_model, new_eight):
+        res = monte_carlo_validate(si_model, SILICON, new_eight, sigma=0.0,
+                                   n_trials=100, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDesign, match="zero analytic variance"):
+                res.sigma_ratios
+
     def test_seed_independence_of_estimand(self, si_model, new_eight):
         a = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=40_000, seed=1)
         b = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=40_000, seed=99)
@@ -426,9 +436,55 @@ class TestSharedReduction:
 
     def test_bne_sigma_is_budget_sigma_bne(self, si_model, new_eight, exact, forward):
         budget = error_budget(si_model, SILICON, new_eight, include_forward=forward)
-        _, sigma = fit_bne(exact, SILICON, si_model.form_factor, B=si_model.B,
-                           sigma_B=budget.sigma_B, include_forward=forward)
+        crystal = replace(SILICON, B=si_model.B, sigma_B=budget.sigma_B)
+        _, sigma = fit_bne(exact, crystal, si_model.form_factor, include_forward=forward)
         assert sigma == budget.sigma_bne
+
+
+class TestCrystalIsTheOnlySource:
+    """b_nuclear, B and their sigmas come from the CrystalSpec alone, where
+    they are validated; a what-if value goes through dataclasses.replace."""
+
+    @pytest.fixture(scope="class")
+    def noisy(self, si_model, new_eight):
+        return synth_measurements(si_model, SILICON, new_eight, sigma=0.0008, seed=5)
+
+    @pytest.mark.parametrize("call", [
+        lambda ms, m: fit_bne(ms, SILICON, m.form_factor, b_nuclear=0.0),
+        lambda ms, m: fit_bne(ms, SILICON, m.form_factor, B=0.47, sigma_B=0.004),
+        lambda ms, m: joint_fit(ms, SILICON, m.form_factor, b_nuclear=0.0),
+        lambda ms, m: fit_temperature_factor(ms, SILICON, b_nuclear=0.0),
+        lambda ms, m: fit_temperature_factor(ms, SILICON, sigma_b_nuclear=0.5),
+        lambda ms, m: temperature_factor_sigmas(m, SILICON, [Reflection(4, 2, 2)],
+                                                sigma_B=-1.0),
+    ], ids=["fit_bne-b_nuclear", "fit_bne-B", "joint_fit-b_nuclear",
+            "fit_temperature_factor-b_nuclear", "fit_temperature_factor-sigma",
+            "temperature_factor_sigmas-sigma_B"])
+    def test_per_call_constants_rejected(self, si_model, noisy, call):
+        with pytest.raises(TypeError):
+            call(noisy, si_model)
+
+    def test_fit_options_are_keyword_only(self, si_model, noisy):
+        # A positional b_nuclear written for the old signatures must not
+        # land in include_forward.
+        with pytest.raises(TypeError):
+            fit_temperature_factor(noisy, SILICON, 4.15)
+        with pytest.raises(TypeError):
+            fit_bne(noisy, SILICON, si_model.form_factor, 4.15)
+        with pytest.raises(TypeError):
+            joint_fit(noisy, SILICON, si_model.form_factor, 4.15)
+
+    @pytest.mark.parametrize("forward, expected", [
+        (True, (-0.002624229037873835, 0.00026568434770201857)),
+        (False, (-0.006201880945951478, 0.002892996603103622)),
+    ], ids=["forward", "no-forward"])
+    def test_replaced_crystal_equals_former_override(self, si_model, noisy,
+                                                     forward, expected):
+        # Recorded from fit_bne(ms, SILICON, table, B=0.47, sigma_B=0.004)
+        # before the per-call overrides were removed.
+        crystal = replace(SILICON, B=0.47, sigma_B=0.004)
+        assert fit_bne(noisy, crystal, si_model.form_factor,
+                       include_forward=forward) == expected
 
 
 class TestMeasurementInvariants:
