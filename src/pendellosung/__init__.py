@@ -5,16 +5,13 @@ temperature factor and the neutron-electron scattering length."""
 from .constants import CODATA, PhysicalConstants
 from .errors import (
     ConfigError,
-    DegenerateAbscissa,
     DegenerateDesign,
-    DegenerateGeometry,
     EmptyWindow,
     ForbiddenReflection,
     FormFactorRangeError,
     InsufficientData,
     NoReflection,
     PendellosungError,
-    SingularDesign,
 )
 from .formfactor import BUILTIN_TABLES, FormFactorTable, GERMANIUM_TABLE, SILICON_TABLE
 from .fringes import (

@@ -54,7 +54,7 @@ from pathlib import Path
 from . import fringes, inference, lattice, planner
 from .constants import CODATA
 from .errors import ConfigError, FormFactorRangeError, PendellosungError
-from .formfactor import BUILTIN_TABLES, FormFactorTable, table_from_csv
+from .formfactor import BUILTIN_TABLES, table_from_csv
 from .lattice import CrystalSpec, Reflection, ScatteringModel
 
 
@@ -95,16 +95,11 @@ class RunConfig:
     crystal: CrystalSpec
     window: planner.SpectrumWindow
     blade: fringes.BladeGeometry
-    table: FormFactorTable
-    b_ne: float
-    model_B: float
+    model: ScatteringModel  # b_ne hypothesis, simulation B and form factors
     include_forward: bool
     free_intercept: bool
     seed: int
     out_dir: Path
-
-    def model(self) -> ScatteringModel:
-        return lattice.scattering_model(self.crystal, self.b_ne, self.table, self.model_B)
 
 
 def _boolean(text):
@@ -189,10 +184,10 @@ def load_config(path: str | None) -> RunConfig:
     if reference not in _REFERENCE_BNE:
         raise ConfigError(f"unknown model reference {reference!r}")
 
+    b_ne = get("model", "b_ne", _REFERENCE_BNE[reference][1])
+    model = lattice.scattering_model(crystal, b_ne, table, get("model", "b", crystal.B))
     return RunConfig(
-        crystal=crystal, window=window, blade=blade, table=table,
-        b_ne=get("model", "b_ne", _REFERENCE_BNE[reference][1]),
-        model_B=get("model", "b", crystal.B),
+        crystal=crystal, window=window, blade=blade, model=model,
         include_forward=get("fit", "include_forward", True),
         free_intercept=get("fit", "free_intercept", True),
         seed=get("run", "seed", 0),
@@ -269,24 +264,17 @@ def read_measurements_csv(path) -> list:
     return out
 
 
-def _write_measurements_csv(path: Path, ms) -> None:
-    _write_csv(path, ["h", "k", "l", "b_meas_fm", "sigma_fm"],
-               [[m.reflection.h, m.reflection.k, m.reflection.l,
-                 _fmt(m.b_meas), _fmt(m.sigma)] for m in ms])
-
-
 # --- commands ------------------------------------------------------------
 
 
 def cmd_plan(cfg: RunConfig, args) -> int:
     result = planner.survey(cfg.crystal, cfg.window, strict=args.strict)
-    model = cfg.model()
     plans = result.plans if args.all else result.pure
     rows = []
     for p in plans:
         try:
-            f_val = _fmt(cfg.table.f_at(p.q))
-            f2 = _fmt(lattice.structure_factor_magnitude(cfg.crystal, model, p.reflection) ** 2)
+            f_val = _fmt(cfg.model.form_factor.f_at(p.q))
+            f2 = _fmt(lattice.structure_factor_magnitude(cfg.crystal, cfg.model, p.reflection) ** 2)
         except FormFactorRangeError:
             # Table does not reach this reflection; kinematics still apply.
             f_val, f2 = "", ""
@@ -310,11 +298,10 @@ def cmd_plan(cfg: RunConfig, args) -> int:
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
     r = _parse_hkl(args.hkl)
-    model = cfg.model()
     spectrum = fringes.BeamSpectrum(shape=args.spectrum, window=cfg.window)
-    profile = fringes.intensity_profile(spectrum, cfg.crystal, model, r,
+    profile = fringes.intensity_profile(spectrum, cfg.crystal, cfg.model, r,
                                         cfg.blade, n_samples=args.samples)
-    counts = fringes.fringe_count(cfg.crystal, model, r, cfg.blade, cfg.window)
+    counts = fringes.fringe_count(cfg.crystal, cfg.model, r, cfg.blade, cfg.window)
     out = cfg.out_dir / f"fringes_{r.canonical().label()}.csv"
     _write_columns(out, ["lambda_A", "two_theta_deg", "argument_rad", "intensity_norm"],
                    [profile.lam, profile.two_theta_deg, profile.argument, profile.intensity])
@@ -333,7 +320,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     if mode == "auto":
         mode = "joint" if len(ms) >= 2 else "bne"
     if mode == "joint":
-        fit = inference.joint_fit(ms, crystal, cfg.table,
+        fit = inference.joint_fit(ms, crystal, cfg.model.form_factor,
                                   include_forward=cfg.include_forward,
                                   free_intercept=cfg.free_intercept)
         big_b, bne = fit.value("B"), fit.value("b_ne")
@@ -358,7 +345,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
         print(f"  B = {big_b:.6g} +- {s_b:.2g} A^2")
         rows += [["param", "B", "", _fmt(big_b)], ["sigma", "B", "", _fmt(s_b)]]
     else:
-        bne, s_bne = inference.fit_bne(ms, crystal, cfg.table,
+        bne, s_bne = inference.fit_bne(ms, crystal, cfg.model.form_factor,
                                        include_forward=cfg.include_forward)
         anchor = " plus the forward value" if cfg.include_forward else ""
         print(f"b_ne from {len(ms)} reflection(s){anchor}:")
@@ -390,7 +377,6 @@ def _budget_sets(cfg: RunConfig, args):
 
 
 def cmd_budget(cfg: RunConfig, args) -> int:
-    model = cfg.model()
     rows = []
     print("projected slope precisions (sigma_b_meas = "
           f"{_fmt(args.sigma)} fm):")
@@ -402,7 +388,7 @@ def cmd_budget(cfg: RunConfig, args) -> int:
         for fwd, prop in configs:
             primary = (fwd, prop) == configs[0]
             try:
-                b = inference.error_budget(model, cfg.crystal, refls,
+                b = inference.error_budget(cfg.model, cfg.crystal, refls,
                                            sigma_b_meas=args.sigma,
                                            include_forward=fwd,
                                            propagate_sigma_B=prop)
@@ -434,25 +420,25 @@ def cmd_radius(cfg: RunConfig, args) -> int:
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
-    model = cfg.model()
     pure = planner.enumerate_pure(cfg.crystal, cfg.window)
     refls = [p.reflection for p in pure] if args.all_pure else _new_reflections(pure)
     if args.error_model == "temperature-factor":
-        sigma = inference.temperature_factor_sigmas(model, cfg.crystal, refls)
+        sigma = inference.temperature_factor_sigmas(cfg.model, cfg.crystal, refls)
     else:
         sigma = args.sigma
-    ms = inference.synth_measurements(model, cfg.crystal, refls,
+    ms = inference.synth_measurements(cfg.model, cfg.crystal, refls,
                                       sigma=sigma, seed=cfg.seed)
     out = cfg.out_dir / "measurements.csv"
-    _write_measurements_csv(out, ms)
+    _write_csv(out, ["h", "k", "l", "b_meas_fm", "sigma_fm"],
+               [[m.reflection.h, m.reflection.k, m.reflection.l,
+                 _fmt(m.b_meas), _fmt(m.sigma)] for m in ms])
     print(f"wrote {out} ({len(ms)} rows, seed={cfg.seed})")
     return EXIT_OK
 
 
 def cmd_mc(cfg: RunConfig, args) -> int:
-    model = cfg.model()
     refls = _new_reflections(planner.enumerate_pure(cfg.crystal, cfg.window))
-    res = inference.monte_carlo_validate(model, cfg.crystal, refls,
+    res = inference.monte_carlo_validate(cfg.model, cfg.crystal, refls,
                                          sigma=args.sigma, n_trials=args.trials,
                                          seed=cfg.seed,
                                          include_forward=cfg.include_forward)

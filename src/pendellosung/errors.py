@@ -25,20 +25,10 @@ class InsufficientData(PendellosungError):
     """Not enough measurements to constrain the requested fit."""
 
 
-class DegenerateGeometry(PendellosungError):
-    """Geometry carries no signal for the requested parameter (e.g. f=1)."""
-
-
-class DegenerateAbscissa(PendellosungError):
-    """All abscissas coincide; a slope cannot be estimated."""
-
-
-class SingularDesign(PendellosungError):
-    """Fit design matrix is singular (collinear abscissas)."""
-
-
-class DegenerateDesign(SingularDesign):
-    """Measurement set cannot constrain the requested error budget."""
+class DegenerateDesign(PendellosungError):
+    """Measurements or planned reflections cannot constrain the requested
+    fit: coincident or collinear abscissas, a singular design matrix, a
+    geometry carrying no signal, or a zero-sigma (infinite-weight) datum."""
 
 
 class ConfigError(PendellosungError):

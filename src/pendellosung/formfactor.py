@@ -147,14 +147,6 @@ def table_from_csv(path, element: str = "") -> FormFactorTable:
     return FormFactorTable(element=element or "custom", samples=tuple(samples))
 
 
-def table_to_csv(table: FormFactorTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q_over_4pi_A_inv", "f"])
-        for q, f in table.samples:
-            writer.writerow([f"{q:.6g}", f"{f:.6g}"])
-
-
 def _survey_q(n_sq: int, a0: float) -> float:
     """Q/4pi of a cubic reflection with h^2+k^2+l^2 = n_sq."""
     return math.sqrt(n_sq) / (2.0 * a0)

@@ -32,13 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants
-from .errors import (
-    DegenerateAbscissa,
-    DegenerateDesign,
-    DegenerateGeometry,
-    InsufficientData,
-    SingularDesign,
-)
+from .errors import DegenerateDesign, InsufficientData
 from .formfactor import FormFactorTable
 from .lattice import (
     CrystalSpec,
@@ -116,7 +110,7 @@ def extract_bne_single(b_q: float, sigma_b_q: float,
     in quadrature and scale by the same geometric factor.
     """
     if f >= 1.0:
-        raise DegenerateGeometry("f(Q) = 1 carries no b_ne signal")
+        raise DegenerateDesign("f(Q) = 1 carries no b_ne signal")
     denom = z * (1.0 - f)
     bne = (b_nuclear - b_q) / denom
     sigma = math.hypot(sigma_b_q, sigma_b_nuclear) / denom
@@ -137,8 +131,17 @@ def charge_radius_from_bne(constants: PhysicalConstants, b_ne: float,
 
 
 def _forward(crystal: CrystalSpec, include_forward: bool):
-    """The forward datum (b_nuclear, sigma_b_nuclear) at x = 0, or None."""
-    return (crystal.b_nuclear, crystal.sigma_b_nuclear) if include_forward else None
+    """The forward datum (b_nuclear, sigma_b_nuclear) at x = 0, or None.
+
+    Every weighted reduction takes the datum from here; a zero sigma would
+    give it infinite weight, so it is refused.
+    """
+    if not include_forward:
+        return None
+    if crystal.sigma_b_nuclear == 0:
+        raise DegenerateDesign(f"{crystal.name}: sigma_b_nuclear = 0 gives the forward "
+                               "datum infinite weight; set it or exclude the datum")
+    return crystal.b_nuclear, crystal.sigma_b_nuclear
 
 
 def _prepend(head, cols):
@@ -195,7 +198,7 @@ def _wls_line(x, y, sigma, fixed_intercept=None):
     if fixed_intercept is not None:
         sxx = (w * x * x).sum()
         if sxx <= 0:
-            raise DegenerateAbscissa("abscissas do not constrain a slope")
+            raise DegenerateDesign("abscissas do not constrain a slope")
         slope = (w * x * (y - fixed_intercept)).sum() / sxx
         return fixed_intercept, slope, np.diag([0.0, 1.0 / sxx])
     s = w.sum()
@@ -205,7 +208,7 @@ def _wls_line(x, y, sigma, fixed_intercept=None):
     sxy = (w * x * y).sum()
     denom = s * sxx - sx * sx
     if denom <= 0 or not np.isfinite(denom):
-        raise DegenerateAbscissa("abscissas do not constrain a slope")
+        raise DegenerateDesign("abscissas do not constrain a slope")
     slope = (s * sxy - sx * sy) / denom
     intercept = (sxx * sy - sx * sxy) / denom
     cov = np.array([[sxx, -sx], [-sx, s]]) / denom
@@ -226,9 +229,9 @@ def _normal_cov(a, w):
     try:
         cov = np.linalg.inv(awa)
     except np.linalg.LinAlgError as exc:
-        raise SingularDesign("collinear fit abscissas") from exc
+        raise DegenerateDesign("collinear fit abscissas") from exc
     if not np.all(np.isfinite(cov)) or np.linalg.cond(awa) > 1e14:
-        raise SingularDesign("collinear fit abscissas")
+        raise DegenerateDesign("collinear fit abscissas")
     return cov
 
 
@@ -308,7 +311,7 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
         raise InsufficientData("joint fit needs at least two reflections")
     q, f, b, s = _measured_rows(ms, crystal, table)
     if np.ptp(q) == 0 and np.ptp(f) == 0:
-        raise SingularDesign("all measurements share one (q^2, 1-f) point")
+        raise DegenerateDesign("all measurements share one (q^2, 1-f) point")
     x1, y, sy, x2 = _log_rows(q, b, s, _forward(crystal, include_forward), 1.0 - f)
 
     names = ("B", "b_ne") + (("ln_b_nuclear",) if free_intercept else ())
@@ -386,14 +389,11 @@ def error_budget(model: ScatteringModel, crystal: CrystalSpec,
         raise DegenerateDesign("need two abscissas (reflections plus forward point)")
     q, f, b_pred = _predicted_rows(model, crystal, refls)
     forward = _forward(crystal, include_forward)
-    try:
-        x, _, sy = _log_rows(q, b_pred, sigma_b_meas, forward)
-        sigma_big_b = slope_uncertainty(x, sy)
-        x, _, sy = _corrected_rows(q, f, b_pred, sigma_b_meas, model.B,
-                                   sigma_big_b if propagate_sigma_B else 0.0, forward)
-        sigma_bne = slope_uncertainty(x, sy) / crystal.Z
-    except (InsufficientData, DegenerateAbscissa) as exc:
-        raise DegenerateDesign(str(exc)) from exc
+    x, _, sy = _log_rows(q, b_pred, sigma_b_meas, forward)
+    sigma_big_b = slope_uncertainty(x, sy)
+    x, _, sy = _corrected_rows(q, f, b_pred, sigma_b_meas, model.B,
+                               sigma_big_b if propagate_sigma_B else 0.0, forward)
+    sigma_bne = slope_uncertainty(x, sy) / crystal.Z
 
     return BudgetResult(sigma_B=sigma_big_b, sigma_bne=sigma_bne,
                         n_reflections=len(refls), include_forward=include_forward,

@@ -129,6 +129,27 @@ def _wavelength_at(q: float, two_theta_deg: float) -> float:
     return math.sin(math.radians(two_theta_deg / 2.0)) / q
 
 
+def _two_theta(q: float, lam: float) -> float:
+    return 2.0 * math.degrees(math.asin(lam * q))
+
+
+def _window(q: float, w: SpectrumWindow):
+    """Intersect the spectrum with the detector range for a transfer q > 0.
+
+    Returns ((lambda_lo, lambda_hi), (two_theta_lo, two_theta_hi)), or None
+    when empty. An end set by the detector keeps its angle exactly (an
+    asin(sin) round trip would miss 180 deg by 1.7e-6 deg); an end set by
+    the spectrum is the Bragg angle of that wavelength.
+    """
+    lam_lo = max(w.lambda_min, _wavelength_at(q, w.two_theta_min))
+    lam_hi = min(w.lambda_max, _wavelength_at(q, w.two_theta_max))
+    if not lam_lo < lam_hi:
+        return None
+    tt_lo = w.two_theta_min if lam_lo > w.lambda_min else _two_theta(q, lam_lo)
+    tt_hi = w.two_theta_max if lam_hi < w.lambda_max else _two_theta(q, lam_hi)
+    return (lam_lo, lam_hi), (tt_lo, tt_hi)
+
+
 def reflection_window(crystal: CrystalSpec, r: Reflection, w: SpectrumWindow):
     """Intersect the spectrum with the detector range for one reflection.
 
@@ -138,30 +159,12 @@ def reflection_window(crystal: CrystalSpec, r: Reflection, w: SpectrumWindow):
     q = q_over_4pi(crystal, r)
     if q == 0.0:
         raise EmptyWindow("(000) cannot be scanned")
-    lam_lo = max(w.lambda_min, _wavelength_at(q, w.two_theta_min))
-    lam_hi = min(w.lambda_max, _wavelength_at(q, w.two_theta_max))
-    if not lam_lo < lam_hi:
+    window = _window(q, w)
+    if window is None:
         raise EmptyWindow(
             f"({r.label()}): no overlap between spectrum and detector range"
         )
-    two_theta = (2.0 * bragg_angle(crystal, r, lam_lo),
-                 2.0 * bragg_angle(crystal, r, lam_hi))
-    return (lam_lo, lam_hi), two_theta
-
-
-def _active_window(q_c: float, w: SpectrumWindow):
-    """Angular range where a reflection of transfer q_c is in-spectrum,
-    clipped to the detector limits; None if degenerate."""
-    s_lo = q_c * w.lambda_min
-    if s_lo >= 1.0:
-        return None
-    lo = 2.0 * math.degrees(math.asin(s_lo))
-    s_hi = q_c * w.lambda_max
-    hi = 2.0 * math.degrees(math.asin(s_hi)) if s_hi < 1.0 else 180.0
-    lo, hi = max(lo, w.two_theta_min), min(hi, w.two_theta_max)
-    if not lo < hi:
-        return None
-    return (lo, hi)
+    return window
 
 
 def contamination(crystal: CrystalSpec, r: Reflection, w: SpectrumWindow = DEFAULT_WINDOW):
@@ -182,7 +185,7 @@ def contamination(crystal: CrystalSpec, r: Reflection, w: SpectrumWindow = DEFAU
         other = prim.scaled(m)
         if classify(other) in (ReflectionClass.DISALLOWED, ReflectionClass.FORBIDDEN):
             return None
-        window = _active_window(m * q1, w)
+        window = _window(m * q1, w)
         if window is None:
             return None
         if margin:
@@ -194,7 +197,7 @@ def contamination(crystal: CrystalSpec, r: Reflection, w: SpectrumWindow = DEFAU
             overlap = (2.0 * bragg_angle(crystal, r, lo),
                        2.0 * bragg_angle(crystal, r, hi))
         return Contaminant(order=m, reflection=other,
-                           two_theta_window=window, overlap=overlap)
+                           two_theta_window=window[1], overlap=overlap)
 
     found = []
     # Lower orders reflect longer wavelengths; they co-reflect when the

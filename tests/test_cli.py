@@ -1,9 +1,11 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
 
 from pendellosung.cli import _write_columns, main, read_measurements_csv
+from pendellosung.formfactor import SILICON_TABLE
 
 
 def run(*argv):
@@ -226,3 +228,40 @@ class TestConfigOverrides:
         cfg = tmp_path / "x.ini"
         cfg.write_text(f"[crystal]\nname = Si\nform_factor_csv = {ff}\n")
         assert run("--config", str(cfg), "plan", "--out", str(tmp_path)) == 0
+
+
+class TestZeroForwardSigma:
+    """An inline crystal that leaves its sigmas out has sigma_b_nuclear = 0:
+    every reduction that uses the forward datum refuses it with a typed
+    error instead of giving it infinite weight."""
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "MEASUREMENTS"],
+        ["fit", "MEASUREMENTS", "--mode", "B"],
+        ["fit", "MEASUREMENTS", "--mode", "bne"],
+        ["mc", "--trials", "100"],
+        ["budget"],
+    ])
+    @pytest.mark.parametrize("include_forward, code", [("true", 3), ("false", 0)])
+    def test_forward_datum_refused(self, tmp_path, capsys, command, include_forward, code):
+        table = tmp_path / "si.csv"
+        table.write_text("q_over_4pi_A_inv,f\n"
+                         + "".join(f"{q!r},{f!r}\n" for q, f in SILICON_TABLE.samples))
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[crystal]\nname = Si28\na0 = 5.43072\nZ = 14\nb_nuclear = 4.1507\n"
+            f"B = 0.4613\nform_factor_csv = {table}\n"
+            f"[fit]\ninclude_forward = {include_forward}\n")
+        assert run("--config", str(cfg), "synth", "--out", str(tmp_path)) == 0
+        argv = [str(tmp_path / "measurements.csv") if a == "MEASUREMENTS" else a
+                for a in command]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("--config", str(cfg), *argv, "--out", str(tmp_path)) == code
+        err = capsys.readouterr().err
+        assert not caught and "Warning" not in err
+        if code:
+            assert "sigma_b_nuclear" in err.splitlines()[-1]
+        else:
+            assert err == ""

@@ -10,13 +10,10 @@ from pendellosung import (
     CODATA,
     GERMANIUM,
     SILICON,
-    DegenerateAbscissa,
     DegenerateDesign,
-    DegenerateGeometry,
     InsufficientData,
     Measurement,
     Reflection,
-    SingularDesign,
     charge_radius_from_bne,
     debye_waller_correct,
     enumerate_pure,
@@ -84,7 +81,7 @@ class TestExtractBneSingle:
         assert bne == 0.0
 
     def test_forward_direction_degenerate(self):
-        with pytest.raises(DegenerateGeometry):
+        with pytest.raises(DegenerateDesign):
             extract_bne_single(4.15, 0.001, 4.1507, 0.0002, 14, 1.0)
 
 
@@ -131,7 +128,7 @@ class TestSlopeUncertainty:
         assert sx == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateAbscissa):
+        with pytest.raises(DegenerateDesign):
             slope_uncertainty([1.0, 1.0, 1.0], [0.1, 0.1, 0.1])
         with pytest.raises(InsufficientData):
             slope_uncertainty([1.0], [0.1])
@@ -255,7 +252,7 @@ class TestJointFit:
         ]
         # Same q and same f: the two rows are identical; without the
         # forward datum the three-parameter system is collinear.
-        with pytest.raises(SingularDesign):
+        with pytest.raises(DegenerateDesign):
             joint_fit(ms, SILICON, si_model.form_factor, include_forward=False)
 
     def test_insufficient(self, si_model):
@@ -485,6 +482,23 @@ class TestCrystalIsTheOnlySource:
         crystal = replace(SILICON, B=0.47, sigma_B=0.004)
         assert fit_bne(noisy, crystal, si_model.form_factor,
                        include_forward=forward) == expected
+
+    @pytest.mark.parametrize("call", [
+        lambda ms, m, c, fwd: fit_temperature_factor(ms, c, include_forward=fwd),
+        lambda ms, m, c, fwd: fit_bne(ms, c, m.form_factor, include_forward=fwd),
+        lambda ms, m, c, fwd: joint_fit(ms, c, m.form_factor, include_forward=fwd),
+        lambda ms, m, c, fwd: error_budget(m, c, [r.reflection for r in ms],
+                                           include_forward=fwd),
+        lambda ms, m, c, fwd: monte_carlo_validate(m, c, [r.reflection for r in ms],
+                                                   n_trials=100, include_forward=fwd),
+    ], ids=["fit_temperature_factor", "fit_bne", "joint_fit", "error_budget",
+            "monte_carlo_validate"])
+    def test_zero_forward_sigma_is_a_typed_error(self, si_model, noisy, call):
+        # The forward datum with a zero sigma would carry infinite weight.
+        crystal = replace(SILICON, sigma_b_nuclear=0.0)
+        with pytest.raises(DegenerateDesign, match="sigma_b_nuclear"):
+            call(noisy, si_model, crystal, True)
+        call(noisy, si_model, crystal, False)
 
 
 class TestMeasurementInvariants:
