@@ -199,11 +199,13 @@ def load_config(path: str | None) -> RunConfig:
 
 
 # Six significant digits for every number a CSV carries.
-_FMT = "{:.6g}"
+_FMT = "%.6g"
+# Rows of a column CSV formatted per write.
+_BLOCK_ROWS = 4096
 
 
 def _fmt(x) -> str:
-    return _FMT.format(x)
+    return _FMT % x
 
 
 def _parse_hkl(text: str) -> Reflection:
@@ -229,14 +231,21 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_columns(path: Path, header, columns):
-    """CSV of equal-length numeric columns, written a row at a time from
-    one template. A .6g number never holds a comma, a quote or a newline,
-    so no field needs the quoting of the csv module."""
+    """CSV of equal-length numeric columns, formatted in blocks of
+    _BLOCK_ROWS rows: each block is interleaved row by row into one list
+    and written with a single % of a repeated row template. A .6g number
+    never holds a comma, a quote or a newline, so no field needs the
+    quoting of the csv module."""
+    import numpy as np  # local, so that cli itself does not need numpy
+
     row = ",".join([_FMT] * len(columns)) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(map(row.format, *(c.tolist() for c in columns)))
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [c[start:start + _BLOCK_ROWS] for c in columns]
+            values = np.column_stack(block).ravel().tolist()
+            fh.write((row * len(block[0])) % tuple(values))
 
 
 def read_measurements_csv(path) -> list:
@@ -392,9 +401,11 @@ def cmd_budget(cfg: RunConfig, args) -> int:
                                            sigma_b_meas=args.sigma,
                                            include_forward=fwd,
                                            propagate_sigma_B=prop)
-            except PendellosungError:
+            except PendellosungError as exc:
                 if primary:
                     raise
+                print(f"skipped {set_name} (include_forward={str(fwd).lower()}, "
+                      f"propagate_sigma_B={str(prop).lower()}): {exc}", file=sys.stderr)
                 continue
             rows.append([set_name, b.n_reflections, str(fwd).lower(),
                          str(prop).lower(), _fmt(b.sigma_B), _fmt(b.sigma_bne)])

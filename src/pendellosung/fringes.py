@@ -101,10 +101,32 @@ _PIO4 = 7.85398163397448309616e-1
 
 
 def _polevl(x, coef):
+    """Horner's rule on a fresh array, updated in place."""
     ans = np.full_like(x, coef[0])
     for c in coef[1:]:
-        ans = ans * x + c
+        ans *= x
+        ans += c
     return ans
+
+
+def _j0_large(xl):
+    """J0 on xl > 5 (and NaN) by the Hankel form, reusing buffers in the
+    operation order of the plain expression, so the bits are the same;
+    xl is only read."""
+    w = 5.0 / xl
+    z = w * w
+    p = _polevl(z, _PP)
+    p /= _polevl(z, _PQ)
+    q = _polevl(z, _QP)
+    q /= _polevl(z, _QQ)
+    q *= w
+    xn = np.subtract(xl, _PIO4, out=w)
+    p *= np.cos(xn, out=z)
+    q *= np.sin(xn, out=xn)
+    p -= q
+    p *= _SQ2OPI
+    p /= np.sqrt(xl, out=z)
+    return p
 
 
 def bessel_j0(x):
@@ -113,26 +135,26 @@ def bessel_j0(x):
     Even in x, |J0| <= 1, absolute error well below 1e-9 over |x| <= 500.
     """
     scalar = np.isscalar(x)
-    ax = np.abs(np.asarray(x, dtype=float))
-    out = np.empty_like(ax)
-
+    x = np.asarray(x, dtype=float)
+    # Flat, so that a 0-d input gives arrays, not numpy scalars, to the
+    # in-place steps.
+    ax = np.abs(x.reshape(-1))
     small = ax <= 5.0
-    if np.any(small):
+    if not np.any(small):
+        # The common case for a fringe sweep: no mask copy, no scatter.
+        out = _j0_large(ax)
+    else:
+        out = np.empty_like(ax)
         z = ax[small] ** 2
         p = (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _polevl(z, _RQ)
         tiny = ax[small] < 1e-5
         if np.any(tiny):
             p[tiny] = 1.0 - z[tiny] / 4.0
         out[small] = p
-    large = ~small
-    if np.any(large):
-        xl = ax[large]
-        w = 5.0 / xl
-        z = w * w
-        p = _polevl(z, _PP) / _polevl(z, _PQ)
-        q = _polevl(z, _QP) / _polevl(z, _QQ)
-        xn = xl - _PIO4
-        out[large] = _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(xl)
+        large = ~small
+        if np.any(large):
+            out[large] = _j0_large(ax[large])
+    out = out.reshape(x.shape)
     return float(out) if scalar else out
 
 

@@ -5,12 +5,23 @@ package: below x = 30 it sums the ascending power series in decimal
 arithmetic with enough guard digits to absorb the cancellation; above it
 uses the Hankel asymptotic expansion truncated at its smallest term,
 whose remainder is far below double precision there.
+
+``bessel_j0_out_of_place`` is different in kind: a frozen copy of the
+package's J0 as it stood before its large-argument branch was made to
+work in place, on the package's own coefficients. It pins that rewrite
+bit for bit, not the accuracy of the approximation.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal, getcontext
+
+import numpy as np
+
+from pendellosung.fringes import (
+    _DR1, _DR2, _PIO4, _PP, _PQ, _QP, _QQ, _RP, _RQ, _SQ2OPI,
+)
 
 _SERIES_CUT = 30.0
 
@@ -103,3 +114,38 @@ def j0_zeros_between(a: float, b: float):
             out.append(z)
         k += 1
     return out
+
+
+def _polevl_out_of_place(x, coef):
+    ans = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def bessel_j0_out_of_place(x):
+    """The package's J0 with one new temporary per operation, as it was
+    before the in-place rewrite."""
+    scalar = np.isscalar(x)
+    ax = np.abs(np.asarray(x, dtype=float))
+    out = np.empty_like(ax)
+
+    small = ax <= 5.0
+    if np.any(small):
+        z = ax[small] ** 2
+        p = ((z - _DR1) * (z - _DR2) * _polevl_out_of_place(z, _RP)
+             / _polevl_out_of_place(z, _RQ))
+        tiny = ax[small] < 1e-5
+        if np.any(tiny):
+            p[tiny] = 1.0 - z[tiny] / 4.0
+        out[small] = p
+    large = ~small
+    if np.any(large):
+        xl = ax[large]
+        w = 5.0 / xl
+        z = w * w
+        p = _polevl_out_of_place(z, _PP) / _polevl_out_of_place(z, _PQ)
+        q = _polevl_out_of_place(z, _QP) / _polevl_out_of_place(z, _QQ)
+        xn = xl - _PIO4
+        out[large] = _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(xl)
+    return float(out) if scalar else out

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pendellosung.cli import _write_columns, main, read_measurements_csv
+from pendellosung.cli import _BLOCK_ROWS, _write_columns, main, read_measurements_csv
 from pendellosung.formfactor import SILICON_TABLE
 
 
@@ -92,6 +92,26 @@ class TestSimulate:
             writer.writerows([f"{x:.6g}" for x in row] for row in zip(*columns))
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    @pytest.mark.parametrize("n_rows", [2, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1])
+    def test_column_writer_at_block_boundaries(self, tmp_path, n_rows):
+        # Special values on the rows either side of the first block end
+        # (clipped to the last row when the file is shorter).
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 999999.5, 1e16]
+        rng = np.random.default_rng(n_rows)
+        columns = [rng.standard_normal(n_rows) * 10.0**k for k in (-8, 0, 3, 12)]
+        rows = sorted({min(r, n_rows - 1) for r in (_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1)})
+        for i, r in enumerate(rows):
+            for j, c in enumerate(columns):
+                c[r] = special[(i * len(columns) + j) % len(special)]
+        header = ["a", "b", "c", "d"]
+        _write_columns(tmp_path / "fast.csv", header, columns)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([f"{x:.6g}" for x in row] for row in zip(*columns))
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert len(read_rows(tmp_path / "fast.csv")) == n_rows + 1
+
 
 class TestSynthFitRoundTrip:
     def test_cycle_recovers_parameters(self, tmp_path, capsys):
@@ -164,6 +184,23 @@ class TestBudget:
         rc = run("--config", str(cfg), "budget", "--hkl", "422",
                  "--primary-only", "--out", str(tmp_path))
         assert rc == 3
+
+    def test_skipped_configurations_are_named(self, tmp_path, capsys):
+        # One reflection cannot fix a slope without the forward point: the
+        # two forward-less configurations are skipped, each with a line.
+        assert run("budget", "--hkl", "422", "--out", str(tmp_path)) == 0
+        captured = capsys.readouterr()
+        assert "custom (1 refl)" in captured.out and "(2 rows)" in captured.out
+        assert captured.err.splitlines() == [
+            f"skipped custom (include_forward=false, propagate_sigma_B={prop}): "
+            "need two abscissas (reflections plus forward point)"
+            for prop in ("true", "false")]
+        rows = read_rows(tmp_path / "budget.csv")
+        assert [r[2:4] for r in rows[1:]] == [["true", "true"], ["true", "false"]]
+
+    def test_default_skips_nothing(self, tmp_path, capsys):
+        assert run("budget", "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().err == ""
 
     def test_custom_set(self, tmp_path):
         assert run("budget", "--hkl", "422", "620", "642",
@@ -263,5 +300,11 @@ class TestZeroForwardSigma:
         assert not caught and "Warning" not in err
         if code:
             assert "sigma_b_nuclear" in err.splitlines()[-1]
+        elif command == ["budget"]:
+            # The four forward configurations are skipped, each named.
+            lines = err.splitlines()
+            assert len(lines) == 4
+            assert all(line.startswith("skipped ") and "include_forward=true" in line
+                       and "sigma_b_nuclear" in line for line in lines)
         else:
             assert err == ""

@@ -17,7 +17,7 @@ from pendellosung import (
     scattering_model,
 )
 
-from oracles import j0_oracle, j0_zero, j0_zeros_between
+from oracles import bessel_j0_out_of_place, j0_oracle, j0_zero, j0_zeros_between
 
 
 class TestBesselJ0:
@@ -52,6 +52,42 @@ class TestBesselJ0:
         arr = bessel_j0(xs)
         for x, v in zip(xs, arr):
             assert bessel_j0(float(x)) == pytest.approx(float(v), abs=1e-15)
+
+
+_RNG = np.random.default_rng(7)
+_J0_INPUTS = {
+    "all_large": _RNG.uniform(5.0 + 1e-9, 900.0, 5001),
+    "all_small": _RNG.uniform(0.0, 5.0, 4999),
+    "mixed_with_tiny": np.concatenate([
+        _RNG.uniform(0.0, 1e-5, 17), [0.0, 1e-5, 5.0, np.nextafter(5.0, 6.0), np.nan],
+        _RNG.uniform(0.0, 12.0, 1000), _RNG.uniform(50.0, 900.0, 1000)]),
+    "negative": -_RNG.uniform(0.0, 900.0, 3001),
+    "zero_d_large": np.array(57.3),
+    "zero_d_small": np.array(-2.5),
+    "strided_2d": _RNG.uniform(-900.0, 900.0, (40, 60))[::2, ::3],
+}
+
+
+class TestBesselJ0BitIdentity:
+    """The in-place large-argument branch reproduces the out-of-place
+    evaluation bit for bit, and leaves its input untouched."""
+
+    @pytest.mark.parametrize("name", sorted(_J0_INPUTS))
+    def test_arrays(self, name):
+        x = _J0_INPUTS[name]
+        before = x.copy()
+        got = bessel_j0(x)
+        want = bessel_j0_out_of_place(x)
+        assert type(got) is type(want) and got.shape == x.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(x, before, equal_nan=True)
+        assert not np.shares_memory(got, x)
+
+    @pytest.mark.parametrize("x", [0.0, 3e-6, 4.99, 5.0, 5.5, 123.4, -870.25, 1e300])
+    def test_python_float(self, x):
+        got = bessel_j0(x)
+        assert type(got) is float
+        assert got == bessel_j0_out_of_place(x)
 
 
 class TestBeamSpectrum:
