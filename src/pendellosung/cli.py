@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("budget", help="projected uncertainties for reflection sets", parents=[common])
     sp.add_argument("--sigma", type=_POSITIVE, default=inference.DEFAULT_SIGMA_B_MEAS,
                     help="assumed per-reflection amplitude error, fm")
-    sp.add_argument("--hkl", nargs="*", default=None,
+    sp.add_argument("--hkl", nargs="+", default=None,
                     help="custom reflection set, e.g. --hkl 422 620 642")
     sp.add_argument("--primary-only", action="store_true",
                     help="only the forward+propagated configuration")

@@ -35,6 +35,11 @@ class ReflectionClass(enum.Enum):
     def __str__(self):
         return self.value
 
+    @property
+    def extinct(self) -> bool:
+        """|F| = 0 whatever the crystal."""
+        return self in (ReflectionClass.DISALLOWED, ReflectionClass.FORBIDDEN)
+
 
 # |F| = UNIT_CELL_ATOMS * |1 + i^(h+k+l)| * b_meas
 _CLASS_AMPLITUDE = {
@@ -194,7 +199,7 @@ def structure_factor_magnitude(crystal: CrystalSpec, m: ScatteringModel, r: Refl
 def require_observable(r: Reflection) -> ReflectionClass:
     """Return the class, raising ForbiddenReflection for extinct ones."""
     cls = classify(r)
-    if cls in (ReflectionClass.DISALLOWED, ReflectionClass.FORBIDDEN):
+    if cls.extinct:
         raise ForbiddenReflection(f"({r.label()}) is {cls} (|F| = 0)")
     return cls
 

@@ -173,56 +173,32 @@ def contamination(crystal: CrystalSpec, r: Reflection, w: SpectrumWindow = DEFAU
     See the module docstring for the co-reflection and margin conventions.
     """
     prim, m0 = r.canonical().primitive()
-    if prim.n_sq == 0:
+    q = q_over_4pi(crystal, r)
+    fund = _window(q, w) if q > 0.0 else None
+    if fund is None:
         return []
-    try:
-        (lam_lo, lam_hi), fund_window = reflection_window(crystal, r, w)
-    except EmptyWindow:
-        return []
+    lam_lo, lam_hi = fund[0]
     q1 = q_over_4pi(crystal, prim)
-
-    def entry(m: int, margin: bool):
-        other = prim.scaled(m)
-        if classify(other) in (ReflectionClass.DISALLOWED, ReflectionClass.FORBIDDEN):
-            return None
-        window = _window(m * q1, w)
-        if window is None:
-            return None
-        if margin:
-            overlap = None
-        else:
-            # Fundamental-wavelength band where both orders are in-spectrum.
-            lo = max(lam_lo, (m / m0) * w.lambda_min)
-            hi = min(lam_hi, (m / m0) * w.lambda_max)
-            overlap = (2.0 * bragg_angle(crystal, r, lo),
-                       2.0 * bragg_angle(crystal, r, hi))
-        return Contaminant(order=m, reflection=other,
-                           two_theta_window=window[1], overlap=overlap)
-
     found = []
-    # Lower orders reflect longer wavelengths; they co-reflect when the
-    # spectrum top maps down into the reflection's window.
-    for m in range(1, m0):
-        if (m / m0) * w.lambda_max > lam_lo:
-            c = entry(m, margin=False)
-            if c:
-                found.append(c)
-    # Higher orders activate once the scan wavelength reaches m/m0 times
-    # the spectrum floor; the first order past the window top is kept as a
-    # margin warning.
-    m = m0 + 1
-    while True:
-        if (m / m0) * w.lambda_min < lam_hi:
-            c = entry(m, margin=False)
-            if c:
-                found.append(c)
-            m += 1
-        else:
-            c = entry(m, margin=True)
-            if c:
-                found.append(c)
-            break
-    return found
+    for m in itertools.count(1):
+        if m == m0:
+            continue
+        # Fundamental-wavelength band where both orders are in-spectrum:
+        # lower orders reach it through the spectrum top, higher orders
+        # through the spectrum floor. The first higher order past the
+        # window top is kept as a margin warning.
+        lo = max(lam_lo, (m / m0) * w.lambda_min)
+        hi = min(lam_hi, (m / m0) * w.lambda_max)
+        margin = m > m0 and not lo < hi
+        other = prim.scaled(m)
+        if (lo < hi or margin) and not classify(other).extinct:
+            window = _window(m * q1, w)
+            if window is not None:
+                overlap = None if margin else (_two_theta(q, lo), _two_theta(q, hi))
+                found.append(Contaminant(order=m, reflection=other,
+                                         two_theta_window=window[1], overlap=overlap))
+        if margin:
+            return found
 
 
 def candidates(crystal: CrystalSpec, w: SpectrumWindow = DEFAULT_WINDOW):
@@ -232,7 +208,8 @@ def candidates(crystal: CrystalSpec, w: SpectrumWindow = DEFAULT_WINDOW):
     and the peak-flux wavelength meeting the reflection inside the
     detector range (within PEAK_SLACK_DEG).
     """
-    q_cap = math.sin(math.radians((w.two_theta_max + PEAK_SLACK_DEG) / 2.0)) / w.lambda_peak
+    tt_floor, tt_cap = w.two_theta_min - PEAK_SLACK_DEG, w.two_theta_max + PEAK_SLACK_DEG
+    q_cap = math.sin(math.radians(tt_cap / 2.0)) / w.lambda_peak
     n_sq_cap = int((2.0 * crystal.a0 * q_cap) ** 2)
     h_max = int(math.isqrt(n_sq_cap))
     out = []
@@ -240,20 +217,13 @@ def candidates(crystal: CrystalSpec, w: SpectrumWindow = DEFAULT_WINDOW):
         for k in range(0, h + 1):
             for l in range(0, k + 1):
                 r = Reflection(h, k, l)
-                if r.n_sq > n_sq_cap:
+                if r.n_sq > n_sq_cap or classify(r).extinct:
                     continue
-                if classify(r) in (ReflectionClass.DISALLOWED, ReflectionClass.FORBIDDEN):
+                q = q_over_4pi(crystal, r)
+                if w.lambda_peak * q > 1.0 or _window(q, w) is None:
                     continue
-                try:
-                    peak_two_theta = 2.0 * bragg_angle(crystal, r, w.lambda_peak)
-                    reflection_window(crystal, r, w)
-                except (NoReflection, EmptyWindow):
-                    continue
-                if not (w.two_theta_min - PEAK_SLACK_DEG
-                        <= peak_two_theta
-                        <= w.two_theta_max + PEAK_SLACK_DEG):
-                    continue
-                out.append(r)
+                if tt_floor <= 2.0 * bragg_angle(crystal, r, w.lambda_peak) <= tt_cap:
+                    out.append(r)
     out.sort(key=lambda r: (r.n_sq, r.h, r.k, r.l))
     return out
 
@@ -324,8 +294,8 @@ class SurveyResult:
 def survey(crystal: CrystalSpec, w: SpectrumWindow = DEFAULT_WINDOW,
            strict: bool = False) -> SurveyResult:
     """Plan every reachable reflection; accounting for the full program."""
+    # candidates come in (n^2, h, k, l) order, and q rises strictly with n^2.
     plans = [plan_reflection(crystal, r, w, strict=strict) for r in candidates(crystal, w)]
-    plans.sort(key=lambda p: (p.q, p.reflection.h, p.reflection.k, p.reflection.l))
     return SurveyResult(plans=tuple(plans))
 
 

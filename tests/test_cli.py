@@ -139,6 +139,16 @@ class TestSynthFitRoundTrip:
         assert report[("param", "b_ne")] == pytest.approx(-0.89e-3, abs=0.02e-3)
         assert report[("sigma", "b_ne")] == pytest.approx(0.32e-3, abs=0.03e-3)
 
+    @pytest.mark.parametrize("mode", ["auto", "joint", "bne", "B"])
+    def test_extinct_measurement_rows_rejected(self, tmp_path, capsys, mode):
+        path = tmp_path / "extinct.csv"
+        path.write_text("h,k,l,b_meas_fm,sigma_fm\n1,0,0,4.1,0.0008\n2,2,2,4.0,0.0008\n")
+        assert run("fit", str(path), "--mode", mode, "--out", str(tmp_path)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "error: (100) is disallowed (|F| = 0)"
+        assert not (tmp_path / "fit_report.csv").exists()
+
     def test_empty_measurements(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("h,k,l,b_meas_fm,sigma_fm\n")

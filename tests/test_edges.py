@@ -240,6 +240,7 @@ class TestErrorBoundary:
         (["radius", "--sigma", "-1", "--", "-0.00131"], 2),
         (["radius", "--", "nan"], 2),
         (["mc", "--sigma", "0"], 2),  # no spread: the sigma ratios would divide by zero
+        (["budget", "--hkl"], 2),  # an empty custom set, not the default sets
     ])
     def test_exit_code_without_traceback(self, tmp_path, capsys, argv, code):
         seed_config = tmp_path / "seed.ini"

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from pendellosung import (
+    GERMANIUM,
     SILICON,
     EmptyWindow,
     NoReflection,
@@ -15,7 +18,7 @@ from pendellosung import (
     reflection_window,
     survey,
 )
-from pendellosung.planner import is_measurable_on
+from pendellosung.planner import PEAK_SLACK_DEG, is_measurable_on
 
 # The nine-reflection thermal survey for silicon: label -> (f, lambda
 # window, two-theta window, class); windows as published, integer degrees
@@ -228,3 +231,72 @@ class TestBladeAssignment:
         assert len(blades) <= 3
         covered = {r for b in blades for r in b.reflections}
         assert covered == {p.reflection for p in pure_plans}
+
+
+# Non-default windows for the strict-survey digest: wide and narrow
+# spectra, detector floors from 0 deg and ceilings up to 180 deg.
+DIGEST_WINDOWS = (
+    SpectrumWindow(lambda_min=0.5, lambda_max=3.0, lambda_peak=1.0,
+                   two_theta_min=5.0, two_theta_max=150.0),
+    SpectrumWindow(lambda_min=0.3, lambda_max=4.0, lambda_peak=1.8,
+                   two_theta_min=0.0, two_theta_max=180.0),
+    SpectrumWindow(lambda_min=1.0, lambda_max=1.6, lambda_peak=0.9,
+                   two_theta_min=30.0, two_theta_max=60.0),
+    SpectrumWindow(lambda_min=0.7, lambda_max=2.2, lambda_peak=1.4,
+                   two_theta_min=10.0, two_theta_max=90.0),
+)
+
+# sha256 of _canonical_dump over DIGEST_WINDOWS, strict verdicts only.
+STRICT_SURVEY_SHA256 = {
+    "Si": "106b203a9f416fbe070010a061d2a126cb96a6f7b884ba9f4650ca9451ca7169",
+    "Ge": "71f5ab5df2bec92a0fce85922378955088d87ad3b8b05fedebd15df87962a70d",
+}
+
+
+def _canonical_dump(result) -> str:
+    """Every field of every plan and contaminant; floats by repr, so exact."""
+    lines = []
+    for p in result.plans:
+        lines.append(f"{p.reflection.label()} {p.reflection_class} {p.q!r} "
+                     f"{p.lambda_window!r} {p.two_theta_window!r} {p.pure} {p.note!r}")
+        lines += [f"  {c.order} {c.reflection.label()} {c.two_theta_window!r} {c.overlap!r}"
+                  for c in p.contaminants]
+    return "\n".join(lines) + "\n"
+
+
+class TestStrictSurveyDigest:
+    @pytest.mark.parametrize("crystal", [SILICON, GERMANIUM], ids=lambda c: c.name)
+    def test_strict_survey_bytes(self, crystal):
+        dump = "".join(_canonical_dump(survey(crystal, w, strict=True))
+                       for w in DIGEST_WINDOWS)
+        digest = hashlib.sha256(dump.encode()).hexdigest()
+        assert digest == STRICT_SURVEY_SHA256[crystal.name]
+
+
+class TestEmptyResultsAndSkips:
+    def test_contamination_of_000_is_empty(self, default_window):
+        assert contamination(SILICON, Reflection(0, 0, 0), default_window) == []
+
+    def test_contamination_outside_window_is_empty(self):
+        # (111) cannot be scanned in a 50-51 deg detector range.
+        w = SpectrumWindow(two_theta_min=50, two_theta_max=51)
+        assert contamination(SILICON, Reflection(1, 1, 1), w) == []
+
+    def test_candidates_skip_an_empty_window(self):
+        # The 0.9 A peak meets (642) at 77 deg, but the 1.3 A spectrum
+        # floor already needs 127 deg, past the 110 deg detector top.
+        w = SpectrumWindow(lambda_min=1.3, lambda_max=2.5, lambda_peak=0.9)
+        r = Reflection(6, 4, 2)
+        assert 2 * bragg_angle(SILICON, r, w.lambda_peak) == pytest.approx(76.6, abs=0.1)
+        with pytest.raises(EmptyWindow):
+            reflection_window(SILICON, r, w)
+        assert r not in candidates(SILICON, w)
+
+    def test_candidates_skip_a_peak_below_the_detector(self):
+        # (111) has a window at a 40 deg floor, but the 1.2 A peak meets it
+        # at 22 deg, below 40 - PEAK_SLACK_DEG.
+        w = SpectrumWindow(two_theta_min=40.0)
+        r = Reflection(1, 1, 1)
+        reflection_window(SILICON, r, w)
+        assert 2 * bragg_angle(SILICON, r, w.lambda_peak) < w.two_theta_min - PEAK_SLACK_DEG
+        assert r not in candidates(SILICON, w)
