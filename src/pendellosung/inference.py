@@ -165,14 +165,12 @@ def _log_rows(q, b, sigma, forward=None, *extra):
 def _corrected_rows(q, f, b, sigma, B, sigma_B, forward=None):
     """Rows of b(Q) = b_nuclear - b_ne Z (1 - f): (x = 1 - f, y = b(Q), sy).
 
-    b(Q) and sy follow debye_waller_correct, on arrays; forward =
-    (b_nuclear, sigma_b_nuclear) leads with the x = 0 datum.
+    b(Q) and sy come from debye_waller_correct; forward = (b_nuclear,
+    sigma_b_nuclear) leads with the x = 0 datum.
     """
-    dw = np.array([debye_waller(B, qi) for qi in q])
-    b_q = b / dw
-    # float_power is C pow per element, like the scalar q**2; an array q**2
-    # is q*q, which differs in the last bit on about 0.1 % of inputs.
-    rows = (1.0 - f, b_q, sigma / dw + b_q * np.float_power(q, 2) * sigma_B)
+    corrected = np.array([debye_waller_correct(bi, si, B, sigma_B, qi)
+                          for bi, si, qi in zip(b, np.broadcast_to(sigma, q.shape), q)])
+    rows = (1.0 - f, corrected[:, 0], corrected[:, 1])
     return rows if forward is None else _prepend((0.0, *forward), rows)
 
 

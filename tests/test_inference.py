@@ -279,16 +279,16 @@ class TestExtinctMeasurements:
 
 class TestDegenerateFitBranches:
     def test_joint_fit_collinear_abscissas(self, si_model):
-        # (000) sits on the forward datum, so three parameters meet only
-        # two distinct (q^2, 1 - f) points.
-        ms = [Measurement(Reflection(0, 0, 0), 4.1507), Measurement(Reflection(1, 1, 1), 4.1053)]
+        # Without the forward datum, two reflections give two rows for the
+        # three parameters (B, b_ne, ln b_nuclear).
+        ms = [Measurement(Reflection(1, 1, 1), 4.1053), Measurement(Reflection(2, 2, 0), 4.05)]
         with pytest.raises(DegenerateDesign, match="collinear fit abscissas"):
-            joint_fit(ms, SILICON, si_model.form_factor)
+            joint_fit(ms, SILICON, si_model.form_factor, include_forward=False)
 
     def test_fixed_intercept_needs_a_nonzero_abscissa(self):
-        ms = [Measurement(Reflection(0, 0, 0), 4.1507)]
+        x = np.zeros(2)
         with pytest.raises(DegenerateDesign, match="abscissas do not constrain a slope"):
-            fit_temperature_factor(ms, SILICON, free_intercept=False)
+            inference._wls_line(x, np.ones(2), np.full(2, 0.01), fixed_intercept=1.0)
 
     def test_bne_needs_two_form_factor_abscissas(self, si_model):
         ms = [Measurement(Reflection(4, 2, 2), 3.78), Measurement(Reflection(4, 2, 2), 3.79)]
@@ -442,26 +442,6 @@ class TestChunkedMonteCarlo:
         chunked = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=1000, seed=8)
         np.testing.assert_allclose(chunked.empirical_cov, whole.empirical_cov,
                                    rtol=1e-12, atol=0)
-
-
-class TestCorrectedRows:
-    """The array rows equal the scalar debye_waller_correct, row by row and
-    bit for bit; an array q*q in place of the scalar q**2 would miss on
-    about 0.1 % of the abscissas."""
-
-    @pytest.mark.parametrize("per_row_sigma", [False, True], ids=["scalar", "per-row"])
-    def test_rows_equal_the_scalar_correction(self, per_row_sigma):
-        rng = np.random.default_rng(11)
-        n = 50_000
-        q, f, b = rng.uniform(0.0, 1.5, n), rng.uniform(0.0, 1.0, n), rng.uniform(0.5, 10.0, n)
-        sigma = rng.uniform(1e-5, 1e-1, n) if per_row_sigma else 0.0008
-        B, sigma_B = 0.4613, 0.0027
-        x, y, sy = inference._corrected_rows(q, f, b, sigma, B, sigma_B)
-        ref = np.array([debye_waller_correct(bi, si, B, sigma_B, qi)
-                        for bi, si, qi in zip(b, np.broadcast_to(sigma, q.shape), q)])
-        assert np.array_equal(x, 1.0 - f)
-        assert np.array_equal(y, ref[:, 0])
-        assert np.array_equal(sy, ref[:, 1])
 
 
 @pytest.mark.parametrize("forward", [True, False], ids=["forward", "no-forward"])
