@@ -387,8 +387,8 @@ def _budget_sets(cfg: RunConfig, args):
 
 def cmd_budget(cfg: RunConfig, args) -> int:
     rows = []
-    print("projected slope precisions (sigma_b_meas = "
-          f"{_fmt(args.sigma)} fm):")
+    # Printed only once every primary configuration has succeeded.
+    report = [f"projected slope precisions (sigma_b_meas = {_fmt(args.sigma)} fm):"]
     configs = [(cfg.include_forward, True)]
     if not args.primary_only:
         configs += [(f, p) for f in (True, False) for p in (True, False)
@@ -410,9 +410,10 @@ def cmd_budget(cfg: RunConfig, args) -> int:
             rows.append([set_name, b.n_reflections, str(fwd).lower(),
                          str(prop).lower(), _fmt(b.sigma_B), _fmt(b.sigma_bne)])
             if primary:
-                print(f"  {set_name} ({b.n_reflections} refl): "
-                      f"sigma_B = {b.sigma_B:.3g} A^2, "
-                      f"sigma_bne = {b.sigma_bne:.3g} fm")
+                report.append(f"  {set_name} ({b.n_reflections} refl): "
+                              f"sigma_B = {b.sigma_B:.3g} A^2, "
+                              f"sigma_bne = {b.sigma_bne:.3g} fm")
+    print("\n".join(report))
     out = cfg.out_dir / "budget.csv"
     _write_csv(out, ["set", "n", "include_forward", "propagate_sigma_B",
                      "sigma_B_A2", "sigma_bne_fm"], rows)

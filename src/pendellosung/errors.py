@@ -28,7 +28,8 @@ class InsufficientData(PendellosungError):
 class DegenerateDesign(PendellosungError):
     """Measurements or planned reflections cannot constrain the requested
     fit: coincident or collinear abscissas, a singular design matrix, a
-    geometry carrying no signal, or a zero-sigma (infinite-weight) datum."""
+    geometry carrying no signal, a zero-sigma (infinite-weight) datum, or
+    a (000) row, which is the forward beam rather than a reflection."""
 
 
 class ConfigError(PendellosungError):

@@ -145,9 +145,10 @@ def bessel_j0(x):
         out = _j0_large(ax)
     else:
         out = np.empty_like(ax)
-        z = ax[small] ** 2
+        axs = ax[small]
+        z = axs ** 2
         p = (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _polevl(z, _RQ)
-        tiny = ax[small] < 1e-5
+        tiny = axs < 1e-5
         if np.any(tiny):
             p[tiny] = 1.0 - z[tiny] / 4.0
         out[small] = p
@@ -159,6 +160,10 @@ def bessel_j0(x):
 
 
 # --- geometry, spectrum, profile ---------------------------------------
+
+# Samples per profile tile: 128 KiB per float64 array, so a tile's
+# temporaries stay in L2 however long the sweep is.
+_SWEEP_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -213,18 +218,19 @@ class FringeCount:
     antinode_count: int    # round(delta/pi)
 
 
-def _sweep(crystal: CrystalSpec, model: ScatteringModel, r: Reflection,
-           geom: BladeGeometry, lam: np.ndarray):
-    """Bragg angle theta (radians), |F| (fm) and the J0 argument at each
-    wavelength of lam (angstrom); NoReflection unless 0 < sin(theta) <= 1."""
-    s = lam * q_over_4pi(crystal, r)
+def _sweep(crystal: CrystalSpec, r: Reflection, geom: BladeGeometry, f_mag: float,
+           lam: np.ndarray, tile=Ellipsis):
+    """Bragg angle theta (radians) and the J0 argument, for |F| = f_mag (fm),
+    at each wavelength of lam[tile] (angstrom); NoReflection, quoting the
+    range of all of lam, unless 0 < sin(theta) <= 1."""
+    lt = lam[tile]
+    s = lt * q_over_4pi(crystal, r)
     if not np.all((s > 0.0) & (s <= 1.0)):
         raise NoReflection(f"({r.label()}): no Bragg angle for lambda in "
                            f"[{lam.min():.4g}, {lam.max():.4g}] A")
     theta = np.radians(np.degrees(np.arcsin(s)))
-    f_mag = structure_factor_magnitude(crystal, model, r)
     t_a = geom.thickness_cm * ANGSTROM_PER_CM
-    return theta, f_mag, t_a * f_mag * ANGSTROM_PER_FM * lam / (crystal.a0**3 * np.cos(theta))
+    return theta, t_a * f_mag * ANGSTROM_PER_FM * lt / (crystal.a0**3 * np.cos(theta))
 
 
 def pendellosung_argument(crystal: CrystalSpec, model: ScatteringModel,
@@ -233,26 +239,40 @@ def pendellosung_argument(crystal: CrystalSpec, model: ScatteringModel,
 
     lam is one wavelength (float result) or an array of them, in angstrom.
     """
-    arg = _sweep(crystal, model, r, geom, np.asarray(lam, dtype=float))[2]
+    f_mag = structure_factor_magnitude(crystal, model, r)
+    arg = _sweep(crystal, r, geom, f_mag, np.asarray(lam, dtype=float))[1]
     return float(arg) if np.ndim(arg) == 0 else arg
 
 
 def intensity_profile(spectrum: BeamSpectrum, crystal: CrystalSpec,
                       model: ScatteringModel, r: Reflection,
                       geom: BladeGeometry, n_samples: int = 2000) -> FringeProfile:
-    """Sample the center-of-pattern intensity over the usable window."""
+    """Sample the center-of-pattern intensity over the usable window.
+
+    Every step is elementwise, so the sweep runs in tiles of _SWEEP_BLOCK
+    samples that stay in cache, writing into the result arrays; the bits
+    equal a whole-array evaluation.
+    """
     if n_samples < 2:
         raise ValueError("need at least two samples")
     require_observable(r)
     (lam_lo, lam_hi), _ = reflection_window(crystal, r, spectrum.window)
     lam = np.linspace(lam_lo, lam_hi, n_samples)
-    theta, f_mag, arg = _sweep(crystal, model, r, geom, lam)
-    raw = spectrum.intensity(lam) * lam**2 * f_mag**2 * bessel_j0(arg) ** 2
+    f_mag = structure_factor_magnitude(crystal, model, r)
+    two_theta, arg, raw = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
+    for start in range(0, n_samples, _SWEEP_BLOCK):
+        tile = slice(start, start + _SWEEP_BLOCK)
+        theta, arg[tile] = _sweep(crystal, r, geom, f_mag, lam, tile)
+        np.degrees(2.0 * theta, out=two_theta[tile])
+        lt = lam[tile]
+        np.multiply(spectrum.intensity(lt) * lt**2 * f_mag**2, bessel_j0(arg[tile]) ** 2,
+                    out=raw[tile])
     peak = raw.max()
+    if peak > 0:
+        raw /= peak
     return FringeProfile(
         reflection=r.canonical(), thickness_cm=geom.thickness_cm,
-        lam=lam, two_theta_deg=np.degrees(2.0 * theta),
-        argument=arg, intensity=raw / peak if peak > 0 else raw,
+        lam=lam, two_theta_deg=two_theta, argument=arg, intensity=raw,
     )
 
 

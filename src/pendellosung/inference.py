@@ -174,11 +174,19 @@ def _corrected_rows(q, f, b, sigma, B, sigma_B, forward=None):
     return rows if forward is None else _prepend((0.0, *forward), rows)
 
 
+def _require_reflections(reflections):
+    """Refuse an extinct reflection (ForbiddenReflection) and (000), the
+    forward beam, whose x = 0 datum only the crystal supplies."""
+    for r in reflections:
+        if r.n_sq == 0:
+            raise DegenerateDesign("(000) is the forward beam, not a reflection")
+        require_observable(r)
+
+
 def _measured_rows(ms, crystal: CrystalSpec, table: FormFactorTable | None = None):
     """Per-measurement (q, f or None without a table, b_meas, sigma) arrays;
-    an extinct reflection raises ForbiddenReflection."""
-    for m in ms:
-        require_observable(m.reflection)
+    the reflections are checked by _require_reflections."""
+    _require_reflections(m.reflection for m in ms)
     q = np.array([q_over_4pi(crystal, m.reflection) for m in ms])
     f = None if table is None else np.array([table.f_at(qi) for qi in q])
     return q, f, np.array([m.b_meas for m in ms]), np.array([m.sigma for m in ms])
@@ -383,11 +391,10 @@ def error_budget(model: ScatteringModel, crystal: CrystalSpec,
     error comes first (free-intercept line through the forward datum);
     its projection then inflates the corrected-amplitude errors entering
     the b_ne slope (disable with propagate_sigma_B=False). An extinct
-    reflection in the set raises ForbiddenReflection.
+    reflection in the set raises ForbiddenReflection, (000) DegenerateDesign.
     """
     refls = list(reflections)
-    for r in refls:
-        require_observable(r)
+    _require_reflections(refls)
     if (len(refls) + (1 if include_forward else 0)) < 2:
         raise DegenerateDesign("need two abscissas (reflections plus forward point)")
     q, f, b_pred = _predicted_rows(model, crystal, refls)

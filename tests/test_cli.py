@@ -149,6 +149,18 @@ class TestSynthFitRoundTrip:
         assert captured.err.strip() == "error: (100) is disallowed (|F| = 0)"
         assert not (tmp_path / "fit_report.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["auto", "joint", "bne", "B"])
+    def test_forward_beam_row_rejected(self, tmp_path, capsys, mode):
+        # A (000) row has q = 0 and f = 1: it would enter as a second
+        # forward datum carrying the row's own value and sigma.
+        path = tmp_path / "forward.csv"
+        path.write_text("h,k,l,b_meas_fm,sigma_fm\n0,0,0,4.1507,0.0008\n1,1,1,4.1053,0.0008\n")
+        assert run("fit", str(path), "--mode", mode, "--out", str(tmp_path)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "error: (000) is the forward beam, not a reflection"
+        assert not (tmp_path / "fit_report.csv").exists()
+
     def test_empty_measurements(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("h,k,l,b_meas_fm,sigma_fm\n")
@@ -226,6 +238,13 @@ class TestBudget:
     def test_extinct_reflections_rejected(self, tmp_path, capsys, hkl, message):
         assert run("budget", "--hkl", *hkl, "--out", str(tmp_path)) == 3
         assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "budget.csv").exists()
+
+    def test_forward_beam_rejected(self, tmp_path, capsys):
+        assert run("budget", "--hkl", "000", "422", "--out", str(tmp_path)) == 3
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "error: (000) is the forward beam, not a reflection"
+        assert captured.out == ""
         assert not (tmp_path / "budget.csv").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,19 @@ from pendellosung import (
     BeamSpectrum,
     BladeGeometry,
     ForbiddenReflection,
+    NoReflection,
     Reflection,
     SpectrumWindow,
     bessel_j0,
     fringe_count,
+    fringes,
     intensity_profile,
     pendellosung_argument,
+    q_over_4pi,
     scattering_model,
+    structure_factor_magnitude,
 )
+from pendellosung.planner import reflection_window
 
 from oracles import bessel_j0_out_of_place, j0_oracle, j0_zero, j0_zeros_between
 
@@ -194,6 +200,61 @@ class TestIntensityProfile:
         lam1 = _lambda_for_argument(m1, r, blade, z)
         assert lam0 != pytest.approx(lam1, abs=1e-9)
         assert abs(lam0 - lam1) > 1e-5
+
+
+class TestTiledProfile:
+    """intensity_profile runs in tiles of _SWEEP_BLOCK samples; the result
+    equals the whole-array evaluation bit for bit."""
+
+    # Thin enough that the argument crosses 5 inside the first tile (of
+    # 7 samples) for every n below, so one tile holds both J0 branches.
+    THIN = BladeGeometry(0.03125)
+
+    @pytest.mark.parametrize("n", [2, 7, 2 * 7 + 3])
+    @pytest.mark.parametrize("shape", ["flat", "maxwellian"])
+    def test_small_tiles_equal_whole_array(self, monkeypatch, si_model, n, shape):
+        monkeypatch.setattr(fringes, "_SWEEP_BLOCK", 7)
+        r = Reflection(1, 1, 1)
+        spectrum = BeamSpectrum(shape=shape)
+        prof = intensity_profile(spectrum, SILICON, si_model, r, self.THIN, n_samples=n)
+
+        (lo, hi), _ = reflection_window(SILICON, r, spectrum.window)
+        lam = np.linspace(lo, hi, n)
+        arg = pendellosung_argument(SILICON, si_model, r, self.THIN, lam)
+        assert any(np.any(t <= 5.0) and np.any(t > 5.0) for t in np.split(arg, range(7, n, 7)))
+        s = lam * q_over_4pi(SILICON, r)
+        two_theta = np.degrees(2.0 * np.radians(np.degrees(np.arcsin(s))))
+        f_mag = structure_factor_magnitude(SILICON, si_model, r)
+        raw = spectrum.intensity(lam) * lam**2 * f_mag**2 * bessel_j0(arg) ** 2
+
+        assert np.array_equal(prof.lam, lam)
+        assert np.array_equal(prof.two_theta_deg, two_theta)
+        assert np.array_equal(prof.argument, arg)
+        assert np.array_equal(prof.intensity, raw / raw.max())
+
+    def test_no_reflection_quotes_whole_sweep(self, monkeypatch, si_model, blade):
+        # Past lambda = 2d no Bragg angle exists; the failing tile is not
+        # the first, yet the message quotes the whole sweep.
+        monkeypatch.setattr(fringes, "_SWEEP_BLOCK", 7)
+        monkeypatch.setattr(fringes, "reflection_window", lambda *a: ((1.0, 7.0), (0.0, 0.0)))
+        with pytest.raises(NoReflection, match=r"\(111\): no Bragg angle for lambda in \[1, 7\] A"):
+            intensity_profile(BeamSpectrum(), SILICON, si_model, Reflection(1, 1, 1), blade,
+                              n_samples=17)
+
+    def test_peak_memory_is_results_plus_one_tile(self, si_model, blade):
+        # Four result arrays plus one tile's temporaries; a whole-array
+        # evaluation holds about ten result-sized arrays at its peak.
+        n = 200_000
+        spectrum = BeamSpectrum(shape="maxwellian")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            intensity_profile(spectrum, SILICON, si_model, Reflection(7, 1, 1), blade,
+                              n_samples=n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * n * 8
 
 
 class TestFringeSensitivity:
