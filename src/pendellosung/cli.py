@@ -230,22 +230,107 @@ def _write_csv(path: Path, header, rows):
         writer.writerows(rows)
 
 
-def _write_columns(path: Path, header, columns):
-    """CSV of equal-length numeric columns, formatted in blocks of
-    _BLOCK_ROWS rows: each block is interleaved row by row into one list
-    and written with a single % of a repeated row template. A .6g number
-    never holds a comma, a quote or a newline, so no field needs the
-    quoting of the csv module."""
+def _block_formatter(n_cols):
+    """Return format(block) -> bytes for an (n, n_cols) float block: the
+    CSV rows of the block, every value exactly as _FMT % x.
+
+    A value 1e-4 <= x < 999999.5 prints in fixed notation: its six
+    digits are r = rint(m), m = x * 10**(5 - e), e its decimal exponent
+    (r = 10**6 carries to 100000 at e + 1). 10**(5 - e) is an exact
+    double for every e in [-4, 5], so m is one correctly rounded product,
+    within 1.2e-10 of the exact one, and rint gives the correctly rounded
+    digits unless m lies within 1e-9 of a half-integer. Each field is a
+    16-byte slot of two little-endian uint64 words: the text (at most 11
+    characters, built from a table of three-digit ASCII groups), zero
+    bytes, and the separator in the last byte. Every other value (not
+    positive, not finite, out of range, or at or near a rounding tie) is
+    formatted by _FMT % x into its slot, so % stays the one
+    specification. The zero bytes are dropped last."""
     import numpy as np  # local, so that cli itself does not need numpy
 
-    row = ",".join([_FMT] * len(columns)) + "\n"
+    u8 = np.dtype("<u8")
+
+    def low(n_bytes):
+        return (1 << 8 * n_bytes) - 1
+
+    k = np.arange(1000)
+    digits3 = ((48 + k // 100) | (48 + k // 10 % 10) << 8 | (48 + k % 10) << 16).astype(u8)
+    zeros3 = sum(k % 10**j == 0 for j in (1, 2, 3))  # trailing zeros, 3 for 000
+
+    # Tables by j = 6 (e + 4) + z, z the trailing zeros of r. Stripped are
+    # cut = min(z, 5 - e) digits: never the e + 1 before the point, which
+    # is dropped too when no digit follows it. For e < 0 the digits follow
+    # "0.000" cut to 1 - e characters and run into the second word. `frac`
+    # marks the digit bytes after the point, moved up one byte to make room.
+    exps = range(-4, 6)
+    scale = np.array([10.0 ** (5 - e) for e in exps])
+    head, strip, shift, carry, frac = ([] for _ in range(5))
+    for e in exps:
+        for z in range(6):
+            cut = min(z, 5 - e)
+            strip.append(low(6 - cut))
+            if e >= 0:
+                head.append(ord(".") << 8 * (e + 1) if cut < 5 - e else 0)
+                shift.append(0)
+                carry.append(56)  # digits < 2**48: nothing carries
+                frac.append(low(6) & ~low(e + 1))
+            else:
+                head.append(int.from_bytes(b"0.000"[:1 - e], "little"))
+                shift.append(8 * (1 - e))
+                carry.append(64 - 8 * (1 - e))
+                frac.append(0)
+    head, strip, shift, carry, frac = (np.array(t, u8) for t in (head, strip, shift, carry, frac))
+
+    seps = [","] * (n_cols - 1) + ["\n"]
+    last = np.array([ord(c) << 56 for c in seps], u8)
+
+    def format_block(block):
+        words = np.empty(block.shape + (2,), u8)
+        with np.errstate(all="ignore"):
+            ok = (block >= 1e-4) & (block < 999999.5)
+            x = np.where(ok, block, 1.0)
+            # e + 4; log10 is off by one only next to a power of ten, where
+            # m leaves [1e5, 1e6) and the value goes to %.
+            i = (np.log10(x) + 4).astype(np.intp)
+            m = x * scale[i]
+            r = np.rint(m)
+            fast = ok & (m >= 1e5) & (m < 1e6) & (np.abs(np.abs(m - r) - 0.5) > 1e-9)
+            up = fast & (r == 1e6)  # rounds up to the next power of ten
+            i += up
+            r = np.where(fast & ~up, r, 1e5)
+            hi = np.floor(r / 1000.0)
+            lo = (r - 1000.0 * hi).astype(np.intp)
+            hi = hi.astype(np.intp)
+        j = 6 * i + np.where(lo == 0, 3 + zeros3[hi], zeros3[lo])
+        digits = (digits3[hi] | digits3[lo] << np.uint64(24)) & strip[j]
+        words[..., 0] = head[j] | (digits << shift[j]) + (digits & frac[j]) * np.uint64(255)
+        words[..., 1] = digits >> carry[j] | last
+        if not fast.all():
+            slow = ~fast
+            text = b"".join((_FMT % v).encode().ljust(15, b"\0") + c.encode() for v, c in
+                            zip(block[slow].tolist(), np.broadcast_to(seps, block.shape)[slow]))
+            words[slow] = np.frombuffer(text, u8).reshape(-1, 2)
+        return words.tobytes().translate(None, b"\0")
+
+    return format_block
+
+
+def _write_columns(path: Path, header, columns):
+    """CSV of equal-length numeric columns, formatted in blocks of
+    _BLOCK_ROWS rows by _block_formatter: each value as _FMT % x, in
+    fixed notation from numpy arrays where the digits are provably those
+    of %, by % itself otherwise. Memory stays at one block whatever the
+    column length. A .6g number never holds a comma, a quote or a
+    newline, so no field needs the quoting of the csv module."""
+    import numpy as np  # local, so that cli itself does not need numpy
+
+    format_block = _block_formatter(len(columns))
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [c[start:start + _BLOCK_ROWS] for c in columns]
-            values = np.column_stack(block).ravel().tolist()
-            fh.write((row * len(block[0])) % tuple(values))
+            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
+            fh.write(format_block(block.astype(np.float64, copy=False)))
 
 
 def read_measurements_csv(path) -> list:

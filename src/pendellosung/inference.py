@@ -420,9 +420,11 @@ def synth_measurements(model: ScatteringModel, crystal: CrystalSpec,
 
     sigma may be a scalar or a per-reflection sequence; 0 yields exact
     model values (each Measurement still needs a positive quoted sigma,
-    so the quoted error floor is kept at DEFAULT_SIGMA_B_MEAS).
+    so the quoted error floor is kept at DEFAULT_SIGMA_B_MEAS). An extinct
+    reflection raises ForbiddenReflection, (000) DegenerateDesign.
     """
     refls = [r.canonical() for r in reflections]
+    _require_reflections(refls)
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), (len(refls),))
     if np.any(sig < 0):
         raise ValueError("sigma must be non-negative")
@@ -442,9 +444,12 @@ def temperature_factor_sigmas(model: ScatteringModel, crystal: CrystalSpec,
 
     The ideal-experiment scenario: infinitely precise b_meas, so the only
     error on b(Q) is b(Q) (Q/4pi)^2 crystal.sigma_B, growing with Q^2.
+    An extinct reflection raises ForbiddenReflection, (000) DegenerateDesign.
     """
+    refls = list(reflections)
+    _require_reflections(refls)
     out = []
-    for r in reflections:
+    for r in refls:
         q = q_over_4pi(crystal, r.canonical())
         b_q = b_meas(model, q) / debye_waller(model.B, q)
         out.append(b_q * q * q * crystal.sigma_B)
@@ -499,9 +504,13 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     counter-based Philox generator keyed by the seed, making the result
     independent of any batching or scheduling of trials. Trials are drawn
     in fixed chunks of that one stream, and only the parameter sums and
-    cross products are kept, so memory does not grow with n_trials.
+    cross products are kept, so memory does not grow with n_trials. An
+    extinct reflection raises ForbiddenReflection, (000) DegenerateDesign,
+    whatever sigma is.
     """
     names = ("B", "b_ne", "ln_b_nuclear")
+    reflections = list(reflections)
+    _require_reflections(reflections)
     if n_trials < 2:
         raise ValueError("need at least two trials")
     if sigma < 0:

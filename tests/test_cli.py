@@ -1,10 +1,14 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pendellosung.cli import _BLOCK_ROWS, _write_columns, main, read_measurements_csv
+from pendellosung.cli import (
+    _BLOCK_ROWS, _block_formatter, _write_columns, main, read_measurements_csv,
+)
 from pendellosung.formfactor import SILICON_TABLE
 
 
@@ -111,6 +115,65 @@ class TestSimulate:
             writer.writerows([f"{x:.6g}" for x in row] for row in zip(*columns))
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert len(read_rows(tmp_path / "fast.csv")) == n_rows + 1
+
+
+def percent_rows(block):
+    """The specification of the block formatter: "%.6g" % x per value."""
+    return "".join(",".join("%.6g" % x for x in row) + "\n" for row in block.tolist()).encode()
+
+
+# Every magnitude with +-0.0, subnormals, nan and +-inf; the fixed-notation
+# range and its edges; short decimals, which land on or near rounding ties.
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(min_value=9e-5, max_value=1.1e6),
+    st.builds(lambda n, k: n / 10.0**k, st.integers(1, 10**7), st.integers(0, 12)),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.nan, np.inf, -np.inf]),
+)
+
+
+class TestBlockFormatter:
+    """_block_formatter builds fixed notation in numpy and leaves every
+    value it cannot prove to %; its bytes must equal % everywhere."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda n_cols: st.lists(st.lists(_ANY_FLOAT, min_size=n_cols, max_size=n_cols),
+                                min_size=1, max_size=32)))
+    def test_matches_percent(self, rows):
+        block = np.array(rows, dtype=float)
+        assert _block_formatter(block.shape[1])(block) == percent_rows(block)
+
+    def test_ties_and_edges(self):
+        powers = [10.0**k for k in range(-5, 7)]
+        values = [12345.25, 100000.5, 999999.5, 99999.95, 1e-4, 9.999995e-05, 0.00015, 2.5]
+        values += [v for p in powers for v in (np.nextafter(p, 0), p, np.nextafter(p, np.inf))]
+        block = np.array(values).reshape(-1, 1)
+        assert _block_formatter(1)(block) == percent_rows(block)
+
+    def test_block_of_fallbacks(self, tmp_path):
+        # Every value is non-positive, non-finite, out of range or a tie.
+        pool = [-1.5, 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-5, 1e7, 2.5e-310, 12345.25]
+        columns = [np.resize(np.roll(pool, j), _BLOCK_ROWS + 3) for j in range(4)]
+        _write_columns(tmp_path / "fast.csv", ["a", "b", "c", "d"], columns)
+        expected = b"a,b,c,d\n" + percent_rows(np.column_stack(columns))
+        assert (tmp_path / "fast.csv").read_bytes() == expected
+
+    def test_memory_stays_at_one_block(self, tmp_path):
+        # 1.2e5 rows x 4 columns is about 4.5 MB of text; the writer holds
+        # one block: its floats, its 16-byte field slots and their text.
+        n_rows, n_cols = 120_000, 4
+        rng = np.random.default_rng(7)
+        columns = [10.0 ** rng.uniform(-5, 3, n_rows) for _ in range(n_cols)]
+        slot_bytes = _BLOCK_ROWS * n_cols * 16
+        tracemalloc.start()
+        try:
+            _write_columns(tmp_path / "big.csv", ["a", "b", "c", "d"], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * slot_bytes
+        assert (tmp_path / "big.csv").stat().st_size > 12 * slot_bytes
 
 
 class TestSynthFitRoundTrip:

@@ -277,6 +277,35 @@ class TestExtinctMeasurements:
             fit(ms, si_model.form_factor)
 
 
+class TestEntryPointsRefuseExtinct:
+    """The library routes that predict amplitudes for a reflection set
+    refuse an extinct reflection and (000) as the fits and the budget do."""
+
+    FORBIDDEN = [Reflection(2, 2, 2), Reflection(1, 0, 0)]
+    FORWARD = [Reflection(0, 0, 0), Reflection(4, 2, 2), Reflection(6, 2, 0)]
+
+    def test_synth_measurements(self, si_model):
+        with pytest.raises(ForbiddenReflection, match=r"^\(222\) is forbidden"):
+            synth_measurements(si_model, SILICON, self.FORBIDDEN)
+        with pytest.raises(DegenerateDesign, match="forward beam"):
+            synth_measurements(si_model, SILICON, self.FORWARD, sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [0.0008, 0.0])
+    def test_monte_carlo_validate(self, si_model, sigma):
+        # sigma = 0 returns early with zero covariances; the check comes first.
+        with pytest.raises(DegenerateDesign, match="forward beam"):
+            monte_carlo_validate(si_model, SILICON, self.FORWARD, sigma=sigma, n_trials=100)
+        extinct = [Reflection(2, 2, 2)] + self.FORWARD[1:]
+        with pytest.raises(ForbiddenReflection, match=r"^\(222\) is forbidden"):
+            monte_carlo_validate(si_model, SILICON, extinct, sigma=sigma, n_trials=100)
+
+    def test_temperature_factor_sigmas(self, si_model):
+        with pytest.raises(ForbiddenReflection, match=r"^\(222\) is forbidden"):
+            temperature_factor_sigmas(si_model, SILICON, [Reflection(2, 2, 2)])
+        with pytest.raises(DegenerateDesign, match="forward beam"):
+            temperature_factor_sigmas(si_model, SILICON, iter(self.FORWARD))
+
+
 class TestDegenerateFitBranches:
     def test_joint_fit_collinear_abscissas(self, si_model):
         # Without the forward datum, two reflections give two rows for the
