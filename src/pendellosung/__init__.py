@@ -13,7 +13,7 @@ from .errors import (
     NoReflection,
     PendellosungError,
 )
-from .formfactor import BUILTIN_TABLES, FormFactorTable, GERMANIUM_TABLE, SILICON_TABLE
+from .formfactor import FormFactorTable
 from .fringes import (
     BeamSpectrum,
     BladeGeometry,
@@ -42,8 +42,11 @@ from .inference import (
 )
 from .lattice import (
     BUILTIN_CRYSTALS,
+    BUILTIN_TABLES,
     GERMANIUM,
+    GERMANIUM_TABLE,
     SILICON,
+    SILICON_TABLE,
     CrystalSpec,
     Reflection,
     ReflectionClass,
@@ -62,7 +65,6 @@ from .planner import (
     ReflectionPlan,
     SpectrumWindow,
     SurveyResult,
-    blade_assignment,
     bragg_angle,
     candidates,
     contamination,

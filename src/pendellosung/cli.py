@@ -54,8 +54,8 @@ from pathlib import Path
 from . import fringes, inference, lattice, planner
 from .constants import CODATA
 from .errors import ConfigError, FormFactorRangeError, PendellosungError
-from .formfactor import BUILTIN_TABLES, table_from_csv
-from .lattice import CrystalSpec, Reflection, ScatteringModel
+from .formfactor import table_from_csv
+from .lattice import BUILTIN_TABLES, CrystalSpec, Reflection, ScatteringModel
 
 
 def _checked(cast, ok, name):
@@ -426,7 +426,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
         print(f"  chi2/dof = {fit.chi2:.4g}/{fit.dof}")
         for i, ni in enumerate(fit.param_names):
             rows.append(["param", ni, "", _fmt(fit.values[i])])
-            rows.append(["sigma", ni, "", _fmt(math.sqrt(fit.covariance[i, i]))])
+            rows.append(["sigma", ni, "", _fmt(fit.sigma(ni))])
         for i, ni in enumerate(fit.param_names):
             for j, nj in enumerate(fit.param_names):
                 if j > i:
@@ -629,14 +629,15 @@ def main(argv=None) -> int:
             cfg = replace(cfg, seed=args.seed)
         if getattr(args, "out", None) is not None:
             cfg = replace(cfg, out_dir=Path(args.out))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except FormFactorRangeError as exc:  # only commands raise it, so cfg is set
+        builtin = cfg.model.form_factor is BUILTIN_TABLES.get(cfg.crystal.name)
+        hint = "; the built-in table ends there: set [crystal] form_factor_csv" if builtin else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
+        return EXIT_DATA
     except (PendellosungError, ValueError) as exc:
         # A ValueError here is a library argument check tripped by the data
         # (e.g. synthetic noise driving an amplitude non-positive).

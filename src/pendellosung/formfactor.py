@@ -9,9 +9,9 @@ between samples. Coefficients and evaluation order are those of scipy's
 PchipInterpolator, so values agree with it to the bit. A precise f between
 samples is not physically critical here, but monotonicity is.
 
-Built-in tables cover silicon and germanium at the momentum transfers of
-the thermal-survey reflections; further elements can be loaded from CSV
-(header ``q_over_4pi_A_inv,f``, first row ``0,1``, strictly increasing q).
+The built-in silicon and germanium tables live in ``lattice`` beside their
+crystals; further elements can be loaded from CSV (header
+``q_over_4pi_A_inv,f``, first row ``0,1``, strictly increasing q).
 """
 
 from __future__ import annotations
@@ -145,41 +145,3 @@ def table_from_csv(path, element: str = "") -> FormFactorTable:
             raise ValueError(f"{path}: expected header 'q_over_4pi_A_inv,f'")
         samples = [(float(row[0]), float(row[1])) for row in reader if row]
     return FormFactorTable(element=element or "custom", samples=tuple(samples))
-
-
-def _survey_q(n_sq: int, a0: float) -> float:
-    """Q/4pi of a cubic reflection with h^2+k^2+l^2 = n_sq."""
-    return math.sqrt(n_sq) / (2.0 * a0)
-
-
-_A0_SI = 5.43072  # angstrom
-_A0_GE = 5.6575
-
-# Thermal-survey sample points: (h^2+k^2+l^2, f). The two N=51 reflections
-# share one q and one f, hence the single entry.
-SILICON_TABLE = FormFactorTable(
-    element="Si",
-    samples=tuple(
-        [(0.0, 1.0)]
-        + [
-            (_survey_q(n, _A0_SI), f)
-            for n, f in [
-                (3, 0.7526),
-                (24, 0.4788),
-                (27, 0.4600),
-                (35, 0.4150),
-                (40, 0.3902),
-                (43, 0.3764),
-                (51, 0.3432),
-                (56, 0.3249),
-            ]
-        ]
-    ),
-)
-
-GERMANIUM_TABLE = FormFactorTable(
-    element="Ge",
-    samples=((0.0, 1.0), (_survey_q(3, _A0_GE), 0.8542)),
-)
-
-BUILTIN_TABLES = {"Si": SILICON_TABLE, "Ge": GERMANIUM_TABLE}

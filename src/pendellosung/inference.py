@@ -38,6 +38,7 @@ from .lattice import (
     CrystalSpec,
     Reflection,
     ScatteringModel,
+    b_from_b_meas,
     b_meas,
     debye_waller,
     q_over_4pi,
@@ -377,8 +378,6 @@ class BudgetResult:
     sigma_B: float
     sigma_bne: float
     n_reflections: int
-    include_forward: bool
-    propagate_sigma_B: bool
 
 
 def error_budget(model: ScatteringModel, crystal: CrystalSpec,
@@ -405,9 +404,7 @@ def error_budget(model: ScatteringModel, crystal: CrystalSpec,
                                sigma_big_b if propagate_sigma_B else 0.0, forward)
     sigma_bne = slope_uncertainty(x, sy) / crystal.Z
 
-    return BudgetResult(sigma_B=sigma_big_b, sigma_bne=sigma_bne,
-                        n_reflections=len(refls), include_forward=include_forward,
-                        propagate_sigma_B=propagate_sigma_B)
+    return BudgetResult(sigma_B=sigma_big_b, sigma_bne=sigma_bne, n_reflections=len(refls))
 
 
 # --- synthetic data and Monte Carlo --------------------------------------
@@ -451,7 +448,7 @@ def temperature_factor_sigmas(model: ScatteringModel, crystal: CrystalSpec,
     out = []
     for r in refls:
         q = q_over_4pi(crystal, r.canonical())
-        b_q = b_meas(model, q) / debye_waller(model.B, q)
+        b_q = b_from_b_meas(b_meas(model, q), model.B, q)
         out.append(b_q * q * q * crystal.sigma_B)
     return np.array(out)
 

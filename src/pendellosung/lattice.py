@@ -6,6 +6,7 @@ Debye-Waller correction, and the Q-dependent scattering length
     b(Q) = b_nuclear - b_ne * Z * [1 - f(Q)]
 
 whose tiny electrostatic term carries the neutron charge-radius signal.
+The built-in crystals carry f(Q) tables sampled at their own Q/4pi.
 All operations are pure functions of immutable inputs.
 """
 
@@ -15,7 +16,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from . import formfactor
 from .errors import ForbiddenReflection
 from .formfactor import FormFactorTable
 
@@ -219,13 +219,28 @@ GERMANIUM = CrystalSpec(
 BUILTIN_CRYSTALS = {"Si": SILICON, "Ge": GERMANIUM}
 
 
+def _survey_table(crystal: CrystalSpec, f_by_hkl: dict) -> FormFactorTable:
+    """f(Q) sampled at the crystal's own Q/4pi of each listed reflection."""
+    return FormFactorTable(crystal.name, ((0.0, 1.0),) + tuple(
+        (q_over_4pi(crystal, Reflection(*hkl)), f) for hkl, f in f_by_hkl.items()))
+
+
+# Form factors at the thermal-survey reflections; (551) shares the q and f
+# of (711), so it needs no entry.
+SILICON_TABLE = _survey_table(SILICON, {
+    (1, 1, 1): 0.7526, (4, 2, 2): 0.4788, (5, 1, 1): 0.4600, (5, 3, 1): 0.4150,
+    (6, 2, 0): 0.3902, (5, 3, 3): 0.3764, (7, 1, 1): 0.3432, (6, 4, 2): 0.3249})
+GERMANIUM_TABLE = _survey_table(GERMANIUM, {(1, 1, 1): 0.8542})
+BUILTIN_TABLES = {"Si": SILICON_TABLE, "Ge": GERMANIUM_TABLE}
+
+
 def scattering_model(crystal: CrystalSpec, b_ne: float,
                      table: FormFactorTable | None = None,
                      B: float | None = None) -> ScatteringModel:
     """Build a ScatteringModel for a crystal and a b_ne hypothesis."""
     if table is None:
         try:
-            table = formfactor.BUILTIN_TABLES[crystal.name]
+            table = BUILTIN_TABLES[crystal.name]
         except KeyError:
             raise ValueError(f"no built-in form-factor table for {crystal.name}; pass one")
     return ScatteringModel(

@@ -304,57 +304,3 @@ def enumerate_pure(crystal: CrystalSpec, w: SpectrumWindow = DEFAULT_WINDOW,
     """Plans for the reflections measurable without contamination problem."""
     return survey(crystal, w, strict=strict).pure
 
-
-# --- blade assignment -------------------------------------------------
-
-# Candidate cut-plane normals, low-index families first.
-_CUT_FAMILIES = (
-    Reflection(1, 1, 0),
-    Reflection(1, 0, 0),
-    Reflection(1, 1, 1),
-    Reflection(2, 1, 1),
-    Reflection(2, 1, 0),
-)
-
-
-def is_measurable_on(r: Reflection, cut: Reflection) -> bool:
-    """True if some symmetry-equivalent of r is perpendicular to cut.
-
-    The reflecting planes must be perpendicular to the blade face, i.e.
-    the reflection vector orthogonal to the cut normal (zero dot product
-    in reciprocal space) for at least one signed permutation.
-    """
-    a = (abs(r.h), abs(r.k), abs(r.l))
-    c = (cut.h, cut.k, cut.l)
-    for perm in set(itertools.permutations(a)):
-        for signs in itertools.product((1, -1), repeat=3):
-            if sum(p * s * cc for p, s, cc in zip(perm, signs, c)) == 0:
-                return True
-    return False
-
-
-@dataclass(frozen=True)
-class BladeAssignment:
-    cut_plane: Reflection
-    reflections: tuple
-
-
-def blade_assignment(plans_or_reflections) -> list:
-    """Greedy minimal set of blade cuts covering all given reflections."""
-    refls = [
-        p.reflection if isinstance(p, ReflectionPlan) else p
-        for p in plans_or_reflections
-    ]
-    remaining = list(dict.fromkeys(r.canonical() for r in refls))
-    assignment = []
-    while remaining:
-        best, covered = None, []
-        for cut in _CUT_FAMILIES:
-            hits = [r for r in remaining if is_measurable_on(r, cut)]
-            if len(hits) > len(covered):
-                best, covered = cut, hits
-        if best is None:
-            raise ValueError(f"no cut family covers {remaining[0].label()}")
-        assignment.append(BladeAssignment(cut_plane=best, reflections=tuple(covered)))
-        remaining = [r for r in remaining if r not in covered]
-    return assignment

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pendellosung.cli import (
     _BLOCK_ROWS, _block_formatter, _write_columns, main, read_measurements_csv,
 )
-from pendellosung.formfactor import SILICON_TABLE
+from pendellosung.lattice import SILICON_TABLE
 
 
 def run(*argv):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pendellosung import (
+    GERMANIUM_TABLE,
     SILICON,
     BeamSpectrum,
     BladeGeometry,
@@ -17,7 +18,6 @@ from pendellosung import (
     PendellosungError,
     Reflection,
     SpectrumWindow,
-    blade_assignment,
     error_budget,
     fit_bne,
     fit_temperature_factor,
@@ -146,22 +146,6 @@ class TestInferenceEdges:
             Reflection(1.5, 1, 1)
 
 
-class TestBladeEdges:
-    def test_uncoverable_raises(self):
-        # (9,7,5): distinct odd indices, no zero, odd sum combinations
-        # cannot vanish for {110},{100},{111}; {211} needs 2a = b + c and
-        # {210} needs a = 2b among signed perms; none work here.
-        covered = False
-        try:
-            blade_assignment([Reflection(9, 7, 5)])
-            covered = True
-        except ValueError:
-            pass
-        if covered:
-            # if a family does host it, the cover must be a single blade
-            assert len(blade_assignment([Reflection(9, 7, 5)])) == 1
-
-
 class TestCliOptionPaths:
     def test_plan_strict(self, tmp_path):
         assert run("plan", "--strict", "--all", "--out", str(tmp_path)) == 0
@@ -241,11 +225,14 @@ class TestErrorBoundary:
         (["radius", "--", "nan"], 2),
         (["mc", "--sigma", "0"], 2),  # no spread: the sigma ratios would divide by zero
         (["budget", "--hkl"], 2),  # an empty custom set, not the default sets
+        (["budget", "--config", "{ge_config}"], 3),  # the built-in Ge table ends at (111)
     ])
     def test_exit_code_without_traceback(self, tmp_path, capsys, argv, code):
         seed_config = tmp_path / "seed.ini"
         seed_config.write_text("[run]\nseed = -3\n")
-        argv = [a.format(seed_config=seed_config) for a in argv]
+        ge_config = tmp_path / "ge.ini"
+        ge_config.write_text("[crystal]\nname = Ge\n")
+        argv = [a.format(seed_config=seed_config, ge_config=ge_config) for a in argv]
         try:
             rc = main(["--out", str(tmp_path)] + argv)
         except SystemExit as exc:  # argparse rejects the value
@@ -254,6 +241,24 @@ class TestErrorBoundary:
         assert rc == code
         assert "Traceback" not in err
         assert "error:" in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("from_csv", [False, True], ids=["builtin", "csv"])
+    def test_range_error_names_the_table_key_for_builtin_tables(self, tmp_path, capsys,
+                                                                from_csv):
+        # The same Ge samples, built in or loaded: only the built-in table's
+        # message points at the config key that replaces it.
+        config = "[crystal]\nname = Ge\n"
+        if from_csv:
+            table = tmp_path / "ge.csv"
+            table.write_text("q_over_4pi_A_inv,f\n"
+                             + "".join(f"{q!r},{f!r}\n" for q, f in GERMANIUM_TABLE.samples))
+            config += f"form_factor_csv = {table}\n"
+        (tmp_path / "ge.ini").write_text(config)
+        assert run("--config", str(tmp_path / "ge.ini"), "budget", "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        message = "error: Ge: q=0.432963 beyond tabulated domain (max 0.153076 + 5% margin)"
+        hint = "; the built-in table ends there: set [crystal] form_factor_csv"
+        assert err == message + ("" if from_csv else hint) + "\n"
 
     @pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 EiB for an array"])
     def test_out_of_memory_is_a_data_error(self, tmp_path, capsys, monkeypatch, message):

@@ -9,10 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 import pendellosung
 from pendellosung import FormFactorRangeError, FormFactorTable
-from pendellosung.formfactor import (
+from pendellosung.formfactor import table_from_csv
+from pendellosung.lattice import (
+    GERMANIUM,
     GERMANIUM_TABLE,
+    SILICON,
     SILICON_TABLE,
-    table_from_csv,
+    Reflection,
+    q_over_4pi,
 )
 
 A0_SI = 5.43072
@@ -50,6 +54,15 @@ class TestBuiltinTables:
         q = math.sqrt(3) / (2 * 5.6575)
         assert q == pytest.approx(0.153076, abs=1e-6)
         assert GERMANIUM_TABLE.f_at(q) == pytest.approx(0.8542, abs=1e-12)
+
+    @pytest.mark.parametrize("crystal, table, labels", [
+        (SILICON, SILICON_TABLE, ["111", "422", "511", "531", "620", "533", "711", "642"]),
+        (GERMANIUM, GERMANIUM_TABLE, ["111"]),
+    ], ids=["Si", "Ge"])
+    def test_samples_at_the_crystals_own_q(self, crystal, table, labels):
+        # The tables take q from the crystal, so a0 has a single home.
+        qs = [q_over_4pi(crystal, Reflection(*map(int, label))) for label in labels]
+        assert [q for q, _ in table.samples] == [0.0] + qs
 
     def test_shared_q_deduplicated(self):
         # (551) and (711) share q = sqrt(51)/(2 a0); one sample holds both.

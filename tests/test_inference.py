@@ -262,6 +262,61 @@ class TestJointFit:
                       si_model.form_factor)
 
 
+# Repeated-draw validation of the fits `fit` runs. synth draws neither the
+# forward datum nor B, so the fits leave the forward datum out and fit_bne
+# propagates no sigma_B; every error input the fits report is then drawn.
+# Bounds come from N alone: 4 standard errors of the mean for the bias
+# (against the same fit on noise-free data, which also carries each fit's
+# linearisation offset), 4/sqrt(2N) for the spread over the reported sigma,
+# and 4 sqrt(2 dof/N) for the mean chi2 of the joint fit.
+N_DRAWS = 2000
+SIGMA_DRAW = 0.0008  # fm
+
+
+@pytest.fixture(scope="module")
+def repeated_fits(si_model, new_eight):
+    """Per fit: (noise-free values, their reported sigmas, (N, k) noisy
+    values); then the noisy joint fits' chi2 values and their dof."""
+    no_sigma_b = replace(SILICON, sigma_B=0.0)
+    table = si_model.form_factor
+
+    def fits(ms):
+        joint = joint_fit(ms, SILICON, table, include_forward=False)
+        return joint, {
+            "temperature_factor": fit_temperature_factor(ms, SILICON, include_forward=False),
+            "bne": fit_bne(ms, no_sigma_b, table, include_forward=False),
+            "joint": (joint.values, [joint.sigma(p) for p in joint.param_names]),
+        }
+
+    _, exact = fits(synth_measurements(si_model, SILICON, new_eight, sigma=0.0))
+    runs = [fits(synth_measurements(si_model, SILICON, new_eight, sigma=SIGMA_DRAW, seed=seed))
+            for seed in range(N_DRAWS)]
+    per_fit = {name: (np.atleast_1d(values), np.atleast_1d(sigmas),
+                      np.array([np.atleast_1d(run[name][0]) for _, run in runs]))
+               for name, (values, sigmas) in exact.items()}
+    return per_fit, np.array([joint.chi2 for joint, _ in runs]), runs[0][0].dof
+
+
+class TestFitsOverRepeatedDraws:
+    @pytest.mark.parametrize("name", ["temperature_factor", "bne", "joint"])
+    def test_unbiased(self, repeated_fits, name):
+        exact, _, noisy = repeated_fits[0][name]
+        spread = noisy.std(axis=0, ddof=1)
+        bias = noisy.mean(axis=0) - exact
+        assert np.all(np.abs(bias) < 4.0 * spread / math.sqrt(N_DRAWS)), bias / spread
+
+    @pytest.mark.parametrize("name", ["temperature_factor", "bne", "joint"])
+    def test_reported_sigma_matches_spread(self, repeated_fits, name):
+        _, sigma, noisy = repeated_fits[0][name]
+        ratio = noisy.std(axis=0, ddof=1) / sigma
+        assert np.all(np.abs(ratio - 1.0) < 4.0 / math.sqrt(2 * N_DRAWS)), ratio
+
+    def test_joint_chi2_mean_is_dof(self, repeated_fits):
+        _, chi2, dof = repeated_fits
+        assert dof == 8 - 3
+        assert abs(chi2.mean() - dof) < 4.0 * math.sqrt(2.0 * dof / N_DRAWS), chi2.mean()
+
+
 class TestExtinctMeasurements:
     """A measured amplitude of an extinct reflection cannot exist: every fit
     refuses it instead of reducing it like any other row."""

@@ -10,7 +10,6 @@ from pendellosung import (
     Reflection,
     ReflectionClass,
     SpectrumWindow,
-    blade_assignment,
     bragg_angle,
     candidates,
     contamination,
@@ -18,7 +17,7 @@ from pendellosung import (
     reflection_window,
     survey,
 )
-from pendellosung.planner import PEAK_SLACK_DEG, is_measurable_on
+from pendellosung.planner import PEAK_SLACK_DEG
 
 # The nine-reflection thermal survey for silicon: label -> (f, lambda
 # window, two-theta window, class); windows as published, integer degrees
@@ -210,27 +209,6 @@ class TestEnumeratePure:
         a = [p.reflection for p in survey(SILICON, default_window).plans]
         b = sorted(a, key=lambda r: (r.n_sq, r.h, r.k, r.l))
         assert a == b
-
-
-class TestBladeAssignment:
-    def test_110_blade_group(self, pure_plans):
-        blades = blade_assignment(pure_plans)
-        first = blades[0]
-        assert first.cut_plane == Reflection(1, 1, 0)
-        assert {r.label() for r in first.reflections} == {
-            "111", "422", "511", "533", "711", "551"}
-
-    def test_orthogonality_example(self):
-        # (111) lies in the (2,-2,0) cut plane: 1*2 + 1*(-2) + 1*0 = 0.
-        assert 1 * 2 + 1 * (-2) + 1 * 0 == 0
-        assert is_measurable_on(Reflection(1, 1, 1), Reflection(1, 1, 0))
-        assert not is_measurable_on(Reflection(5, 3, 1), Reflection(1, 1, 0))
-
-    def test_three_blades_cover_survey(self, pure_plans):
-        blades = blade_assignment(pure_plans)
-        assert len(blades) <= 3
-        covered = {r for b in blades for r in b.reflections}
-        assert covered == {p.reflection for p in pure_plans}
 
 
 # Non-default windows for the strict-survey digest: wide and narrow
