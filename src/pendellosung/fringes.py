@@ -110,7 +110,7 @@ def _polevl(x, coef):
 
 
 def _j0_large(xl):
-    """J0 on xl > 5 (and NaN) by the Hankel form, reusing buffers in the
+    """The Hankel form of J0, valid on xl > 5, reusing buffers in the
     operation order of the plain expression, so the bits are the same;
     xl is only read."""
     w = 5.0 / xl
@@ -139,22 +139,17 @@ def bessel_j0(x):
     # Flat, so that a 0-d input gives arrays, not numpy scalars, to the
     # in-place steps.
     ax = np.abs(x.reshape(-1))
-    small = ax <= 5.0
-    if not np.any(small):
-        # The common case for a fringe sweep: no mask copy, no scatter.
+    # The Hankel form on every entry (on all of them in a fringe sweep); the
+    # entries <= 5, where it is meaningless or inf, get the rational form.
+    with np.errstate(all="ignore"):
         out = _j0_large(ax)
-    else:
-        out = np.empty_like(ax)
-        axs = ax[small]
-        z = axs ** 2
-        p = (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _polevl(z, _RQ)
-        tiny = axs < 1e-5
-        if np.any(tiny):
-            p[tiny] = 1.0 - z[tiny] / 4.0
-        out[small] = p
-        large = ~small
-        if np.any(large):
-            out[large] = _j0_large(ax[large])
+    small = ax <= 5.0
+    axs = ax[small]
+    z = axs ** 2
+    p = (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _polevl(z, _RQ)
+    tiny = axs < 1e-5
+    p[tiny] = 1.0 - z[tiny] / 4.0
+    out[small] = p
     out = out.reshape(x.shape)
     return float(out) if scalar else out
 
@@ -203,8 +198,6 @@ class BeamSpectrum:
 
 @dataclass(frozen=True)
 class FringeProfile:
-    reflection: Reflection
-    thickness_cm: float
     lam: np.ndarray            # angstrom, strictly increasing
     two_theta_deg: np.ndarray
     argument: np.ndarray       # radians, strictly increasing
@@ -270,10 +263,7 @@ def intensity_profile(spectrum: BeamSpectrum, crystal: CrystalSpec,
     peak = raw.max()
     if peak > 0:
         raw /= peak
-    return FringeProfile(
-        reflection=r.canonical(), thickness_cm=geom.thickness_cm,
-        lam=lam, two_theta_deg=two_theta, argument=arg, intensity=raw,
-    )
+    return FringeProfile(lam=lam, two_theta_deg=two_theta, argument=arg, intensity=raw)
 
 
 def fringe_count(crystal: CrystalSpec, model: ScatteringModel, r: Reflection,

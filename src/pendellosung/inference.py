@@ -479,15 +479,8 @@ class MonteCarloResult:
 
     @property
     def sigma_ratios(self) -> np.ndarray:
-        """Empirical / analytic one-sigma widths, per parameter.
-
-        Raises DegenerateDesign when an analytic variance is zero (the
-        sigma = 0 result), which leaves the ratio undefined.
-        """
-        analytic = np.diag(self.analytic_cov)
-        if np.any(analytic == 0):
-            raise DegenerateDesign("zero analytic variance: sigma ratios are undefined")
-        return np.sqrt(np.diag(self.empirical_cov) / analytic)
+        """Empirical / analytic one-sigma widths, per parameter."""
+        return np.sqrt(np.diag(self.empirical_cov) / np.diag(self.analytic_cov))
 
 
 def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
@@ -510,13 +503,9 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     _require_reflections(reflections)
     if n_trials < 2:
         raise ValueError("need at least two trials")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    if sigma == 0:
-        # Perfect measurements pin the parameters: both covariances vanish.
-        zero = np.zeros((3, 3))
-        return MonteCarloResult(param_names=names, analytic_cov=zero,
-                                empirical_cov=zero, n_trials=n_trials)
+    if not 0 < sigma < math.inf:
+        # Zero noise leaves no spread to compare.
+        raise ValueError("sigma must be positive and finite")
     q, f, b_pred = _predicted_rows(model, crystal, reflections)
     x1, _, sy, x2 = _log_rows(q, b_pred, sigma, _forward(crystal, include_forward), 1.0 - f)
     design = _joint_design(x1, x2, crystal.Z / crystal.b_nuclear, free_intercept=True)

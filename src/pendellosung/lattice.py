@@ -41,10 +41,8 @@ class ReflectionClass(enum.Enum):
         return self in (ReflectionClass.DISALLOWED, ReflectionClass.FORBIDDEN)
 
 
-# |F| = UNIT_CELL_ATOMS * |1 + i^(h+k+l)| * b_meas
+# |F| = UNIT_CELL_ATOMS * |1 + i^(h+k+l)| * b_meas for the observable classes
 _CLASS_AMPLITUDE = {
-    ReflectionClass.DISALLOWED: 0.0,
-    ReflectionClass.FORBIDDEN: 0.0,
     ReflectionClass.WEAK: 4.0 * math.sqrt(2.0),
     ReflectionClass.STRONG: 8.0,
 }
@@ -121,7 +119,6 @@ class CrystalSpec:
     sigma_b_nuclear: float
     B: float
     sigma_B: float
-    structure: str = "diamond"
 
     def __post_init__(self):
         for name in ("a0", "b_nuclear", "sigma_b_nuclear", "B", "sigma_B"):
@@ -136,8 +133,6 @@ class CrystalSpec:
         for name in ("B", "sigma_b_nuclear", "sigma_B"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.structure != "diamond":
-            raise ValueError(f"unsupported structure {self.structure!r}")
 
 
 @dataclass(frozen=True)
@@ -190,10 +185,10 @@ def b_from_b_meas(b_meas_value: float, B: float, q_over_4pi: float) -> float:
 
 def structure_factor_magnitude(crystal: CrystalSpec, m: ScatteringModel, r: Reflection) -> float:
     """|F_hkl| in fm: 4 |1 + i^(h+k+l)| b_meas(Q_hkl); 0 if extinct."""
-    amp = _CLASS_AMPLITUDE[classify(r)]
-    if amp == 0.0:
+    cls = classify(r)
+    if cls.extinct:
         return 0.0
-    return amp * b_meas(m, q_over_4pi(crystal, r))
+    return _CLASS_AMPLITUDE[cls] * b_meas(m, q_over_4pi(crystal, r))
 
 
 def require_observable(r: Reflection) -> ReflectionClass:

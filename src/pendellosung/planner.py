@@ -299,8 +299,9 @@ def survey(crystal: CrystalSpec, w: SpectrumWindow = DEFAULT_WINDOW,
     return SurveyResult(plans=tuple(plans))
 
 
-def enumerate_pure(crystal: CrystalSpec, w: SpectrumWindow = DEFAULT_WINDOW,
-                   strict: bool = False):
-    """Plans for the reflections measurable without contamination problem."""
-    return survey(crystal, w, strict=strict).pure
+def enumerate_pure(crystal: CrystalSpec, w: SpectrumWindow = DEFAULT_WINDOW):
+    """Plans for the reflections measurable without contamination problem,
+    under the survey verdicts; survey(crystal, w, strict=True).pure gives
+    the geometric ones."""
+    return survey(crystal, w).pure
 

@@ -177,7 +177,6 @@ class TestCrystalSpec:
 
     @pytest.mark.parametrize("kwargs", [
         dict(a0=-1.0), dict(Z=0), dict(b_nuclear=0.0), dict(B=-0.1),
-        dict(structure="fcc"),
     ])
     def test_invariants(self, kwargs):
         base = dict(name="X", a0=5.0, Z=10, b_nuclear=4.0, sigma_b_nuclear=0.001,

@@ -195,7 +195,7 @@ class TestEnumeratePure:
             assert p.two_theta_window[1] == pytest.approx(min(t_hi, 110), abs=1.0)
 
     def test_strict_mode_differs_documented(self, default_window):
-        strict = {p.reflection.label() for p in enumerate_pure(SILICON, default_window, strict=True)}
+        strict = {p.reflection.label() for p in survey(SILICON, default_window, strict=True).pure}
         default = {p.reflection.label() for p in enumerate_pure(SILICON, default_window)}
         assert default - strict == {"111", "422"}
         assert strict - default == {"331"}
