@@ -81,6 +81,8 @@ class FormFactorTable:
     _tail: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for sample in self.samples for v in sample):
+            raise ValueError("q and f samples must be finite")
         samples = _dedupe_by_q(sorted(self.samples))
         if len(samples) < 2:
             raise ValueError("need at least two samples (including q=0)")
@@ -88,8 +90,6 @@ class FormFactorTable:
         f = np.array([s[1] for s in samples])
         if q[0] != 0.0 or f[0] != 1.0:
             raise ValueError("first sample must be (0, 1)")
-        if np.any(np.diff(q) <= 0):
-            raise ValueError("q samples must be strictly increasing")
         if np.any(np.diff(f) >= 0):
             raise ValueError("f samples must be strictly decreasing")
         if np.any(f <= 0) or np.any(f > 1):

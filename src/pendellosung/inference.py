@@ -394,6 +394,8 @@ def error_budget(model: ScatteringModel, crystal: CrystalSpec,
     """
     refls = list(reflections)
     _require_reflections(refls)
+    if not 0 < sigma_b_meas < math.inf:
+        raise ValueError("sigma_b_meas must be positive and finite")
     if (len(refls) + (1 if include_forward else 0)) < 2:
         raise DegenerateDesign("need two abscissas (reflections plus forward point)")
     q, f, b_pred = _predicted_rows(model, crystal, refls)
@@ -423,8 +425,8 @@ def synth_measurements(model: ScatteringModel, crystal: CrystalSpec,
     refls = [r.canonical() for r in reflections]
     _require_reflections(refls)
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), (len(refls),))
-    if np.any(sig < 0):
-        raise ValueError("sigma must be non-negative")
+    if not np.all((sig >= 0) & (sig < math.inf)):
+        raise ValueError("sigma must be non-negative and finite")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(len(refls))
     out = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ForbiddenReflection
@@ -57,9 +58,11 @@ class Reflection:
     l: int
 
     def __post_init__(self):
-        for v in (self.h, self.k, self.l):
-            if v != int(v):
-                raise ValueError("Miller indices must be integers")
+        try:
+            for v in (self.h, self.k, self.l):
+                operator.index(v)
+        except TypeError:
+            raise ValueError("Miller indices must be integers") from None
 
     @property
     def n_sq(self) -> int:

@@ -300,8 +300,7 @@ def survey(crystal: CrystalSpec, w: SpectrumWindow = DEFAULT_WINDOW,
 
 
 def enumerate_pure(crystal: CrystalSpec, w: SpectrumWindow = DEFAULT_WINDOW):
-    """Plans for the reflections measurable without contamination problem,
-    under the survey verdicts; survey(crystal, w, strict=True).pure gives
-    the geometric ones."""
+    """Plans for the reflections measurable without contamination problem
+    (survey verdicts; geometric ones: survey(crystal, w, strict=True).pure)."""
     return survey(crystal, w).pure
 

@@ -57,6 +57,18 @@ class TestPlan:
         assert run("--config", str(cfg), "plan", "--out", str(tmp_path)) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "[crystal\nname = Si\n",  # no section header
+        "[crystal]\nname\n",  # a key without a value
+        "[crystal]\nname = Si\n[crystal]\nname = Ge\n",  # a repeated section
+    ], ids=["header", "no-value", "repeated"])
+    def test_malformed_ini(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert run("--config", str(cfg), "plan", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(f"config error: malformed config {cfg}: ")
+        assert not (tmp_path / "plan.csv").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[crystal]\nlattice = 5.43\n")
@@ -223,6 +235,18 @@ class TestSynthFitRoundTrip:
         assert captured.out == ""
         assert captured.err.strip() == "error: (000) is the forward beam, not a reflection"
         assert not (tmp_path / "fit_report.csv").exists()
+
+    def test_blank_line_in_measurements_gives_the_same_fit(self, tmp_path, capsys):
+        assert run("synth", "--out", str(tmp_path)) == 0
+        rows = (tmp_path / "measurements.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "blank.csv").write_text("".join(rows[:4] + ["\n"] + rows[4:]))
+        fits = []
+        for name in ("measurements.csv", "blank.csv"):
+            capsys.readouterr()
+            assert run("fit", str(tmp_path / name), "--out", str(tmp_path)) == 0
+            fits.append((capsys.readouterr().out, (tmp_path / "fit_report.csv").read_bytes()))
+        assert fits[0] == fits[1]
+        assert "joint fit over 8 reflections" in fits[1][0]
 
     def test_empty_measurements(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

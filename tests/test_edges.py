@@ -142,8 +142,9 @@ class TestInferenceEdges:
         assert [m.sigma for m in ms] == pytest.approx(list(sig))
 
     def test_reflection_requires_integers(self):
-        with pytest.raises((TypeError, ValueError)):
-            Reflection(1.5, 1, 1)
+        for hkl in [(1.5, 1, 1), (2.0, 2.0, 0.0), (math.inf, 0, 0)]:
+            with pytest.raises(ValueError, match="Miller indices must be integers"):
+                Reflection(*hkl)
 
 
 class TestCliOptionPaths:
@@ -226,13 +227,24 @@ class TestErrorBoundary:
         (["mc", "--sigma", "0"], 2),  # no spread: the sigma ratios would divide by zero
         (["budget", "--hkl"], 2),  # an empty custom set, not the default sets
         (["budget", "--config", "{ge_config}"], 3),  # the built-in Ge table ends at (111)
+        (["plan", "--config", "{inline_config}"], 2),  # no built-in form factors
+        (["plan", "--config", "{reference_config}"], 2),
+        (["simulate", "42"], 2),
+        (["plan", "--config", "{nan_table_config}"], 2),
     ])
     def test_exit_code_without_traceback(self, tmp_path, capsys, argv, code):
-        seed_config = tmp_path / "seed.ini"
-        seed_config.write_text("[run]\nseed = -3\n")
-        ge_config = tmp_path / "ge.ini"
-        ge_config.write_text("[crystal]\nname = Ge\n")
-        argv = [a.format(seed_config=seed_config, ge_config=ge_config) for a in argv]
+        (tmp_path / "nan.csv").write_text("q_over_4pi_A_inv,f\n0,1\n0.3,nan\n")
+        configs = {
+            "seed_config": "[run]\nseed = -3\n",
+            "ge_config": "[crystal]\nname = Ge\n",
+            "inline_config": "[crystal]\nname = X\na0 = 5.4\nZ = 14\nb_nuclear = 4.15\n",
+            "reference_config": "[model]\nreference = foo\n",
+            "nan_table_config": f"[crystal]\nform_factor_csv = {tmp_path / 'nan.csv'}\n",
+        }
+        for name, text in configs.items():
+            configs[name] = tmp_path / f"{name}.ini"
+            configs[name].write_text(text)
+        argv = [a.format(**configs) for a in argv]
         try:
             rc = main(["--out", str(tmp_path)] + argv)
         except SystemExit as exc:  # argparse rejects the value

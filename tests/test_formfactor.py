@@ -104,6 +104,18 @@ class TestTableConstruction:
         t = FormFactorTable(element="X", samples=((0.0, 1.0), (0.2, 0.8), (0.2, 0.8)))
         assert len(t.samples) == 2
 
+    @pytest.mark.parametrize("samples, message", [
+        (((0.0, 1.0), (0.3, math.nan)), "q and f samples must be finite"),
+        (((0.0, 1.0), (0.3, math.inf)), "q and f samples must be finite"),
+        (((0.0, 1.0), (math.nan, 0.5)), "q and f samples must be finite"),
+        (((0.0, 1.0), (math.inf, 0.5)), "q and f samples must be finite"),
+        (((0.0, 1.0),), "need at least two samples"),
+        (((0.0, 1.0), (0.2, 0.5), (0.3, 0.0)), r"f must lie in \(0, 1\]"),
+    ], ids=["nan-f", "inf-f", "nan-q", "inf-q", "one-sample", "zero-f"])
+    def test_invalid_samples(self, samples, message):
+        with pytest.raises(ValueError, match=message):
+            FormFactorTable(element="X", samples=samples)
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):

@@ -133,6 +133,11 @@ class TestSlopeUncertainty:
         with pytest.raises(InsufficientData):
             slope_uncertainty([1.0], [0.1])
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.1])
+    def test_sigmas_must_be_positive(self, sigma):
+        with pytest.raises(ValueError, match="sigmas must be positive"):
+            slope_uncertainty([0.0, 1.0], [0.1, sigma])
+
     def test_matches_budget_bne_stage(self, si_model, new_eight):
         # Rebuild the b_ne-stage slope error by hand from the same inputs.
         from pendellosung import b_meas, debye_waller
@@ -402,6 +407,11 @@ class TestErrorBudget:
         with pytest.raises(DegenerateDesign):
             error_budget(si_model, SILICON, [Reflection(4, 2, 2)], include_forward=False)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_must_be_positive_and_finite(self, si_model, new_eight, sigma):
+        with pytest.raises(ValueError, match="^sigma_b_meas must be positive and finite$"):
+            error_budget(si_model, SILICON, new_eight, sigma_b_meas=sigma)
+
 
 class TestSynthMeasurements:
     def test_sigma_zero_exact(self, si_model, new_eight):
@@ -410,6 +420,12 @@ class TestSynthMeasurements:
         ms = synth_measurements(si_model, SILICON, new_eight, sigma=0.0, seed=5)
         for m in ms:
             assert m.b_meas == b_meas(si_model, q_over_4pi(SILICON, m.reflection))
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf, [0.0008, math.nan]])
+    def test_sigma_must_be_non_negative_and_finite(self, si_model, sigma):
+        with pytest.raises(ValueError, match="^sigma must be non-negative and finite$"):
+            synth_measurements(si_model, SILICON, [Reflection(4, 2, 2), Reflection(6, 2, 0)],
+                               sigma=sigma)
 
     def test_deterministic(self, si_model, new_eight):
         a = synth_measurements(si_model, SILICON, new_eight, sigma=0.0008, seed=11)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from pendellosung import (
     GERMANIUM,
     SILICON,
+    SILICON_TABLE,
     CrystalSpec,
     Reflection,
     ReflectionClass,
@@ -73,6 +75,12 @@ class TestScatteringLength:
     def test_si_111(self, si_model):
         # 4.1507 + 1.31e-3 * 14 * (1 - 0.7526)
         assert b_of_q(si_model, Q111) == pytest.approx(4.155237, abs=1e-5)
+
+    def test_model_of_a_crystal_without_builtin_table(self):
+        crystal = replace(SILICON, name="Si28")
+        with pytest.raises(ValueError, match="no built-in form-factor table for Si28"):
+            scattering_model(crystal, 0.0)
+        assert scattering_model(crystal, 0.0, SILICON_TABLE).form_factor is SILICON_TABLE
 
     def test_no_electrostatic_term(self):
         m = scattering_model(SILICON, 0.0)

@@ -82,6 +82,9 @@ class TestReflectionWindow:
         with pytest.raises(EmptyWindow):
             reflection_window(SILICON, Reflection(1, 1, 1),
                               SpectrumWindow(two_theta_min=50, two_theta_max=51))
+        # (000) is the forward beam, at no angle.
+        with pytest.raises(EmptyWindow, match=r"^\(000\) cannot be scanned$"):
+            reflection_window(SILICON, Reflection(0, 0, 0), SpectrumWindow())
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
