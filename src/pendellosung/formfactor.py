@@ -10,8 +10,8 @@ PchipInterpolator, so values agree with it to the bit. A precise f between
 samples is not physically critical here, but monotonicity is.
 
 The built-in silicon and germanium tables live in ``lattice`` beside their
-crystals; further elements can be loaded from CSV (header
-``q_over_4pi_A_inv,f``, first row ``0,1``, strictly increasing q).
+crystals; others load from CSV (header ``q_over_4pi_A_inv,f``, first row
+``0,1``, strictly increasing q, finite values).
 """
 
 from __future__ import annotations
