@@ -132,8 +132,9 @@ def load_config(path: str | None) -> RunConfig:
                 cp.read_file(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except configparser.Error as exc:
-            raise ConfigError(f"malformed config {path}: {exc}") from exc
+        except configparser.Error as exc:  # its message spans lines; keep one
+            detail = " ".join(part.strip() for part in str(exc).splitlines())
+            raise ConfigError(f"malformed config {path}: {detail}") from exc
 
     for section in cp.sections():
         if section not in _SCHEMA:

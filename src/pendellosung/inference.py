@@ -419,10 +419,13 @@ def synth_measurements(model: ScatteringModel, crystal: CrystalSpec,
 
     sigma may be a scalar or a per-reflection sequence; 0 yields exact
     model values (each Measurement still needs a positive quoted sigma,
-    so the quoted error floor is kept at DEFAULT_SIGMA_B_MEAS). An extinct
-    reflection raises ForbiddenReflection, (000) DegenerateDesign.
+    so the quoted error floor is kept at DEFAULT_SIGMA_B_MEAS). An empty set
+    raises InsufficientData, an extinct reflection ForbiddenReflection,
+    (000) DegenerateDesign.
     """
     refls = [r.canonical() for r in reflections]
+    if not refls:
+        raise InsufficientData("no reflections left to synthesize")
     _require_reflections(refls)
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), (len(refls),))
     if not np.all((sig >= 0) & (sig < math.inf)):
@@ -497,11 +500,13 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     independent of any batching or scheduling of trials. Trials are drawn
     in fixed chunks of that one stream, and only the parameter sums and
     cross products are kept, so memory does not grow with n_trials. An
-    extinct reflection raises ForbiddenReflection, (000) DegenerateDesign,
-    whatever sigma is.
+    empty set raises InsufficientData, an extinct reflection
+    ForbiddenReflection, (000) DegenerateDesign, whatever sigma is.
     """
     names = ("B", "b_ne", "ln_b_nuclear")
     reflections = list(reflections)
+    if not reflections:
+        raise InsufficientData("no reflections left for the Monte Carlo")
     _require_reflections(reflections)
     if n_trials < 2:
         raise ValueError("need at least two trials")

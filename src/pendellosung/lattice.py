@@ -70,7 +70,9 @@ class Reflection:
         return self.h * self.h + self.k * self.k + self.l * self.l
 
     def canonical(self) -> "Reflection":
-        """Equivalent reflection with h >= k >= l >= 0."""
+        """Equivalent reflection with h >= k >= l >= 0 (self if it is one)."""
+        if self.h >= self.k >= self.l >= 0:
+            return self
         h, k, l = sorted((abs(self.h), abs(self.k), abs(self.l)), reverse=True)
         return Reflection(h, k, l)
 
@@ -80,11 +82,11 @@ class Reflection:
     def primitive(self) -> tuple["Reflection", int]:
         """Direction generator along the same reciprocal-lattice ray.
 
-        Returns (g, m) with self = m * g and gcd(g) = 1. For (0,0,0) the
-        generator is the zero reflection with m = 1.
+        Returns (g, m) with self = m * g and gcd(g) = 1; (self, 1) when self
+        is primitive, and for (0,0,0), whose generator is itself.
         """
-        g = math.gcd(math.gcd(abs(self.h), abs(self.k)), abs(self.l))
-        if g == 0:
+        g = math.gcd(self.h, self.k, self.l)
+        if g <= 1:
             return self, 1
         return Reflection(self.h // g, self.k // g, self.l // g), g
 
@@ -96,10 +98,14 @@ class Reflection:
 
 def classify(r: Reflection) -> ReflectionClass:
     """Assign the reflection class; the four cases partition all triples."""
-    parities = {r.h % 2, r.k % 2, r.l % 2}
-    if len(parities) > 1:
+    return _class_of(r.h, r.k, r.l)
+
+
+def _class_of(h: int, k: int, l: int) -> ReflectionClass:
+    """classify for an integer triple, for walks that build no Reflection."""
+    if not h % 2 == k % 2 == l % 2:
         return ReflectionClass.DISALLOWED
-    s = r.h + r.k + r.l
+    s = h + k + l
     if s % 2 != 0:
         return ReflectionClass.WEAK
     return ReflectionClass.STRONG if s % 4 == 0 else ReflectionClass.FORBIDDEN

@@ -43,6 +43,7 @@ from .lattice import (
     CrystalSpec,
     Reflection,
     ReflectionClass,
+    _class_of,
     classify,
     q_over_4pi,
 )
@@ -190,12 +191,11 @@ def contamination(crystal: CrystalSpec, r: Reflection, w: SpectrumWindow = DEFAU
         lo = max(lam_lo, (m / m0) * w.lambda_min)
         hi = min(lam_hi, (m / m0) * w.lambda_max)
         margin = m > m0 and not lo < hi
-        other = prim.scaled(m)
-        if (lo < hi or margin) and not classify(other).extinct:
+        if (lo < hi or margin) and not _class_of(m * prim.h, m * prim.k, m * prim.l).extinct:
             window = _window(m * q1, w)
             if window is not None:
                 overlap = None if margin else (_two_theta(q, lo), _two_theta(q, hi))
-                found.append(Contaminant(order=m, reflection=other,
+                found.append(Contaminant(order=m, reflection=prim.scaled(m),
                                          two_theta_window=window[1], overlap=overlap))
         if margin:
             return found
@@ -213,15 +213,17 @@ def candidates(crystal: CrystalSpec, w: SpectrumWindow = DEFAULT_WINDOW):
     n_sq_cap = int((2.0 * crystal.a0 * q_cap) ** 2)
     h_max = int(math.isqrt(n_sq_cap))
     out = []
+    # Integer triples first: a Reflection is built only for a non-empty window.
     for h in range(1, h_max + 1):
         for k in range(0, h + 1):
             for l in range(0, k + 1):
-                r = Reflection(h, k, l)
-                if r.n_sq > n_sq_cap or classify(r).extinct:
+                n_sq = h * h + k * k + l * l
+                if n_sq > n_sq_cap or _class_of(h, k, l).extinct:
                     continue
-                q = q_over_4pi(crystal, r)
+                q = math.sqrt(n_sq) / (2.0 * crystal.a0)  # q_over_4pi
                 if w.lambda_peak * q > 1.0 or _window(q, w) is None:
                     continue
+                r = Reflection(h, k, l)
                 if tt_floor <= 2.0 * bragg_angle(crystal, r, w.lambda_peak) <= tt_cap:
                     out.append(r)
     out.sort(key=lambda r: (r.n_sq, r.h, r.k, r.l))

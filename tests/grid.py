@@ -143,7 +143,8 @@ _add("ge_table", [c for c in _FULL if c[0] != "fit"]
 _add("inline", _FULL)
 _add("no_forward", _FULL + [["budget", "--hkl", "422", "--primary-only"]])
 _add("window", _FULL)
-_add("narrow", [["plan"], ["plan", "--all", "--strict"], ["budget"], ["synth"]])
+_add("narrow", [["plan"], ["plan", "--all", "--strict"], ["budget"], ["synth"],
+                ["mc", "--trials", "100"]])
 _add("blade", [["plan"], ["simulate", "711"], ["simulate", "531", "--spectrum", "maxwellian"],
                ["synth"], ["mc", "--trials", "500"]])
 for _config in ("malformed", "unknown_crystal", "inline_no_table", "bad_reference",

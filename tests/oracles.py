@@ -10,10 +10,17 @@ whose remainder is far below double precision there.
 package's J0 as it stood before its large-argument branch was made to
 work in place, on the package's own coefficients. It pins that rewrite
 bit for bit, not the accuracy of the approximation.
+
+``candidates_per_triple`` and ``contamination_per_order`` are frozen
+copies of the planner's survey as it stood when it built and classified
+a ``Reflection`` for every (h, k, l) triple and every harmonic order it
+looked at. They pin the integer walk that replaced them, result for
+result, on the package's own window helpers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from decimal import Decimal, getcontext
 
@@ -21,6 +28,10 @@ import numpy as np
 
 from pendellosung.fringes import (
     _DR1, _DR2, _PIO4, _PP, _PQ, _QP, _QQ, _RP, _RQ, _SQ2OPI,
+)
+from pendellosung.lattice import Reflection, classify, q_over_4pi
+from pendellosung.planner import (
+    PEAK_SLACK_DEG, Contaminant, _two_theta, _window, bragg_angle,
 )
 
 _SERIES_CUT = 30.0
@@ -149,3 +160,54 @@ def bessel_j0_out_of_place(x):
         xn = xl - _PIO4
         out[large] = _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(xl)
     return float(out) if scalar else out
+
+
+def contamination_per_order(crystal, r, w):
+    """The planner's contamination with a Reflection built and classified
+    for every order it looks at."""
+    prim, m0 = r.canonical().primitive()
+    q = q_over_4pi(crystal, r)
+    fund = _window(q, w) if q > 0.0 else None
+    if fund is None:
+        return []
+    lam_lo, lam_hi = fund[0]
+    q1 = q_over_4pi(crystal, prim)
+    found = []
+    for m in itertools.count(1):
+        if m == m0:
+            continue
+        lo = max(lam_lo, (m / m0) * w.lambda_min)
+        hi = min(lam_hi, (m / m0) * w.lambda_max)
+        margin = m > m0 and not lo < hi
+        other = prim.scaled(m)
+        if (lo < hi or margin) and not classify(other).extinct:
+            window = _window(m * q1, w)
+            if window is not None:
+                overlap = None if margin else (_two_theta(q, lo), _two_theta(q, hi))
+                found.append(Contaminant(order=m, reflection=other,
+                                         two_theta_window=window[1], overlap=overlap))
+        if margin:
+            return found
+
+
+def candidates_per_triple(crystal, w):
+    """The planner's candidates with a Reflection built and classified for
+    every (h, k, l) triple it walks."""
+    tt_floor, tt_cap = w.two_theta_min - PEAK_SLACK_DEG, w.two_theta_max + PEAK_SLACK_DEG
+    q_cap = math.sin(math.radians(tt_cap / 2.0)) / w.lambda_peak
+    n_sq_cap = int((2.0 * crystal.a0 * q_cap) ** 2)
+    h_max = int(math.isqrt(n_sq_cap))
+    out = []
+    for h in range(1, h_max + 1):
+        for k in range(0, h + 1):
+            for l in range(0, k + 1):
+                r = Reflection(h, k, l)
+                if r.n_sq > n_sq_cap or classify(r).extinct:
+                    continue
+                q = q_over_4pi(crystal, r)
+                if w.lambda_peak * q > 1.0 or _window(q, w) is None:
+                    continue
+                if tt_floor <= 2.0 * bragg_angle(crystal, r, w.lambda_peak) <= tt_cap:
+                    out.append(r)
+    out.sort(key=lambda r: (r.n_sq, r.h, r.k, r.l))
+    return out

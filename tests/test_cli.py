@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 import warnings
 
@@ -45,6 +46,18 @@ class TestPlan:
         rows = read_rows(tmp_path / "plan.csv")
         assert [r[0] for r in rows[1:]] == ["111"]
 
+    @pytest.mark.parametrize("command,message", [
+        (["synth"], "no reflections left to synthesize"),
+        (["mc", "--trials", "100"], "no reflections left for the Monte Carlo"),
+    ], ids=["synth", "mc"])
+    def test_narrow_detector_leaves_no_new_reflection(self, tmp_path, capsys, command, message):
+        # (111) is the only pure reflection, and synth and mc use the others.
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[spectrum]\ntwo_theta_max = 45\n")
+        assert run("--config", str(cfg), *command, "--out", str(tmp_path)) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "measurements.csv").exists()
+
     def test_deterministic_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run("plan", "--out", str(out1)) == 0
@@ -57,16 +70,19 @@ class TestPlan:
         assert run("--config", str(cfg), "plan", "--out", str(tmp_path)) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
-        "[crystal\nname = Si\n",  # no section header
-        "[crystal]\nname\n",  # a key without a value
-        "[crystal]\nname = Si\n[crystal]\nname = Ge\n",  # a repeated section
+    @pytest.mark.parametrize("text,lineno", [
+        ("[crystal\nname = Si\n", 1),  # no section header
+        ("[crystal]\nname\n", 2),  # a key without a value
+        ("[crystal]\nname = Si\n[crystal]\nname = Ge\n", 3),  # a repeated section
     ], ids=["header", "no-value", "repeated"])
-    def test_malformed_ini(self, tmp_path, capsys, text):
+    def test_malformed_ini(self, tmp_path, capsys, text, lineno):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
         assert run("--config", str(cfg), "plan", "--out", str(tmp_path)) == 2
-        assert capsys.readouterr().err.startswith(f"config error: malformed config {cfg}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: malformed config {cfg}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert re.search(rf"line:? +{lineno}\b", err)  # where the file goes wrong
         assert not (tmp_path / "plan.csv").exists()
 
     def test_unknown_key_rejected(self, tmp_path):

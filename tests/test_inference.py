@@ -358,6 +358,12 @@ class TestEntryPointsRefuseExtinct:
         with pytest.raises(ForbiddenReflection, match=r"^\(222\) is forbidden"):
             monte_carlo_validate(si_model, SILICON, extinct, sigma=sigma, n_trials=100)
 
+    def test_empty_set(self, si_model):
+        with pytest.raises(InsufficientData, match="no reflections left"):
+            synth_measurements(si_model, SILICON, [])
+        with pytest.raises(InsufficientData, match="no reflections left"):
+            monte_carlo_validate(si_model, SILICON, iter([]), n_trials=100)
+
     def test_temperature_factor_sigmas(self, si_model):
         with pytest.raises(ForbiddenReflection, match=r"^\(222\) is forbidden"):
             temperature_factor_sigmas(si_model, SILICON, [Reflection(2, 2, 2)])

@@ -20,6 +20,7 @@ from pendellosung import (
     scattering_model,
     structure_factor_magnitude,
 )
+from pendellosung.lattice import _class_of
 
 Q111 = math.sqrt(3) / (2 * 5.43072)
 
@@ -61,6 +62,26 @@ class TestClassify:
                     counts[classify(Reflection(h, k, l))] += 1
         assert sum(counts.values()) == 25**3
         assert all(v > 0 for v in counts.values())
+
+    def test_integer_rule_matches_diamond_structure_factor(self):
+        # _class_of (the integer rule classify applies) against |F| summed
+        # over the eight atoms of the cubic cell, for |index| <= 12.
+        fcc = [(0, 0, 0), (0, 2, 2), (2, 0, 2), (2, 2, 0)]  # quarters of a0
+        atoms = fcc + [(x + 1, y + 1, z + 1) for x, y, z in fcc]
+        by_amplitude = {8: ReflectionClass.STRONG, 4 * math.sqrt(2): ReflectionClass.WEAK}
+        for h in range(-12, 13):
+            for k in range(-12, 13):
+                for l in range(-12, 13):
+                    cls = _class_of(h, k, l)
+                    assert cls is classify(Reflection(h, k, l))
+                    f = abs(sum(1j ** (h * x + k * y + l * z) for x, y, z in atoms))
+                    if f < 1e-9:
+                        fcc_sum = abs(sum(1j ** (h * x + k * y + l * z) for x, y, z in fcc))
+                        assert cls is (ReflectionClass.DISALLOWED if fcc_sum < 1e-9
+                                       else ReflectionClass.FORBIDDEN)
+                    else:
+                        match = [c for a, c in by_amplitude.items() if abs(f - a) < 1e-9]
+                        assert [cls] == match
 
     @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
     def test_class_invariant_under_sign_and_order(self, h, k, l):
@@ -206,3 +227,9 @@ class TestReflection:
         assert (g, m) == (Reflection(1, 1, 1), 3)
         g, m = Reflection(5, 3, 1).primitive()
         assert (g, m) == (Reflection(5, 3, 1), 1)
+
+    def test_canonical_and_primitive_return_self(self):
+        r = Reflection(5, 3, 1)
+        assert r.canonical() is r
+        assert r.primitive()[0] is r
+        assert Reflection(-5, 3, 1).canonical() == r

@@ -1,6 +1,7 @@
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pendellosung import (
     GERMANIUM,
@@ -18,6 +19,8 @@ from pendellosung import (
     survey,
 )
 from pendellosung.planner import PEAK_SLACK_DEG
+
+from oracles import candidates_per_triple, contamination_per_order
 
 # The nine-reflection thermal survey for silicon: label -> (f, lambda
 # window, two-theta window, class); windows as published, integer degrees
@@ -281,3 +284,36 @@ class TestEmptyResultsAndSkips:
         reflection_window(SILICON, r, w)
         assert 2 * bragg_angle(SILICON, r, w.lambda_peak) < w.two_theta_min - PEAK_SLACK_DEG
         assert r not in candidates(SILICON, w)
+
+
+@st.composite
+def windows(draw):
+    """Any valid window: spectrum and peak in 0.2-5 A, detector in 0-180 deg."""
+    lam = st.floats(0.2, 5.0)
+    lam_lo, lam_hi = sorted(draw(st.lists(lam, min_size=2, max_size=2, unique=True)))
+    tt_lo, tt_hi = sorted(draw(st.lists(st.floats(0.0, 180.0), min_size=2, max_size=2,
+                                        unique=True)))
+    return SpectrumWindow(lambda_min=lam_lo, lambda_max=lam_hi, lambda_peak=draw(lam),
+                          two_theta_min=tt_lo, two_theta_max=tt_hi)
+
+
+class TestIntegerWalkMatchesFrozenSurvey:
+    """candidates and contamination walk integer triples and orders; the
+    frozen copies build a Reflection for each. Results agree exactly."""
+
+    # Off-candidate scans: sign and order permutations, higher orders.
+    EXTRA = [Reflection(-1, 1, -1), Reflection(2, 4, -2), Reflection(0, 0, 4),
+             Reflection(-3, -3, -3), Reflection(4, 4, 0), Reflection(0, 0, 0)]
+
+    @pytest.mark.parametrize("crystal", [SILICON, GERMANIUM], ids=lambda c: c.name)
+    @settings(max_examples=60, deadline=None)
+    @given(w=windows())
+    @example(w=SpectrumWindow())
+    @example(w=SpectrumWindow(lambda_min=0.2, lambda_max=5.0, lambda_peak=0.5,
+                              two_theta_min=0.0, two_theta_max=180.0))
+    def test_random_windows(self, crystal, w):
+        refls = candidates(crystal, w)
+        assert repr(refls) == repr(candidates_per_triple(crystal, w))
+        for r in refls + self.EXTRA:
+            assert repr(contamination(crystal, r, w)) == repr(
+                contamination_per_order(crystal, r, w))
