@@ -38,6 +38,7 @@ from .lattice import (
     CrystalSpec,
     Reflection,
     ScatteringModel,
+    _b_of_f,
     b_from_b_meas,
     b_meas,
     debye_waller,
@@ -194,10 +195,12 @@ def _measured_rows(ms, crystal: CrystalSpec, table: FormFactorTable | None = Non
 
 
 def _predicted_rows(model: ScatteringModel, crystal: CrystalSpec, reflections):
-    """Per-reflection (q, f, model b_meas) arrays for a planned set."""
-    q = np.array([q_over_4pi(crystal, r) for r in reflections])
-    f = np.array([model.form_factor.f_at(qi) for qi in q])
-    return q, f, np.array([b_meas(model, qi) for qi in q])
+    """Per-reflection (q, f, model b_meas) arrays for a planned set; b_meas
+    is b_meas(model, q) on the f(Q) already looked up."""
+    q = [q_over_4pi(crystal, r) for r in reflections]
+    f = [model.form_factor.f_at(qi) for qi in q]
+    b = [_b_of_f(model, fi) * debye_waller(model.B, qi) for qi, fi in zip(q, f)]
+    return np.array(q), np.array(f), np.array(b)
 
 
 def _wls_line(x, y, sigma, fixed_intercept=None):
@@ -236,15 +239,22 @@ def _joint_design(x1, x2, scale, free_intercept: bool):
 
 
 def _normal_cov(a, w):
-    """(A^T W A)^-1 of a weighted linear fit with design a and weights w."""
+    """(A^T W A)^-1 of a weighted linear fit with design a and weights w.
+
+    A singular or non-finite inverse, or a 2-norm condition number
+    s_max / s_min above 1e14 (np.linalg.cond's value), is refused.
+    """
     awa = a.T @ (w[:, None] * a)
     try:
         cov = np.linalg.inv(awa)
     except np.linalg.LinAlgError as exc:
         raise DegenerateDesign("collinear fit abscissas") from exc
-    if not np.all(np.isfinite(cov)) or np.linalg.cond(awa) > 1e14:
-        raise DegenerateDesign("collinear fit abscissas")
-    return cov
+    if np.isfinite(cov).all():
+        s = np.linalg.svd(awa, compute_uv=False)
+        s_max, s_min = float(s[0]), float(s[-1])
+        if s_min != 0.0 and s_max / s_min <= 1e14:
+            return cov
+    raise DegenerateDesign("collinear fit abscissas")
 
 
 def slope_uncertainty(xs, sigmas) -> float:
@@ -258,8 +268,10 @@ def slope_uncertainty(xs, sigmas) -> float:
     sigmas = np.asarray(sigmas, dtype=float)
     if xs.size < 2:
         raise InsufficientData("need at least two points for a slope")
-    if np.any(sigmas <= 0):
-        raise ValueError("sigmas must be positive")
+    if not np.isfinite(xs).all():
+        raise ValueError("abscissas must be finite")
+    if not ((sigmas > 0) & (sigmas < math.inf)).all():
+        raise ValueError("sigmas must be positive and finite")
     return math.sqrt(_wls_line(xs, np.zeros_like(xs), sigmas)[2][1, 1])
 
 
@@ -340,7 +352,7 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
     def exact_model(t):
         c = t[2] if free_intercept else offset
         bq = math.exp(c) - t[1] * crystal.Z * x2
-        if np.any(bq <= 0):
+        if (bq <= 0).any():
             return None, None
         return np.log(bq) - t[0] * x1, bq
 
@@ -357,7 +369,7 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
             jac = np.column_stack(jac_cols)
             step, cov = solve_normal(jac, y - model)
             theta = theta + step
-            if np.max(np.abs(step)) < 1e-13:
+            if np.abs(step).max() < 1e-13:
                 break
         model_exact, _ = exact_model(theta)
         if model_exact is not None:
@@ -428,7 +440,7 @@ def synth_measurements(model: ScatteringModel, crystal: CrystalSpec,
         raise InsufficientData("no reflections left to synthesize")
     _require_reflections(refls)
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), (len(refls),))
-    if not np.all((sig >= 0) & (sig < math.inf)):
+    if not ((sig >= 0) & (sig < math.inf)).all():
         raise ValueError("sigma must be non-negative and finite")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(len(refls))

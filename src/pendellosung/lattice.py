@@ -178,7 +178,11 @@ def b_of_q(m: ScatteringModel, q_over_4pi: float) -> float:
     """Scattering length b(Q) = b_nuclear - b_ne Z [1 - f(Q)], in fm."""
     if q_over_4pi == 0.0:
         return m.b_nuclear
-    f = m.form_factor.f_at(q_over_4pi)
+    return _b_of_f(m, m.form_factor.f_at(q_over_4pi))
+
+
+def _b_of_f(m: ScatteringModel, f: float) -> float:
+    """b(Q) from a form factor f = f(Q) already looked up, in fm."""
     return m.b_nuclear - m.b_ne * m.Z * (1.0 - f)
 
 

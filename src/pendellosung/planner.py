@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import EmptyWindow, NoReflection
 from .lattice import (
@@ -76,6 +76,19 @@ class SpectrumWindow:
             raise ValueError("lambda_peak and lambda_max must be positive and finite")
         if not 0 <= self.two_theta_min < self.two_theta_max <= 180:
             raise ValueError("need 0 <= two_theta_min < two_theta_max <= 180")
+        # sin(theta) at the detector limits, for _window; not fields, so
+        # repr, ==, hash and replace see only the five above.
+        object.__setattr__(self, "_sin_min", math.sin(math.radians(self.two_theta_min / 2.0)))
+        object.__setattr__(self, "_sin_max", math.sin(math.radians(self.two_theta_max / 2.0)))
+
+    def __getstate__(self):
+        """Pickle the fields only; loading rebuilds the sines."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
 
 DEFAULT_WINDOW = SpectrumWindow()
@@ -113,8 +126,8 @@ class ReflectionPlan:
 
 def bragg_angle(crystal: CrystalSpec, r: Reflection, lam: float) -> float:
     """Bragg angle theta in degrees for wavelength lam (angstrom)."""
-    if lam <= 0:
-        raise ValueError("wavelength must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("wavelength must be positive and finite")
     q = q_over_4pi(crystal, r)
     if q == 0.0:
         raise NoReflection("(000) has no Bragg angle")
@@ -124,10 +137,6 @@ def bragg_angle(crystal: CrystalSpec, r: Reflection, lam: float) -> float:
             f"({r.label()}): sin(theta) = {s:.4g} > 1 at lambda = {lam:.4g} A"
         )
     return math.degrees(math.asin(s))
-
-
-def _wavelength_at(q: float, two_theta_deg: float) -> float:
-    return math.sin(math.radians(two_theta_deg / 2.0)) / q
 
 
 def _two_theta(q: float, lam: float) -> float:
@@ -142,8 +151,8 @@ def _window(q: float, w: SpectrumWindow):
     asin(sin) round trip would miss 180 deg by 1.7e-6 deg); an end set by
     the spectrum is the Bragg angle of that wavelength.
     """
-    lam_lo = max(w.lambda_min, _wavelength_at(q, w.two_theta_min))
-    lam_hi = min(w.lambda_max, _wavelength_at(q, w.two_theta_max))
+    lam_lo = max(w.lambda_min, w._sin_min / q)
+    lam_hi = min(w.lambda_max, w._sin_max / q)
     if not lam_lo < lam_hi:
         return None
     tt_lo = w.two_theta_min if lam_lo > w.lambda_min else _two_theta(q, lam_lo)
@@ -157,7 +166,11 @@ def reflection_window(crystal: CrystalSpec, r: Reflection, w: SpectrumWindow):
     Returns ((lambda_lo, lambda_hi), (two_theta_lo, two_theta_hi)); raises
     EmptyWindow when the reflection cannot be measured inside w.
     """
-    q = q_over_4pi(crystal, r)
+    return _reflection_window(q_over_4pi(crystal, r), r, w)
+
+
+def _reflection_window(q: float, r: Reflection, w: SpectrumWindow):
+    """reflection_window for r at its transfer q = q_over_4pi(crystal, r)."""
     if q == 0.0:
         raise EmptyWindow("(000) cannot be scanned")
     window = _window(q, w)
@@ -179,7 +192,7 @@ def contamination(crystal: CrystalSpec, r: Reflection, w: SpectrumWindow = DEFAU
     if fund is None:
         return []
     lam_lo, lam_hi = fund[0]
-    q1 = q_over_4pi(crystal, prim)
+    q1 = q if m0 == 1 else q_over_4pi(crystal, prim)
     found = []
     for m in itertools.count(1):
         if m == m0:
@@ -265,7 +278,8 @@ def plan_reflection(crystal: CrystalSpec, r: Reflection,
                     w: SpectrumWindow = DEFAULT_WINDOW, strict: bool = False) -> ReflectionPlan:
     """Full measurement plan (windows, contaminants, purity) for one reflection."""
     r = r.canonical()
-    lam_win, tt_win = reflection_window(crystal, r, w)
+    q = q_over_4pi(crystal, r)
+    lam_win, tt_win = _reflection_window(q, r, w)
     cont = tuple(contamination(crystal, r, w))
     pure = _strict_pure(cont)
     note = ""
@@ -274,7 +288,7 @@ def plan_reflection(crystal: CrystalSpec, r: Reflection,
         if amended is not None:
             pure, note = amended
     return ReflectionPlan(
-        reflection=r, reflection_class=classify(r), q=q_over_4pi(crystal, r),
+        reflection=r, reflection_class=classify(r), q=q,
         lambda_window=lam_win, two_theta_window=tt_win,
         contaminants=cont, pure=pure, note=note,
     )

@@ -16,6 +16,11 @@ copies of the planner's survey as it stood when it built and classified
 a ``Reflection`` for every (h, k, l) triple and every harmonic order it
 looked at. They pin the integer walk that replaced them, result for
 result, on the package's own window helpers.
+
+``normal_cov_with_cond`` is a frozen copy of the fits' normal-equation
+inverse as it stood when its condition guard called ``np.linalg.cond``.
+It pins the guard that computes the singular values itself, verdict for
+verdict and bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import numpy as np
 from pendellosung.fringes import (
     _DR1, _DR2, _PIO4, _PP, _PQ, _QP, _QQ, _RP, _RQ, _SQ2OPI,
 )
+from pendellosung.errors import DegenerateDesign
 from pendellosung.lattice import Reflection, classify, q_over_4pi
 from pendellosung.planner import (
     PEAK_SLACK_DEG, Contaminant, _two_theta, _window, bragg_angle,
@@ -211,3 +217,15 @@ def candidates_per_triple(crystal, w):
                     out.append(r)
     out.sort(key=lambda r: (r.n_sq, r.h, r.k, r.l))
     return out
+
+
+def normal_cov_with_cond(a, w):
+    """The fits' (A^T W A)^-1 with its np.linalg.cond guard."""
+    awa = a.T @ (w[:, None] * a)
+    try:
+        cov = np.linalg.inv(awa)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateDesign("collinear fit abscissas") from exc
+    if not np.all(np.isfinite(cov)) or np.linalg.cond(awa) > 1e14:
+        raise DegenerateDesign("collinear fit abscissas")
+    return cov

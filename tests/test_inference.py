@@ -32,6 +32,8 @@ from pendellosung import inference
 from pendellosung.inference import temperature_factor_sigmas
 from pendellosung.lattice import ReflectionClass
 
+from oracles import normal_cov_with_cond
+
 
 @pytest.fixture(scope="module")
 def new_eight(pure_plans):
@@ -137,6 +139,17 @@ class TestSlopeUncertainty:
     def test_sigmas_must_be_positive(self, sigma):
         with pytest.raises(ValueError, match="sigmas must be positive"):
             slope_uncertainty([0.0, 1.0], [0.1, sigma])
+
+    @pytest.mark.parametrize("xs, sigmas", [
+        ([0.0, 1.0], [0.1, math.nan]), ([0.0, 1.0], [0.1, math.inf]),
+        ([0.0, math.nan], [0.1, 0.1]), ([0.0, math.inf], [0.1, 0.1]),
+        ([-math.inf, 1.0], [0.1, 0.1]),
+    ], ids=["nan-sigma", "inf-sigma", "nan-x", "inf-x", "-inf-x"])
+    def test_non_finite_inputs_are_refused(self, xs, sigmas):
+        # Unchecked, a nan sigma reads as a degenerate design and an
+        # infinite one drops its point from a finite slope error.
+        with pytest.raises(ValueError, match="must be (positive and )?finite"):
+            slope_uncertainty(xs, sigmas)
 
     def test_matches_budget_bne_stage(self, si_model, new_eight):
         # Rebuild the b_ne-stage slope error by hand from the same inputs.
@@ -540,6 +553,63 @@ class TestChunkedMonteCarlo:
         chunked = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=1000, seed=8)
         np.testing.assert_allclose(chunked.empirical_cov, whole.empirical_cov,
                                    rtol=1e-12, atol=0)
+
+
+def _cov_or_none(fn, a, w):
+    try:
+        return fn(a, w)
+    except DegenerateDesign:
+        return None
+
+
+class TestConditionGuardMatchesFrozenCond:
+    """_normal_cov takes the singular values itself; the frozen copy asks
+    np.linalg.cond. Same covariance bits, same raise/no-raise verdict."""
+
+    @staticmethod
+    def accepted(a, w) -> bool:
+        want = _cov_or_none(normal_cov_with_cond, a, w)
+        got = _cov_or_none(inference._normal_cov, a, w)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
+        return got is not None
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_random_designs(self, seed):
+        rng = np.random.default_rng(seed)
+        n, p = rng.integers(3, 12), rng.integers(2, 4)
+        a = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-3, 3, p)
+        self.accepted(a, 10.0 ** rng.uniform(-2, 8, n))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rank_deficient_designs(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-5, 6, (8, 3)).astype(float)
+        a[:, 2] = a[:, 0] - 2.0 * a[:, 1]
+        assert not self.accepted(a, np.ones(8))
+        # Fewer points than parameters.
+        assert not self.accepted(rng.standard_normal((2, 3)), np.ones(2))
+        # Collinear real-valued columns.
+        b = rng.standard_normal((8, 2))
+        assert not self.accepted(np.column_stack([b, b @ rng.standard_normal(2)]),
+                                 10.0 ** rng.uniform(-2, 2, 8))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_all_zero_designs(self, p):
+        assert not self.accepted(np.zeros((6, p)), np.ones(6))
+        assert not self.accepted(np.ones((6, p)), np.zeros(6))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("rel", [0.99, 1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6, 1.01])
+    def test_condition_number_at_the_cap(self, seed, rel):
+        # Orthonormal columns graded so that cond(A^T W A) = 1e14 * rel,
+        # then scaled as a whole, which leaves the condition number alone.
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+        s = np.array([1.0, 0.3, 1.0 / (1e14 * rel)])
+        a = basis * np.sqrt(s * 10.0 ** rng.uniform(-4, 4))
+        assert self.accepted(a, np.ones(6)) == (rel < 1)
 
 
 @pytest.mark.parametrize("forward", [True, False], ids=["forward", "no-forward"])

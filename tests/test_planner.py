@@ -1,4 +1,7 @@
 import hashlib
+import math
+import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +21,8 @@ from pendellosung import (
     reflection_window,
     survey,
 )
-from pendellosung.planner import PEAK_SLACK_DEG
+from pendellosung import planner
+from pendellosung.planner import DEFAULT_WINDOW, PEAK_SLACK_DEG, _window
 
 from oracles import candidates_per_triple, contamination_per_order
 
@@ -58,6 +62,12 @@ class TestBraggAngle:
         with pytest.raises(ValueError):
             bragg_angle(SILICON, Reflection(1, 1, 1), -1.0)
 
+    @pytest.mark.parametrize("lam", [0.0, math.nan, math.inf, -math.inf])
+    def test_non_finite_or_zero_wavelength(self, lam):
+        # nan fails no comparison, so lam <= 0 alone lets it through.
+        with pytest.raises(ValueError, match="wavelength must be positive and finite"):
+            bragg_angle(SILICON, Reflection(1, 1, 1), lam)
+
 
 class TestReflectionWindow:
     def test_si_422_defaults(self, default_window):
@@ -88,6 +98,25 @@ class TestReflectionWindow:
         # (000) is the forward beam, at no angle.
         with pytest.raises(EmptyWindow, match=r"^\(000\) cannot be scanned$"):
             reflection_window(SILICON, Reflection(0, 0, 0), SpectrumWindow())
+
+    def test_stored_sines_are_not_fields(self):
+        # The detector sines _window divides by q are stored on the window
+        # but stay out of repr, ==, hash, replace and pickle.
+        w = SpectrumWindow(lambda_min=0.5, lambda_max=2.0, two_theta_max=90.0)
+        assert repr(w) == ("SpectrumWindow(lambda_min=0.5, lambda_max=2.0, lambda_peak=1.2, "
+                           "two_theta_min=15.0, two_theta_max=90.0)")
+        twin = SpectrumWindow(0.5, 2.0, 1.2, 15.0, 90.0)
+        assert w == twin and hash(w) == hash(twin)
+        assert w.__getstate__() == {"lambda_min": 0.5, "lambda_max": 2.0, "lambda_peak": 1.2,
+                                    "two_theta_min": 15.0, "two_theta_max": 90.0}
+        back = pickle.loads(pickle.dumps(w))
+        assert back == w and vars(back) == vars(w)
+        for changes in ({}, {"two_theta_min": 30.0}, {"two_theta_max": 180.0},
+                        {"two_theta_min": 0.0, "lambda_peak": 0.9}):
+            moved, fresh = replace(w, **changes), SpectrumWindow(**{**w.__getstate__(), **changes})
+            assert moved == fresh and vars(moved) == vars(fresh)
+            for q in (0.05, 0.16, 0.45, 0.69, 1.3):
+                assert _window(q, moved) == _window(q, fresh)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -284,6 +313,38 @@ class TestEmptyResultsAndSkips:
         reflection_window(SILICON, r, w)
         assert 2 * bragg_angle(SILICON, r, w.lambda_peak) < w.two_theta_min - PEAK_SLACK_DEG
         assert r not in candidates(SILICON, w)
+
+
+class TestSurveyCallStructure:
+    """The public calls a survey makes, counted through the module
+    attributes they are looked up by, as a tracer binds its spans."""
+
+    COUNTED = ("candidates", "plan_reflection", "contamination", "bragg_angle")
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["amended", "strict"])
+    @pytest.mark.parametrize("crystal, w", [
+        (SILICON, DEFAULT_WINDOW),
+        (SILICON, SpectrumWindow(lambda_min=0.5, lambda_max=2.0, two_theta_max=90.0)),
+        (GERMANIUM, SpectrumWindow(lambda_min=0.6, lambda_max=3.0, two_theta_max=150.0)),
+    ], ids=["si-default", "si-narrow", "ge-wide"])
+    def test_one_pass_per_plan(self, monkeypatch, crystal, w, strict):
+        calls = dict.fromkeys(self.COUNTED, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # The amended verdicts come from a per-crystal table built by the
+        # first survey, with its own calls; build it before counting.
+        planner.survey(crystal, w, strict=strict)
+        for name in self.COUNTED:
+            monkeypatch.setattr(planner, name, counted(name, getattr(planner, name)))
+        plans = planner.survey(crystal, w, strict=strict).plans
+        assert plans
+        assert calls == {"candidates": 1, "plan_reflection": len(plans),
+                         "contamination": len(plans), "bragg_angle": len(plans)}
 
 
 @st.composite
