@@ -18,6 +18,7 @@ delta(argument)/pi across the scanned window, both rounded to nearest.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +103,9 @@ _PIO4 = 7.85398163397448309616e-1
 
 def _polevl(x, coef):
     """Horner's rule on a fresh array, updated in place."""
-    ans = np.full_like(x, coef[0])
-    for c in coef[1:]:
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
         ans *= x
         ans += c
     return ans
@@ -139,17 +141,19 @@ def bessel_j0(x):
     # Flat, so that a 0-d input gives arrays, not numpy scalars, to the
     # in-place steps.
     ax = np.abs(x.reshape(-1))
-    # The Hankel form on every entry (on all of them in a fringe sweep); the
-    # entries <= 5, where it is meaningless or inf, get the rational form.
+    # The Hankel form on every entry; the entries <= 5, where it is meaningless
+    # or inf, get the rational form, which most fringe-sweep tiles never need.
     with np.errstate(all="ignore"):
         out = _j0_large(ax)
     small = ax <= 5.0
-    axs = ax[small]
-    z = axs ** 2
-    p = (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _polevl(z, _RQ)
-    tiny = axs < 1e-5
-    p[tiny] = 1.0 - z[tiny] / 4.0
-    out[small] = p
+    if small.any():
+        axs = ax[small]
+        z = axs ** 2
+        p = (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _polevl(z, _RQ)
+        tiny = axs < 1e-5
+        if tiny.any():
+            p[tiny] = 1.0 - z[tiny] / 4.0
+        out[small] = p
     out = out.reshape(x.shape)
     return float(out) if scalar else out
 
@@ -218,7 +222,8 @@ def _sweep(crystal: CrystalSpec, r: Reflection, geom: BladeGeometry, f_mag: floa
     range of all of lam, unless 0 < sin(theta) <= 1."""
     lt = lam[tile]
     s = lt * q_over_4pi(crystal, r)
-    if not np.all((s > 0.0) & (s <= 1.0)):
+    # min and max are NaN if any entry is, and NaN fails both comparisons.
+    if s.size and not (s.min() > 0.0 and s.max() <= 1.0):
         raise NoReflection(f"({r.label()}): no Bragg angle for lambda in "
                            f"[{lam.min():.4g}, {lam.max():.4g}] A")
     theta = np.radians(np.degrees(np.arcsin(s)))
@@ -246,8 +251,12 @@ def intensity_profile(spectrum: BeamSpectrum, crystal: CrystalSpec,
     samples that stay in cache, writing into the result arrays; the bits
     equal a whole-array evaluation.
     """
+    try:
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        n_samples = 0  # refused below, like a count under two
     if n_samples < 2:
-        raise ValueError("need at least two samples")
+        raise ValueError("n_samples must be an integer >= 2")
     require_observable(r)
     (lam_lo, lam_hi), _ = reflection_window(crystal, r, spectrum.window)
     lam = np.linspace(lam_lo, lam_hi, n_samples)

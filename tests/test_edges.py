@@ -89,6 +89,17 @@ class TestFringeEdges:
             intensity_profile(spectrum, SILICON, si_model, Reflection(1, 1, 1),
                               blade, n_samples=1)
 
+    @pytest.mark.parametrize("n", [2000.0, "2000", 2.5, True])
+    def test_profile_refuses_non_integral_samples(self, si_model, blade, n):
+        with pytest.raises(ValueError, match=r"^n_samples must be an integer >= 2$"):
+            intensity_profile(BeamSpectrum(), SILICON, si_model, Reflection(7, 1, 1), blade,
+                              n_samples=n)
+
+    def test_profile_takes_numpy_integer_samples(self, si_model, blade):
+        prof = intensity_profile(BeamSpectrum(), SILICON, si_model, Reflection(7, 1, 1), blade,
+                                 n_samples=np.int64(50))
+        assert prof.lam.shape == (50,)
+
     def test_blade_thickness_validated(self):
         with pytest.raises(ValueError):
             BladeGeometry(thickness_cm=0.0)

@@ -71,6 +71,13 @@ _J0_INPUTS = {
     "zero_d_large": np.array(57.3),
     "zero_d_small": np.array(-2.5),
     "strided_2d": _RNG.uniform(-900.0, 900.0, (40, 60))[::2, ::3],
+    # Each side of the guards on the rational form and its tiny fix-up.
+    "empty": np.empty(0),
+    "large_tile": _RNG.uniform(5.0 + 1e-9, 900.0, fringes._SWEEP_BLOCK),
+    "large_plus_one_small": np.append(_RNG.uniform(5.0 + 1e-9, 900.0, 999), 3.25),
+    "large_plus_exactly_five": np.insert(_RNG.uniform(5.0 + 1e-9, 900.0, 1000), 500, 5.0),
+    "large_with_nan": np.insert(_RNG.uniform(5.0 + 1e-9, 900.0, 1000), 7, np.nan),
+    "small_without_tiny": _RNG.uniform(1e-3, 5.0, 2001),
 }
 
 
@@ -94,6 +101,39 @@ class TestBesselJ0BitIdentity:
         got = bessel_j0(x)
         assert type(got) is float
         assert got == bessel_j0_out_of_place(x)
+
+
+class TestBesselJ0Branches:
+    """The rational form runs only on inputs that hold an entry <= 5."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        names = {id(getattr(fringes, n)): n for n in ("_RP", "_RQ", "_PP", "_PQ", "_QP", "_QQ")}
+        seen = []
+        polevl = fringes._polevl
+
+        def recording(x, coef):
+            seen.append(names[id(coef)])
+            return polevl(x, coef)
+
+        monkeypatch.setattr(fringes, "_polevl", recording)
+        return seen
+
+    def test_all_large_skips_rational_form(self, monkeypatch):
+        seen = self._record(monkeypatch)
+        bessel_j0(_J0_INPUTS["large_tile"])
+        assert sorted(seen) == ["_PP", "_PQ", "_QP", "_QQ"]
+
+    def test_fringe_profile_skips_rational_form(self, monkeypatch, si_model, blade):
+        seen = self._record(monkeypatch)
+        intensity_profile(BeamSpectrum(), SILICON, si_model, Reflection(7, 1, 1), blade,
+                          n_samples=2000)
+        assert set(seen) == {"_PP", "_PQ", "_QP", "_QQ"}
+
+    def test_mixed_runs_rational_form_once(self, monkeypatch):
+        seen = self._record(monkeypatch)
+        bessel_j0(_J0_INPUTS["large_plus_one_small"])
+        assert seen.count("_RP") == 1 and seen.count("_RQ") == 1
 
 
 class TestBeamSpectrum:
@@ -134,6 +174,20 @@ class TestArgument:
         a_tiny = pendellosung_argument(SILICON, si_model, r, BladeGeometry(1e-9), 1.2)
         assert a2 == pytest.approx(2 * a1, rel=1e-14)
         assert a_tiny == pytest.approx(0.0, abs=1e-4)
+
+    def test_empty_sweep(self, si_model, blade):
+        arg = pendellosung_argument(SILICON, si_model, Reflection(1, 1, 1), blade, np.empty(0))
+        assert isinstance(arg, np.ndarray) and arg.dtype == float and arg.shape == (0,)
+
+    @pytest.mark.parametrize("lam, quoted", [
+        ([1.0, np.nan, 1.2], "[nan, nan]"),
+        ([0.0, 1.0], "[0, 1]"),
+        ([1.0, 7.0], "[1, 7]"),  # 7 A is past 2d = 6.27 A
+    ])
+    def test_no_bragg_angle_quotes_whole_sweep(self, si_model, blade, lam, quoted):
+        with pytest.raises(NoReflection) as err:
+            pendellosung_argument(SILICON, si_model, Reflection(1, 1, 1), blade, np.array(lam))
+        assert str(err.value) == f"(111): no Bragg angle for lambda in {quoted} A"
 
 
 class TestIntensityProfile:
