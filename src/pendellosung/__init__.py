@@ -68,7 +68,6 @@ from .planner import (
     bragg_angle,
     candidates,
     contamination,
-    enumerate_pure,
     plan_reflection,
     reflection_window,
     survey,

@@ -465,7 +465,7 @@ def _new_reflections(pure) -> list:
 def _budget_sets(cfg: RunConfig, args):
     if args.hkl:
         return [("custom", [_parse_hkl(h) for h in args.hkl])]
-    pure = planner.enumerate_pure(cfg.crystal, cfg.window)
+    pure = planner.survey(cfg.crystal, cfg.window).pure
     strong = [p.reflection for p in pure
               if p.reflection_class is lattice.ReflectionClass.STRONG]
     return [("strong", strong), ("new", _new_reflections(pure))]
@@ -518,7 +518,7 @@ def cmd_radius(cfg: RunConfig, args) -> int:
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
-    pure = planner.enumerate_pure(cfg.crystal, cfg.window)
+    pure = planner.survey(cfg.crystal, cfg.window).pure
     refls = [p.reflection for p in pure] if args.all_pure else _new_reflections(pure)
     if args.error_model == "temperature-factor":
         sigma = inference.temperature_factor_sigmas(cfg.model, cfg.crystal, refls)
@@ -535,17 +535,15 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def cmd_mc(cfg: RunConfig, args) -> int:
-    refls = _new_reflections(planner.enumerate_pure(cfg.crystal, cfg.window))
+    refls = _new_reflections(planner.survey(cfg.crystal, cfg.window).pure)
     res = inference.monte_carlo_validate(cfg.model, cfg.crystal, refls,
                                          sigma=args.sigma, n_trials=args.trials,
                                          seed=cfg.seed,
                                          include_forward=cfg.include_forward)
     print(f"monte carlo over {res.n_trials} trials ({len(refls)} reflections):")
-    for i, name in enumerate(res.param_names):
-        ana = math.sqrt(res.analytic_cov[i, i])
-        emp = math.sqrt(res.empirical_cov[i, i])
-        print(f"  sigma({name}): analytic {ana:.4g}, empirical {emp:.4g}, "
-              f"ratio {emp / ana:.4f}")
+    for i, (name, ratio) in enumerate(zip(res.param_names, res.sigma_ratios)):
+        print(f"  sigma({name}): analytic {math.sqrt(res.analytic_cov[i, i]):.4g}, "
+              f"empirical {math.sqrt(res.empirical_cov[i, i]):.4g}, ratio {ratio:.4f}")
     return EXIT_OK
 
 

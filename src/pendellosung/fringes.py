@@ -219,13 +219,16 @@ def _sweep(crystal: CrystalSpec, r: Reflection, geom: BladeGeometry, f_mag: floa
            lam: np.ndarray, tile=Ellipsis):
     """Bragg angle theta (radians) and the J0 argument, for |F| = f_mag (fm),
     at each wavelength of lam[tile] (angstrom); NoReflection, quoting the
-    range of all of lam, unless 0 < sin(theta) <= 1."""
+    NaN count and the range of the rest of lam, unless 0 < sin(theta) <= 1."""
     lt = lam[tile]
     s = lt * q_over_4pi(crystal, r)
     # min and max are NaN if any entry is, and NaN fails both comparisons.
     if s.size and not (s.min() > 0.0 and s.max() <= 1.0):
-        raise NoReflection(f"({r.label()}): no Bragg angle for lambda in "
-                           f"[{lam.min():.4g}, {lam.max():.4g}] A")
+        nan = np.isnan(lam)
+        rest = lam[~nan]
+        quoted = [f"NaN ({nan.sum()} of {lam.size} entries)"] if nan.any() else []
+        quoted += [f"[{rest.min():.4g}, {rest.max():.4g}] A"] if rest.size else []
+        raise NoReflection(f"({r.label()}): no Bragg angle for lambda in {' and '.join(quoted)}")
     theta = np.radians(np.degrees(np.arcsin(s)))
     t_a = geom.thickness_cm * ANGSTROM_PER_CM
     return theta, t_a * f_mag * ANGSTROM_PER_FM * lt / (crystal.a0**3 * np.cos(theta))
@@ -237,6 +240,7 @@ def pendellosung_argument(crystal: CrystalSpec, model: ScatteringModel,
 
     lam is one wavelength (float result) or an array of them, in angstrom.
     """
+    require_observable(r)
     f_mag = structure_factor_magnitude(crystal, model, r)
     arg = _sweep(crystal, r, geom, f_mag, np.asarray(lam, dtype=float))[1]
     return float(arg) if np.ndim(arg) == 0 else arg

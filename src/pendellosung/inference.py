@@ -12,21 +12,24 @@ model, analytic covariances from the normal equations, projected error
 budgets for planned reflection sets, and Monte-Carlo validation of the
 analytic covariance. All of them reduce the same weighted rows: log rows
 (x = q^2, y = ln b, sy = sigma/b) and Debye-Waller corrected rows
-(x = 1 - f), each optionally led by the forward datum at x = 0.
+(x = 1 - f), each optionally led by the forward datum at x = 0; model
+amplitudes of a planned set come only from _predicted_rows.
 
 Error conventions: one standard deviation, Gaussian, uncorrelated inputs.
 Removing the Debye-Waller attenuation inflates the error linearly,
 
     sigma_b(Q) = sigma_b_meas / DW + b(Q) (Q/4pi)^2 sigma_B,
 
-i.e. the temperature-factor contribution is added to the scaled
-measurement error rather than in quadrature; this reproduces the standard
-error budget for the corrected (111) amplitudes (see README notes).
+i.e. the temperature-factor term adds linearly, not in quadrature, which
+reproduces the standard corrected (111) error budget (README notes).
+debye_waller_correct alone writes it; the temperature-factor error model
+is it with sigma_b_meas = 0.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +42,6 @@ from .lattice import (
     Reflection,
     ScatteringModel,
     _b_of_f,
-    b_from_b_meas,
-    b_meas,
     debye_waller,
     q_over_4pi,
     require_observable,
@@ -170,8 +171,8 @@ def _corrected_rows(q, f, b, sigma, B, sigma_B, forward=None):
     b(Q) and sy come from debye_waller_correct; forward = (b_nuclear,
     sigma_b_nuclear) leads with the x = 0 datum.
     """
-    corrected = np.array([debye_waller_correct(bi, si, B, sigma_B, qi)
-                          for bi, si, qi in zip(b, np.broadcast_to(sigma, q.shape), q)])
+    corrected = np.array([debye_waller_correct(bi, si, B, sigma_B, qi) for bi, si, qi
+                          in zip(b, np.broadcast_to(sigma, q.shape), q)]).reshape(-1, 2)
     rows = (1.0 - f, corrected[:, 0], corrected[:, 1])
     return rows if forward is None else _prepend((0.0, *forward), rows)
 
@@ -186,8 +187,10 @@ def _require_reflections(reflections):
 
 
 def _measured_rows(ms, crystal: CrystalSpec, table: FormFactorTable | None = None):
-    """Per-measurement (q, f or None without a table, b_meas, sigma) arrays;
-    the reflections are checked by _require_reflections."""
+    """Per-measurement (q, f or None without a table, b_meas, sigma) arrays
+    of a non-empty measurement list checked by _require_reflections."""
+    if not ms:
+        raise InsufficientData("no measurements")
     _require_reflections(m.reflection for m in ms)
     q = np.array([q_over_4pi(crystal, m.reflection) for m in ms])
     f = None if table is None else np.array([table.f_at(qi) for qi in q])
@@ -195,8 +198,9 @@ def _measured_rows(ms, crystal: CrystalSpec, table: FormFactorTable | None = Non
 
 
 def _predicted_rows(model: ScatteringModel, crystal: CrystalSpec, reflections):
-    """Per-reflection (q, f, model b_meas) arrays for a planned set; b_meas
-    is b_meas(model, q) on the f(Q) already looked up."""
+    """Per-reflection (q, f, model b_meas) arrays for a planned set checked
+    by _require_reflections; b_meas is b_meas(model, q) on that f(Q)."""
+    _require_reflections(reflections)
     q = [q_over_4pi(crystal, r) for r in reflections]
     f = [model.form_factor.f_at(qi) for qi in q]
     b = [_b_of_f(model, fi) * debye_waller(model.B, qi) for qi, fi in zip(q, f)]
@@ -262,10 +266,12 @@ def slope_uncertainty(xs, sigmas) -> float:
 
     Standard textbook sums: with S = sum 1/s^2, Sx = sum x/s^2,
     Sxx = sum x^2/s^2, the slope variance is S / (S Sxx - Sx^2). Only the
-    abscissas and the point errors enter.
+    abscissas and the point errors, one per abscissa, enter.
     """
     xs = np.asarray(xs, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
+    if sigmas.shape != xs.shape:
+        raise ValueError(f"need one sigma per abscissa, got {sigmas.size} for {xs.size}")
     if xs.size < 2:
         raise InsufficientData("need at least two points for a slope")
     if not np.isfinite(xs).all():
@@ -287,8 +293,6 @@ def fit_temperature_factor(ms, crystal: CrystalSpec, *,
     forward value enters as the x = 0 datum (default) or pins the
     intercept when free_intercept=False.
     """
-    if not ms:
-        raise InsufficientData("no measurements")
     q, _, b, s = _measured_rows(ms, crystal)
     x, y, sy = _log_rows(q, b, s, _forward(crystal, include_forward and free_intercept))
     if free_intercept and np.ptp(x) == 0:
@@ -305,8 +309,6 @@ def fit_bne(ms, crystal: CrystalSpec, table: FormFactorTable, *,
     Each amplitude is Debye-Waller corrected first (sigma_B propagated per
     the module convention); the forward value supplies the x = 0 datum.
     """
-    if not ms:
-        raise InsufficientData("no measurements")
     q, f, b, s = _measured_rows(ms, crystal, table)
     x, y, sy = _corrected_rows(q, f, b, s, crystal.B, crystal.sigma_B,
                                _forward(crystal, include_forward))
@@ -405,12 +407,11 @@ def error_budget(model: ScatteringModel, crystal: CrystalSpec,
     reflection in the set raises ForbiddenReflection, (000) DegenerateDesign.
     """
     refls = list(reflections)
-    _require_reflections(refls)
+    q, f, b_pred = _predicted_rows(model, crystal, refls)
     if not 0 < sigma_b_meas < math.inf:
         raise ValueError("sigma_b_meas must be positive and finite")
     if (len(refls) + (1 if include_forward else 0)) < 2:
         raise DegenerateDesign("need two abscissas (reflections plus forward point)")
-    q, f, b_pred = _predicted_rows(model, crystal, refls)
     forward = _forward(crystal, include_forward)
     x, _, sy = _log_rows(q, b_pred, sigma_b_meas, forward)
     sigma_big_b = slope_uncertainty(x, sy)
@@ -422,6 +423,16 @@ def error_budget(model: ScatteringModel, crystal: CrystalSpec,
 
 
 # --- synthetic data and Monte Carlo --------------------------------------
+
+
+def _check_seed(seed) -> int:
+    """seed as an int; ValueError unless it is a non-negative integer."""
+    try:
+        if operator.index(seed) >= 0:
+            return operator.index(seed)
+    except TypeError:
+        pass
+    raise ValueError("seed must be a non-negative integer")
 
 
 def synth_measurements(model: ScatteringModel, crystal: CrystalSpec,
@@ -438,36 +449,26 @@ def synth_measurements(model: ScatteringModel, crystal: CrystalSpec,
     refls = [r.canonical() for r in reflections]
     if not refls:
         raise InsufficientData("no reflections left to synthesize")
-    _require_reflections(refls)
+    b_pred = _predicted_rows(model, crystal, refls)[2]
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), (len(refls),))
     if not ((sig >= 0) & (sig < math.inf)).all():
         raise ValueError("sigma must be non-negative and finite")
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(len(refls))
-    out = []
-    for r, s, n in zip(refls, sig, noise):
-        value = b_meas(model, q_over_4pi(crystal, r)) + s * n
-        out.append(Measurement(reflection=r, b_meas=value,
-                               sigma=float(s) if s > 0 else DEFAULT_SIGMA_B_MEAS))
-    return out
+    noise = np.random.default_rng(_check_seed(seed)).standard_normal(len(refls))
+    return [Measurement(reflection=r, b_meas=v,
+                        sigma=float(s) if s > 0 else DEFAULT_SIGMA_B_MEAS)
+            for r, v, s in zip(refls, b_pred + sig * noise, sig)]
 
 
 def temperature_factor_sigmas(model: ScatteringModel, crystal: CrystalSpec,
                               reflections):
     """Corrected-amplitude errors from the temperature factor alone.
 
-    The ideal-experiment scenario: infinitely precise b_meas, so the only
-    error on b(Q) is b(Q) (Q/4pi)^2 crystal.sigma_B, growing with Q^2.
-    An extinct reflection raises ForbiddenReflection, (000) DegenerateDesign.
+    debye_waller_correct with sigma_b_meas = 0 (infinitely precise b_meas):
+    b(Q) (Q/4pi)^2 crystal.sigma_B, growing with Q^2. An extinct
+    reflection raises ForbiddenReflection, (000) DegenerateDesign.
     """
-    refls = list(reflections)
-    _require_reflections(refls)
-    out = []
-    for r in refls:
-        q = q_over_4pi(crystal, r.canonical())
-        b_q = b_from_b_meas(b_meas(model, q), model.B, q)
-        out.append(b_q * q * q * crystal.sigma_B)
-    return np.array(out)
+    q, f, b = _predicted_rows(model, crystal, list(reflections))
+    return _corrected_rows(q, f, b, 0.0, model.B, crystal.sigma_B)[2]
 
 
 # Monte-Carlo trials drawn per noise block: about 5 MB of noise for the
@@ -519,18 +520,18 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     reflections = list(reflections)
     if not reflections:
         raise InsufficientData("no reflections left for the Monte Carlo")
-    _require_reflections(reflections)
+    q, f, b_pred = _predicted_rows(model, crystal, reflections)
     if n_trials < 2:
         raise ValueError("need at least two trials")
+    seed = _check_seed(seed)
     if not 0 < sigma < math.inf:
         # Zero noise leaves no spread to compare.
         raise ValueError("sigma must be positive and finite")
-    q, f, b_pred = _predicted_rows(model, crystal, reflections)
     x1, _, sy, x2 = _log_rows(q, b_pred, sigma, _forward(crystal, include_forward), 1.0 - f)
     design = _joint_design(x1, x2, crystal.Z / crystal.b_nuclear, free_intercept=True)
     w = 1.0 / sy**2
     analytic = _normal_cov(design, w)
-    estimator = analytic @ design.T @ np.diag(w)
+    estimator = (analytic @ design.T) * w
 
     scaled = (estimator * sy).T  # unit-normal noise -> parameter deviations
     total = np.zeros(len(names))

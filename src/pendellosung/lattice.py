@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import ForbiddenReflection
+from .errors import ForbiddenReflection, NoReflection
 from .formfactor import FormFactorTable
 
 
@@ -163,8 +163,11 @@ class ScatteringModel:
 
 
 def q_over_4pi(crystal: CrystalSpec, r: Reflection) -> float:
-    """Q/4pi = sqrt(h^2+k^2+l^2) / (2 a0), in 1/angstrom."""
-    return math.sqrt(r.n_sq) / (2.0 * crystal.a0)
+    """Q/4pi = sqrt(h^2+k^2+l^2) / (2 a0) in 1/angstrom; NoReflection past floats."""
+    try:
+        return math.sqrt(r.n_sq) / (2.0 * crystal.a0)
+    except OverflowError:
+        raise NoReflection(f"({r.label()}): Q/4pi is past the float range") from None
 
 
 def debye_waller(B: float, q_over_4pi: float) -> float:

@@ -314,9 +314,3 @@ def survey(crystal: CrystalSpec, w: SpectrumWindow = DEFAULT_WINDOW,
     plans = [plan_reflection(crystal, r, w, strict=strict) for r in candidates(crystal, w)]
     return SurveyResult(plans=tuple(plans))
 
-
-def enumerate_pure(crystal: CrystalSpec, w: SpectrumWindow = DEFAULT_WINDOW):
-    """Plans for the reflections measurable without contamination problem
-    (survey verdicts; geometric ones: survey(crystal, w, strict=True).pure)."""
-    return survey(crystal, w).pure
-

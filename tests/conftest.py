@@ -1,6 +1,6 @@
 import pytest
 
-from pendellosung import SILICON, BladeGeometry, SpectrumWindow, enumerate_pure, scattering_model
+from pendellosung import SILICON, BladeGeometry, SpectrumWindow, scattering_model, survey
 
 
 @pytest.fixture(scope="session")
@@ -11,7 +11,7 @@ def si_model():
 
 @pytest.fixture(scope="session")
 def pure_plans():
-    return enumerate_pure(SILICON)
+    return survey(SILICON).pure
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ records per case the exit code, the warnings raised, and the sha256 of
 stdout, of stderr and of every file written under ``out/``.
 
     python tests/grid.py --check     # run every case against grid.json
-    python tests/grid.py --record    # rewrite grid.json
+    python tests/grid.py --record    # rewrite grid.json, naming what changes
 
 ``test_grid.py`` checks every case on every test run.
 """
@@ -134,7 +134,7 @@ _add("si", _FULL + [
     ["budget", "--hkl", "422"], ["budget", "--sigma", "0"], ["simulate", "42"],
     ["simulate", "222"], ["simulate", "999"], ["simulate", "711", "--samples", "1"],
     ["mc", "--sigma", "0"], ["mc", "--trials", "1"], ["synth", "--sigma", "10"],
-    ["radius", "--", "nan"],
+    ["radius", "--", "nan"], ["simulate", "1" + "0" * 200 + ",0,0"],
 ])
 _add("ge", [["plan"], ["plan", "--all", "--strict"], ["simulate", "111"], ["simulate", "711"],
             ["budget"], ["synth"], ["mc"]])
@@ -207,6 +207,13 @@ def load() -> dict:
     return json.loads(GRID_JSON.read_text())
 
 
+def _changed_keys(got, want) -> list:
+    """The record keys that differ, or ["case"] when one side is missing."""
+    if got is None or want is None:
+        return ["case"]
+    return [k for k in sorted(set(got) | set(want)) if got.get(k) != want.get(k)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -215,6 +222,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     records = run_all(CASES)
     if args.record:
+        old = load() if GRID_JSON.exists() else {}
+        for name in sorted(set(records) | set(old)):
+            if name not in old:
+                print(f"adds {name}")
+            elif name not in records:
+                print(f"drops {name}")
+            elif records[name] != old[name]:
+                print(f"changes {name}: {', '.join(_changed_keys(records[name], old[name]))}")
         GRID_JSON.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
         print(f"recorded {len(records)} cases in {GRID_JSON}")
         return 0
@@ -224,9 +239,7 @@ def main(argv=None) -> int:
         got, want = records.get(name), expected.get(name)
         if got != want:
             bad += 1
-            keys = ["case"] if got is None or want is None else \
-                [k for k in sorted(set(got) | set(want)) if got.get(k) != want.get(k)]
-            print(f"MISMATCH {name}: {', '.join(keys)}")
+            print(f"MISMATCH {name}: {', '.join(_changed_keys(got, want))}")
     print(f"{len(records) - bad} of {len(records)} cases match" if not bad else
           f"{bad} mismatched case(s)")
     return 1 if bad else 0

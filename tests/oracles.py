@@ -21,6 +21,11 @@ result, on the package's own window helpers.
 inverse as it stood when its condition guard called ``np.linalg.cond``.
 It pins the guard that computes the singular values itself, verdict for
 verdict and bit for bit.
+
+``synth_amplitudes_per_reflection`` and ``temperature_factor_sigmas_per_reflection``
+are frozen copies of the two per-reflection loops that synthetic amplitudes
+and the temperature-factor error model ran before both went through the
+fits' shared predicted rows and ``debye_waller_correct``.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from pendellosung.fringes import (
     _DR1, _DR2, _PIO4, _PP, _PQ, _QP, _QQ, _RP, _RQ, _SQ2OPI,
 )
 from pendellosung.errors import DegenerateDesign
-from pendellosung.lattice import Reflection, classify, q_over_4pi
+from pendellosung.lattice import Reflection, b_from_b_meas, b_meas, classify, q_over_4pi
 from pendellosung.planner import (
     PEAK_SLACK_DEG, Contaminant, _two_theta, _window, bragg_angle,
 )
@@ -229,3 +234,23 @@ def normal_cov_with_cond(a, w):
     if not np.all(np.isfinite(cov)) or np.linalg.cond(awa) > 1e14:
         raise DegenerateDesign("collinear fit abscissas")
     return cov
+
+
+def synth_amplitudes_per_reflection(model, crystal, reflections, sigma, seed):
+    """synth_measurements' noisy amplitudes, b_meas(model, q) + s n, one
+    reflection at a time."""
+    refls = [r.canonical() for r in reflections]
+    sig = np.broadcast_to(np.asarray(sigma, dtype=float), (len(refls),))
+    noise = np.random.default_rng(seed).standard_normal(len(refls))
+    return [b_meas(model, q_over_4pi(crystal, r)) + s * n
+            for r, s, n in zip(refls, sig, noise)]
+
+
+def temperature_factor_sigmas_per_reflection(model, crystal, reflections):
+    """b(Q) (Q/4pi)^2 sigma_B with b(Q) undone from b_meas, per reflection."""
+    out = []
+    for r in reflections:
+        q = q_over_4pi(crystal, r.canonical())
+        b_q = b_from_b_meas(b_meas(model, q), model.B, q)
+        out.append(b_q * q * q * crystal.sigma_B)
+    return np.array(out)

@@ -369,6 +369,22 @@ class TestMonteCarlo:
                 ratio = float(line.rsplit("ratio", 1)[1])
                 assert ratio == pytest.approx(1.0, abs=0.05)
 
+    def test_printed_ratio_is_the_results_sigma_ratio(self, tmp_path, capsys, monkeypatch):
+        from pendellosung import inference
+
+        results = []
+        original = inference.monte_carlo_validate
+
+        def recorded(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(inference, "monte_carlo_validate", recorded)
+        assert run("mc", "--trials", "2000", "--seed", "3", "--out", str(tmp_path)) == 0
+        printed = [line.rsplit("ratio ", 1)[1] for line in capsys.readouterr().out.splitlines()
+                   if "ratio" in line]
+        assert printed == [f"{r:.4f}" for r in results[0].sigma_ratios]
+
 
 class TestConfigOverrides:
     def test_germanium_survey(self, tmp_path, capsys):

@@ -330,7 +330,9 @@ def _config_text(draw):
 
 
 _NUMBERS = st.sampled_from(["0.0008", "0.01", "10", "0", "-1", "nan", "inf", "x"])
-_HKL = st.sampled_from(["111", "422", "711", "642", "222", "100", "999", "4,2,2", "zzz"])
+# The last index has h^2+k^2+l^2 past the float range.
+_HKL = st.sampled_from(["111", "422", "711", "642", "222", "100", "999", "4,2,2", "zzz",
+                        "1" + "0" * 200 + ",0,0"])
 _COUNTS = st.integers(-1, 2000).map(str)
 
 

@@ -180,7 +180,7 @@ class TestArgument:
         assert isinstance(arg, np.ndarray) and arg.dtype == float and arg.shape == (0,)
 
     @pytest.mark.parametrize("lam, quoted", [
-        ([1.0, np.nan, 1.2], "[nan, nan]"),
+        ([1.0, np.nan, 1.2], "NaN (1 of 3 entries) and [1, 1.2]"),
         ([0.0, 1.0], "[0, 1]"),
         ([1.0, 7.0], "[1, 7]"),  # 7 A is past 2d = 6.27 A
     ])
@@ -188,6 +188,19 @@ class TestArgument:
         with pytest.raises(NoReflection) as err:
             pendellosung_argument(SILICON, si_model, Reflection(1, 1, 1), blade, np.array(lam))
         assert str(err.value) == f"(111): no Bragg angle for lambda in {quoted} A"
+
+    @pytest.mark.parametrize("lam", [np.nan, [np.nan, np.nan]])
+    def test_no_bragg_angle_all_nan(self, si_model, blade, lam):
+        # No number to quote, and no warning from an empty min or max.
+        n = np.size(lam)
+        with pytest.raises(NoReflection, match=rf"^\(111\): no Bragg angle for lambda in "
+                                               rf"NaN \({n} of {n} entries\)$"):
+            pendellosung_argument(SILICON, si_model, Reflection(1, 1, 1), blade, lam)
+
+    @pytest.mark.parametrize("r", [Reflection(1, 0, 0), Reflection(2, 2, 2)])
+    def test_extinct_reflection_has_no_argument(self, si_model, blade, r):
+        with pytest.raises(ForbiddenReflection, match=rf"^\({r.label()}\) is "):
+            pendellosung_argument(SILICON, si_model, r, blade, 1.2)
 
 
 class TestIntensityProfile:

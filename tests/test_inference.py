@@ -14,9 +14,10 @@ from pendellosung import (
     InsufficientData,
     Measurement,
     Reflection,
+    SpectrumWindow,
+    b_meas,
     charge_radius_from_bne,
     debye_waller_correct,
-    enumerate_pure,
     error_budget,
     extract_bne_single,
     fit_bne,
@@ -26,13 +27,18 @@ from pendellosung import (
     q_over_4pi,
     scattering_model,
     slope_uncertainty,
+    survey,
     synth_measurements,
 )
 from pendellosung import inference
 from pendellosung.inference import temperature_factor_sigmas
 from pendellosung.lattice import ReflectionClass
 
-from oracles import normal_cov_with_cond
+from oracles import (
+    normal_cov_with_cond,
+    synth_amplitudes_per_reflection,
+    temperature_factor_sigmas_per_reflection,
+)
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +134,13 @@ class TestSlopeUncertainty:
         w = 1.0 / 0.3**2
         sx = (w * xs).sum()
         assert sx == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("xs, sigmas", [([1.0, 2.0, 3.0], [1.0, 1.0]),
+                                            ([1.0, 2.0], [1.0, 1.0, 1.0]),
+                                            ([1.0, 2.0], 1.0)])
+    def test_one_sigma_per_abscissa(self, xs, sigmas):
+        with pytest.raises(ValueError, match="^need one sigma per abscissa, got "):
+            slope_uncertainty(xs, sigmas)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateDesign):
@@ -376,6 +389,8 @@ class TestEntryPointsRefuseExtinct:
             synth_measurements(si_model, SILICON, [])
         with pytest.raises(InsufficientData, match="no reflections left"):
             monte_carlo_validate(si_model, SILICON, iter([]), n_trials=100)
+        # No rows, no errors: synth then refuses the empty set itself.
+        assert temperature_factor_sigmas(si_model, SILICON, []).shape == (0,)
 
     def test_temperature_factor_sigmas(self, si_model):
         with pytest.raises(ForbiddenReflection, match=r"^\(222\) is forbidden"):
@@ -460,6 +475,69 @@ class TestSynthMeasurements:
         assert list(np.argsort(sig)) == list(np.argsort(q2))
         assert sig[0] == pytest.approx(
             4.160259 / 0.910422 * 0.910422 * q2[0] * 0.0027, rel=1e-3)
+
+
+_WINDOWS = [SpectrumWindow(lambda_min=lo, lambda_max=hi, two_theta_max=tt)
+            for lo in (0.3, 0.5, 0.8) for hi in (1.6, 2.5, 4.0) for tt in (60, 110, 150, 180)]
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or its error type and message."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("window", _WINDOWS, ids=lambda w: "{}-{}-{}".format(
+    w.lambda_min, w.lambda_max, w.two_theta_max))
+class TestSharedPredictedRows:
+    """Synthetic amplitudes and the temperature-factor error model come
+    from the fits' predicted rows and debye_waller_correct; the frozen
+    per-reflection loops they replaced pin the result."""
+
+    def test_synth_equals_per_reflection_loop(self, si_model, window):
+        refls = [p.reflection for p in survey(SILICON, window).pure]
+        for sigma in (0.0008, 0.0, np.linspace(1e-4, 1e-3, len(refls))):
+            for seed in range(5):
+                got = _outcome(synth_measurements, si_model, SILICON, refls,
+                               sigma=sigma, seed=seed)
+                want = _outcome(synth_amplitudes_per_reflection, si_model, SILICON, refls,
+                                sigma, seed)
+                if isinstance(want, tuple):  # a reflection past the f(Q) table
+                    assert got == want
+                else:
+                    assert [m.b_meas for m in got] == want
+
+    def test_temperature_factor_sigmas_is_the_corrected_error(self, si_model, window):
+        refls = [p.reflection for p in survey(SILICON, window).pure]
+        got = _outcome(temperature_factor_sigmas, si_model, SILICON, refls)
+        want = _outcome(temperature_factor_sigmas_per_reflection, si_model, SILICON, refls)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        for r, s in zip(refls, got):
+            q = q_over_4pi(SILICON, r)
+            assert s == debye_waller_correct(b_meas(si_model, q), 0.0, si_model.B,
+                                             SILICON.sigma_B, q)[1]
+        # One rounding order for the convention: at most 1 ulp from the loop.
+        assert (np.abs(got - want) <= np.spacing(want)).all()
+
+
+class TestSeedChecks:
+    @pytest.mark.parametrize("seed", [1.5, -1, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, si_model, new_eight, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            synth_measurements(si_model, SILICON, new_eight, seed=seed)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            monte_carlo_validate(si_model, SILICON, new_eight, n_trials=100, seed=seed)
+
+    def test_integer_types_run_as_their_value(self, si_model, new_eight):
+        assert (synth_measurements(si_model, SILICON, new_eight, seed=np.int64(4))
+                == synth_measurements(si_model, SILICON, new_eight, seed=4))
+        a = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=100, seed=np.uint8(4))
+        b = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=100, seed=4)
+        assert np.array_equal(a.empirical_cov, b.empirical_cov)
 
 
 class TestMonteCarlo:

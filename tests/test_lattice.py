@@ -9,6 +9,7 @@ from pendellosung import (
     SILICON,
     SILICON_TABLE,
     CrystalSpec,
+    NoReflection,
     Reflection,
     ReflectionClass,
     b_from_b_meas,
@@ -38,6 +39,16 @@ class TestQOver4pi:
         expected = math.sqrt(24) / (2 * 5.43072)
         assert q_over_4pi(SILICON, Reflection(4, 2, 2)) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.451044, abs=1e-6)
+
+    def test_index_past_float_range_has_no_reflection(self):
+        # h^2+k^2+l^2 = 10^400 has no float, so neither has its square root.
+        with pytest.raises(NoReflection, match=r"^\(10{200},0,0\): Q/4pi is past the float range$"):
+            q_over_4pi(SILICON, Reflection(10**200, 0, 0))
+
+    @given(st.tuples(*[st.integers(-5 * 10**153, 5 * 10**153)] * 3))
+    def test_same_bits_wherever_the_float_holds(self, hkl):
+        n_sq = sum(i * i for i in hkl)
+        assert q_over_4pi(SILICON, Reflection(*hkl)) == math.sqrt(float(n_sq)) / (2.0 * SILICON.a0)
 
 
 class TestClassify:

@@ -17,7 +17,6 @@ from pendellosung import (
     bragg_angle,
     candidates,
     contamination,
-    enumerate_pure,
     reflection_window,
     survey,
 )
@@ -231,13 +230,13 @@ class TestEnumeratePure:
 
     def test_strict_mode_differs_documented(self, default_window):
         strict = {p.reflection.label() for p in survey(SILICON, default_window, strict=True).pure}
-        default = {p.reflection.label() for p in enumerate_pure(SILICON, default_window)}
+        default = {p.reflection.label() for p in survey(SILICON, default_window).pure}
         assert default - strict == {"111", "422"}
         assert strict - default == {"331"}
 
     def test_narrow_detector_keeps_only_111(self):
         w = SpectrumWindow(two_theta_max=45.0)
-        labels = [p.reflection.label() for p in enumerate_pure(SILICON, w)]
+        labels = [p.reflection.label() for p in survey(SILICON, w).pure]
         assert labels == ["111"]
 
     def test_order_independent_of_generation(self, default_window):
