@@ -51,7 +51,6 @@ from .lattice import (
     Reflection,
     ReflectionClass,
     ScatteringModel,
-    b_from_b_meas,
     b_meas,
     b_of_q,
     classify,

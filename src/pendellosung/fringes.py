@@ -219,19 +219,27 @@ def _sweep(crystal: CrystalSpec, r: Reflection, geom: BladeGeometry, f_mag: floa
            lam: np.ndarray, tile=Ellipsis):
     """Bragg angle theta (radians) and the J0 argument, for |F| = f_mag (fm),
     at each wavelength of lam[tile] (angstrom); NoReflection, quoting the
-    NaN count and the range of the rest of lam, unless 0 < sin(theta) <= 1."""
+    NaN count and the range of the rest of lam, unless 0 < sin(theta) <= 1,
+    and PendellosungError if the argument overflows to infinity."""
     lt = lam[tile]
     s = lt * q_over_4pi(crystal, r)
-    # min and max are NaN if any entry is, and NaN fails both comparisons.
-    if s.size and not (s.min() > 0.0 and s.max() <= 1.0):
+    # The largest sin(theta) has the largest |argument|. min and argmax pick
+    # a NaN if any entry is one, and NaN fails both comparisons.
+    top = s.argmax() if s.size else None
+    if top is not None and not (s.min() > 0.0 and s.flat[top] <= 1.0):
         nan = np.isnan(lam)
         rest = lam[~nan]
         quoted = [f"NaN ({nan.sum()} of {lam.size} entries)"] if nan.any() else []
         quoted += [f"[{rest.min():.4g}, {rest.max():.4g}] A"] if rest.size else []
         raise NoReflection(f"({r.label()}): no Bragg angle for lambda in {' and '.join(quoted)}")
     theta = np.radians(np.degrees(np.arcsin(s)))
-    t_a = geom.thickness_cm * ANGSTROM_PER_CM
-    return theta, t_a * f_mag * ANGSTROM_PER_FM * lt / (crystal.a0**3 * np.cos(theta))
+    scale = geom.thickness_cm * ANGSTROM_PER_CM * f_mag * ANGSTROM_PER_FM
+    den = crystal.a0**3 * np.cos(theta)
+    # The same IEEE steps on Python floats, which overflow without a warning.
+    if top is not None and math.isinf(scale * float(lt.flat[top]) / float(den.flat[top])):
+        raise PendellosungError(f"({r.label()}): J0 argument overflows at lambda = "
+                                f"{lt.flat[top]:.4g} A (t = {geom.thickness_cm:.4g} cm)")
+    return theta, scale * lt / den
 
 
 def pendellosung_argument(crystal: CrystalSpec, model: ScatteringModel,

@@ -126,6 +126,8 @@ def charge_radius_from_bne(constants: PhysicalConstants, b_ne: float,
 
     Input in fm, output in fm^2; exactly linear, sigma scales alike.
     """
+    if not (math.isfinite(b_ne) and 0 <= sigma_b_ne < math.inf):
+        raise ValueError("b_ne must be finite, sigma_b_ne non-negative and finite")
     factor = constants.radius_factor_per_fm()
     return b_ne / factor, sigma_b_ne / factor
 
@@ -199,11 +201,11 @@ def _measured_rows(ms, crystal: CrystalSpec, table: FormFactorTable | None = Non
 
 def _predicted_rows(model: ScatteringModel, crystal: CrystalSpec, reflections):
     """Per-reflection (q, f, model b_meas) arrays for a planned set checked
-    by _require_reflections; b_meas is b_meas(model, q) on that f(Q)."""
+    by _require_reflections; b_meas is b_meas(crystal, model, q) on that f(Q)."""
     _require_reflections(reflections)
     q = [q_over_4pi(crystal, r) for r in reflections]
     f = [model.form_factor.f_at(qi) for qi in q]
-    b = [_b_of_f(model, fi) * debye_waller(model.B, qi) for qi, fi in zip(q, f)]
+    b = [_b_of_f(crystal, model, fi) * debye_waller(model.B, qi) for qi, fi in zip(q, f)]
     return np.array(q), np.array(f), np.array(b)
 
 
@@ -524,6 +526,8 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     if n_trials < 2:
         raise ValueError("need at least two trials")
     seed = _check_seed(seed)
+    if seed >> 128:  # Philox keys are 128 bits
+        raise ValueError("the Monte-Carlo seed must be below 2**128")
     if not 0 < sigma < math.inf:
         # Zero noise leaves no spread to compare.
         raise ValueError("sigma must be positive and finite")

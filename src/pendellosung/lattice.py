@@ -6,7 +6,9 @@ Debye-Waller correction, and the Q-dependent scattering length
     b(Q) = b_nuclear - b_ne * Z * [1 - f(Q)]
 
 whose tiny electrostatic term carries the neutron charge-radius signal.
-The built-in crystals carry f(Q) tables sampled at their own Q/4pi.
+b_nuclear and Z are the crystal's; a ScatteringModel holds only the b_ne
+hypothesis, the simulated B and f(Q), so b_of_q and b_meas take both. The
+built-in crystals carry f(Q) tables sampled at their own Q/4pi.
 All operations are pure functions of immutable inputs.
 """
 
@@ -146,18 +148,14 @@ class CrystalSpec:
 
 @dataclass(frozen=True)
 class ScatteringModel:
-    """Parameters of the Q-dependent scattering length b(Q).
+    """The b_ne hypothesis of b(Q); b_nuclear and Z come from the crystal.
 
-    b_nuclear  forward nuclear value, fm
     b_ne       neutron-electron scattering length, fm (signed, ~1e-3 fm)
-    Z          atomic number
-    B          temperature factor, angstrom^2
+    B          temperature factor of the simulation, angstrom^2
     form_factor  normalized atomic form factor table
     """
 
-    b_nuclear: float
     b_ne: float
-    Z: int
     B: float
     form_factor: FormFactorTable
 
@@ -172,31 +170,24 @@ def q_over_4pi(crystal: CrystalSpec, r: Reflection) -> float:
 
 def debye_waller(B: float, q_over_4pi: float) -> float:
     """Thermal attenuation exp[-B (Q/4pi)^2]; 1 at Q=0 or B=0."""
-    if B < 0:
-        raise ValueError("B must be non-negative")
+    if not 0 <= B < math.inf:
+        raise ValueError("B must be non-negative and finite")
     return math.exp(-B * q_over_4pi * q_over_4pi)
 
 
-def b_of_q(m: ScatteringModel, q_over_4pi: float) -> float:
+def b_of_q(crystal: CrystalSpec, m: ScatteringModel, q_over_4pi: float) -> float:
     """Scattering length b(Q) = b_nuclear - b_ne Z [1 - f(Q)], in fm."""
-    if q_over_4pi == 0.0:
-        return m.b_nuclear
-    return _b_of_f(m, m.form_factor.f_at(q_over_4pi))
+    return _b_of_f(crystal, m, m.form_factor.f_at(q_over_4pi))
 
 
-def _b_of_f(m: ScatteringModel, f: float) -> float:
+def _b_of_f(crystal: CrystalSpec, m: ScatteringModel, f: float) -> float:
     """b(Q) from a form factor f = f(Q) already looked up, in fm."""
-    return m.b_nuclear - m.b_ne * m.Z * (1.0 - f)
+    return crystal.b_nuclear - m.b_ne * crystal.Z * (1.0 - f)
 
 
-def b_meas(m: ScatteringModel, q_over_4pi: float) -> float:
+def b_meas(crystal: CrystalSpec, m: ScatteringModel, q_over_4pi: float) -> float:
     """Measured (thermally attenuated) value b(Q) exp[-B (Q/4pi)^2], fm."""
-    return b_of_q(m, q_over_4pi) * debye_waller(m.B, q_over_4pi)
-
-
-def b_from_b_meas(b_meas_value: float, B: float, q_over_4pi: float) -> float:
-    """Invert the Debye-Waller attenuation; exact inverse of b_meas."""
-    return b_meas_value / debye_waller(B, q_over_4pi)
+    return b_of_q(crystal, m, q_over_4pi) * debye_waller(m.B, q_over_4pi)
 
 
 def structure_factor_magnitude(crystal: CrystalSpec, m: ScatteringModel, r: Reflection) -> float:
@@ -204,7 +195,7 @@ def structure_factor_magnitude(crystal: CrystalSpec, m: ScatteringModel, r: Refl
     cls = classify(r)
     if cls.extinct:
         return 0.0
-    return _CLASS_AMPLITUDE[cls] * b_meas(m, q_over_4pi(crystal, r))
+    return _CLASS_AMPLITUDE[cls] * b_meas(crystal, m, q_over_4pi(crystal, r))
 
 
 def require_observable(r: Reflection) -> ReflectionClass:
@@ -254,7 +245,4 @@ def scattering_model(crystal: CrystalSpec, b_ne: float,
             table = BUILTIN_TABLES[crystal.name]
         except KeyError:
             raise ValueError(f"no built-in form-factor table for {crystal.name}; pass one")
-    return ScatteringModel(
-        b_nuclear=crystal.b_nuclear, b_ne=b_ne, Z=crystal.Z,
-        B=crystal.B if B is None else B, form_factor=table,
-    )
+    return ScatteringModel(b_ne=b_ne, B=crystal.B if B is None else B, form_factor=table)

@@ -98,6 +98,8 @@ CONFIGS = {
     "missing_table": "[crystal]\nform_factor_csv = nope.csv\n",
     "nan_table": "[crystal]\nform_factor_csv = nan_ff.csv\n",
     "nan_blade": "[blade]\nthickness_cm = nan\n",
+    # Finite, but the J0 argument overflows.
+    "huge_blade": "[blade]\nthickness_cm = 1e300\n",
     "bad_seed": "[run]\nseed = -3\n",
     "zero_sigma_forward": _INLINE.replace("sigma_b_nuclear = 0.0002\n", ""),
 }
@@ -135,6 +137,7 @@ _add("si", _FULL + [
     ["simulate", "222"], ["simulate", "999"], ["simulate", "711", "--samples", "1"],
     ["mc", "--sigma", "0"], ["mc", "--trials", "1"], ["synth", "--sigma", "10"],
     ["radius", "--", "nan"], ["simulate", "1" + "0" * 200 + ",0,0"],
+    ["mc", "--trials", "100", "--seed", str(2**128)],
 ])
 _add("ge", [["plan"], ["plan", "--all", "--strict"], ["simulate", "111"], ["simulate", "711"],
             ["budget"], ["synth"], ["mc"]])
@@ -151,6 +154,7 @@ for _config in ("malformed", "unknown_crystal", "inline_no_table", "bad_referenc
                 "unknown_key", "missing_table", "nan_blade", "bad_seed"):
     _add(_config, [["plan"]])
 _add("nan_table", _ERRORS)
+_add("huge_blade", [["simulate", "711"]])
 _add("zero_sigma_forward", [["budget"], ["mc", "--trials", "100"], ["fit", "si_meas.csv"]])
 
 def _sha256(data: bytes) -> str:

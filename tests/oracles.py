@@ -40,7 +40,7 @@ from pendellosung.fringes import (
     _DR1, _DR2, _PIO4, _PP, _PQ, _QP, _QQ, _RP, _RQ, _SQ2OPI,
 )
 from pendellosung.errors import DegenerateDesign
-from pendellosung.lattice import Reflection, b_from_b_meas, b_meas, classify, q_over_4pi
+from pendellosung.lattice import Reflection, b_meas, classify, debye_waller, q_over_4pi
 from pendellosung.planner import (
     PEAK_SLACK_DEG, Contaminant, _two_theta, _window, bragg_angle,
 )
@@ -237,12 +237,12 @@ def normal_cov_with_cond(a, w):
 
 
 def synth_amplitudes_per_reflection(model, crystal, reflections, sigma, seed):
-    """synth_measurements' noisy amplitudes, b_meas(model, q) + s n, one
+    """synth_measurements' noisy amplitudes, b_meas(crystal, model, q) + s n, one
     reflection at a time."""
     refls = [r.canonical() for r in reflections]
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), (len(refls),))
     noise = np.random.default_rng(seed).standard_normal(len(refls))
-    return [b_meas(model, q_over_4pi(crystal, r)) + s * n
+    return [b_meas(crystal, model, q_over_4pi(crystal, r)) + s * n
             for r, s, n in zip(refls, sig, noise)]
 
 
@@ -251,6 +251,6 @@ def temperature_factor_sigmas_per_reflection(model, crystal, reflections):
     out = []
     for r in reflections:
         q = q_over_4pi(crystal, r.canonical())
-        b_q = b_from_b_meas(b_meas(model, q), model.B, q)
+        b_q = b_meas(crystal, model, q) / debye_waller(model.B, q)
         out.append(b_q * q * q * crystal.sigma_B)
     return np.array(out)

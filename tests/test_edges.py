@@ -26,6 +26,7 @@ from pendellosung import (
     joint_fit,
     monte_carlo_validate,
     pendellosung_argument,
+    q_over_4pi,
     scattering_model,
     synth_measurements,
 )
@@ -126,9 +127,23 @@ class TestFringeEdges:
     def test_nan_sweep_is_a_typed_error(self, si_model, blade):
         # A NaN constant makes the argument sweep non-increasing; the check
         # raises a toolkit error (not an assert, so it also holds under -O).
-        nan_model = replace(si_model, b_nuclear=math.nan)
+        nan_model = replace(si_model, b_ne=math.nan)
         with pytest.raises(PendellosungError, match="not increasing"):
             fringe_count(SILICON, nan_model, Reflection(7, 1, 1), blade, SpectrumWindow())
+
+    def test_overflowing_argument_is_a_typed_error(self, si_model):
+        huge = BladeGeometry(thickness_cm=1e300)
+        with pytest.raises(PendellosungError, match=r"^\(711\): J0 argument overflows"):
+            intensity_profile(BeamSpectrum(), SILICON, si_model, Reflection(7, 1, 1), huge)
+
+    def test_overflow_found_wherever_the_largest_wavelength_is(self, si_model):
+        # Only sin(theta) = 1 overflows here, and it comes first.
+        r = Reflection(1, 1, 1)
+        lam = np.array([1.0 / q_over_4pi(SILICON, r), 1.0])
+        thick = BladeGeometry(thickness_cm=1e298)
+        assert math.isfinite(pendellosung_argument(SILICON, si_model, r, thick, 1.0))
+        with pytest.raises(PendellosungError, match="overflows at lambda = 6.271 A"):
+            pendellosung_argument(SILICON, si_model, r, thick, lam)
 
     def test_cli_nan_blade_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "nan.ini"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -332,11 +333,10 @@ class TestFringeSensitivity:
         z = j0_zero(80)
         eps = 1e-4
         base = scattering_model(SILICON, 0.0)
-        import dataclasses
-
-        bumped = dataclasses.replace(base, b_nuclear=base.b_nuclear * (1 + eps))
+        # b_nuclear is the crystal's, so the crystal is what changes.
+        bumped = dataclasses.replace(SILICON, b_nuclear=SILICON.b_nuclear * (1 + eps))
         lam0 = _lambda_for_argument(base, r, blade, z)
-        lam1 = _lambda_for_argument(bumped, r, blade, z)
+        lam1 = _lambda_for_argument(base, r, blade, z, crystal=bumped)
         darg = _argument_derivative(base, r, blade, lam0)
         arg0 = pendellosung_argument(SILICON, base, r, blade, lam0)
         predicted = -eps * arg0 / darg
@@ -374,14 +374,14 @@ class TestFringeCount:
             fringe_count(SILICON, si_model, Reflection(2, 2, 2), blade, SpectrumWindow())
 
 
-def _lambda_for_argument(model, r, blade, target, lo=0.82, hi=2.49):
+def _lambda_for_argument(model, r, blade, target, lo=0.82, hi=2.49, crystal=SILICON):
     """Invert the monotone argument function by bisection."""
-    f_lo = pendellosung_argument(SILICON, model, r, blade, lo) - target
-    f_hi = pendellosung_argument(SILICON, model, r, blade, hi) - target
+    f_lo = pendellosung_argument(crystal, model, r, blade, lo) - target
+    f_hi = pendellosung_argument(crystal, model, r, blade, hi) - target
     assert f_lo < 0 < f_hi, "target argument not bracketed"
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if (pendellosung_argument(SILICON, model, r, blade, mid) - target) <= 0:
+        if (pendellosung_argument(crystal, model, r, blade, mid) - target) <= 0:
             lo = mid
         else:
             hi = mid

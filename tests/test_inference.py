@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from pendellosung import (
     InsufficientData,
     Measurement,
     Reflection,
+    ScatteringModel,
     SpectrumWindow,
     b_meas,
     charge_radius_from_bne,
@@ -27,6 +28,7 @@ from pendellosung import (
     q_over_4pi,
     scattering_model,
     slope_uncertainty,
+    structure_factor_magnitude,
     survey,
     synth_measurements,
 )
@@ -66,9 +68,9 @@ class TestDebyeWallerCorrect:
         from pendellosung import b_meas, b_of_q
 
         q = 0.55
-        forward = b_meas(si_model, q)
+        forward = b_meas(SILICON, si_model, q)
         b, _ = debye_waller_correct(forward, 0.0008, si_model.B, 0.0027, q)
-        assert b == pytest.approx(b_of_q(si_model, q), rel=1e-12)
+        assert b == pytest.approx(b_of_q(SILICON, si_model, q), rel=1e-12)
 
 
 class TestExtractBneSingle:
@@ -113,6 +115,13 @@ class TestChargeRadius:
         r1, _ = charge_radius_from_bne(CODATA, bne)
         r2, _ = charge_radius_from_bne(CODATA, a * bne)
         assert r2 == pytest.approx(a * r1, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("bne, sigma", [
+        (math.nan, 0.0), (math.inf, 0.0), (-1e-3, -1.0), (-1e-3, math.nan), (-1e-3, math.inf),
+    ])
+    def test_impossible_inputs_rejected(self, bne, sigma):
+        with pytest.raises(ValueError, match="^b_ne must be finite, sigma_b_ne non-negative"):
+            charge_radius_from_bne(CODATA, bne, sigma)
 
 
 class TestSlopeUncertainty:
@@ -173,7 +182,7 @@ class TestSlopeUncertainty:
         for r in new_eight:
             q = q_over_4pi(SILICON, r)
             dw = debye_waller(si_model.B, q)
-            b_q = b_meas(si_model, q) / dw
+            b_q = b_meas(SILICON, si_model, q) / dw
             xs.append(1.0 - si_model.form_factor.f_at(q))
             sigs.append(0.0008 / dw + b_q * q * q * budget.sigma_B)
         assert slope_uncertainty(xs, sigs) / 14 == pytest.approx(budget.sigma_bne, rel=1e-12)
@@ -453,7 +462,7 @@ class TestSynthMeasurements:
 
         ms = synth_measurements(si_model, SILICON, new_eight, sigma=0.0, seed=5)
         for m in ms:
-            assert m.b_meas == b_meas(si_model, q_over_4pi(SILICON, m.reflection))
+            assert m.b_meas == b_meas(SILICON, si_model, q_over_4pi(SILICON, m.reflection))
 
     @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf, [0.0008, math.nan]])
     def test_sigma_must_be_non_negative_and_finite(self, si_model, sigma):
@@ -518,7 +527,7 @@ class TestSharedPredictedRows:
             return
         for r, s in zip(refls, got):
             q = q_over_4pi(SILICON, r)
-            assert s == debye_waller_correct(b_meas(si_model, q), 0.0, si_model.B,
+            assert s == debye_waller_correct(b_meas(SILICON, si_model, q), 0.0, si_model.B,
                                              SILICON.sigma_B, q)[1]
         # One rounding order for the convention: at most 1 ulp from the loop.
         assert (np.abs(got - want) <= np.spacing(want)).all()
@@ -538,6 +547,13 @@ class TestSeedChecks:
         a = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=100, seed=np.uint8(4))
         b = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=100, seed=4)
         assert np.array_equal(a.empirical_cov, b.empirical_cov)
+
+    def test_monte_carlo_seed_must_fit_a_philox_key(self, si_model, new_eight):
+        # Philox keys are 128 bits; synth_measurements takes any seed.
+        with pytest.raises(ValueError, match=r"^the Monte-Carlo seed must be below 2\*\*128$"):
+            monte_carlo_validate(si_model, SILICON, new_eight, n_trials=100, seed=2**128)
+        monte_carlo_validate(si_model, SILICON, new_eight, n_trials=100, seed=2**128 - 1)
+        synth_measurements(si_model, SILICON, new_eight, seed=2**128)
 
 
 class TestMonteCarlo:
@@ -751,6 +767,22 @@ class TestCrystalIsTheOnlySource:
             fit_bne(noisy, SILICON, si_model.form_factor, 4.15)
         with pytest.raises(TypeError):
             joint_fit(noisy, SILICON, si_model.form_factor, 4.15)
+
+    def test_model_holds_only_the_hypothesis(self):
+        assert [f.name for f in fields(ScatteringModel)] == ["b_ne", "B", "form_factor"]
+
+    def test_model_carries_no_crystal_constants(self, si_model, new_eight):
+        # A model built from a crystal with other b_nuclear and Z, used with
+        # SILICON, gives SILICON's results bit for bit.
+        other = scattering_model(replace(SILICON, b_nuclear=9.0, Z=30), si_model.b_ne)
+        assert other == si_model
+        assert (error_budget(other, SILICON, new_eight)
+                == error_budget(si_model, SILICON, new_eight))
+        assert (synth_measurements(other, SILICON, new_eight, seed=5)
+                == synth_measurements(si_model, SILICON, new_eight, seed=5))
+        for r in new_eight:
+            assert (structure_factor_magnitude(SILICON, other, r)
+                    == structure_factor_magnitude(SILICON, si_model, r))
 
     @pytest.mark.parametrize("forward, expected", [
         (True, (-0.002624229037873835, 0.00026568434770201857)),

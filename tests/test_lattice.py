@@ -12,11 +12,11 @@ from pendellosung import (
     NoReflection,
     Reflection,
     ReflectionClass,
-    b_from_b_meas,
     b_meas,
     b_of_q,
     classify,
     debye_waller,
+    debye_waller_correct,
     q_over_4pi,
     scattering_model,
     structure_factor_magnitude,
@@ -102,11 +102,16 @@ class TestClassify:
 
 class TestScatteringLength:
     def test_forward_value_exact(self, si_model):
-        assert b_of_q(si_model, 0.0) == si_model.b_nuclear
+        assert b_of_q(SILICON, si_model, 0.0) == SILICON.b_nuclear
+
+    def test_b_nuclear_and_z_are_the_crystals(self, si_model):
+        crystal = replace(SILICON, b_nuclear=9.0, Z=30)
+        f = si_model.form_factor.f_at(Q111)
+        assert b_of_q(crystal, si_model, Q111) == 9.0 - si_model.b_ne * 30 * (1.0 - f)
 
     def test_si_111(self, si_model):
         # 4.1507 + 1.31e-3 * 14 * (1 - 0.7526)
-        assert b_of_q(si_model, Q111) == pytest.approx(4.155237, abs=1e-5)
+        assert b_of_q(SILICON, si_model, Q111) == pytest.approx(4.155237, abs=1e-5)
 
     def test_model_of_a_crystal_without_builtin_table(self):
         crystal = replace(SILICON, name="Si28")
@@ -117,12 +122,12 @@ class TestScatteringLength:
     def test_no_electrostatic_term(self):
         m = scattering_model(SILICON, 0.0)
         for q in (0.0, Q111, 0.45, 0.6):
-            assert b_of_q(m, q) == pytest.approx(4.1507, abs=1e-12)
+            assert b_of_q(SILICON, m, q) == pytest.approx(4.1507, abs=1e-12)
 
     def test_increasing_in_one_minus_f(self, si_model):
         # With b_ne < 0 the scattering length grows as f drops.
         qs = [0.0, Q111, 0.451044, 0.478403, 0.544686, 0.582294]
-        values = [b_of_q(si_model, q) for q in qs]
+        values = [b_of_q(SILICON, si_model, q) for q in qs]
         assert values == sorted(values)
 
 
@@ -146,24 +151,25 @@ class TestDebyeWaller:
             return
         assert debye_waller(B, hi) < debye_waller(B, lo)
 
-    def test_negative_b_rejected(self):
-        with pytest.raises(ValueError):
-            debye_waller(-0.1, 0.3)
+    @pytest.mark.parametrize("B", [-0.1, math.nan, math.inf])
+    def test_negative_or_non_finite_b_rejected(self, B):
+        with pytest.raises(ValueError, match="^B must be non-negative and finite$"):
+            debye_waller(B, 0.3)
 
 
 class TestBMeas:
     def test_b_zero_is_identity(self, si_model):
         m = scattering_model(SILICON, -1.31e-3, B=0.0)
-        assert b_meas(m, Q111) == b_of_q(m, Q111)
+        assert b_meas(SILICON, m, Q111) == b_of_q(SILICON, m, Q111)
 
     def test_survey_111_inversion(self):
         # Reported amplitude 4.1053 at B = 0.4613 corrects to ~4.1538.
-        b = b_from_b_meas(4.1053, 0.4613, Q111)
+        b = debye_waller_correct(4.1053, 0.0, 0.4613, 0.0, Q111)[0]
         assert 4.1532 <= b <= 4.1543
 
     def test_ge_111_inversion(self):
         q = math.sqrt(3) / (2 * 5.6575)
-        b = b_from_b_meas(8.0829, 0.57, q)
+        b = debye_waller_correct(8.0829, 0.0, 0.57, 0.0, q)[0]
         # oracle: divide by exp(-0.57 * 3/(4 * 5.6575^2))
         expected = 8.0829 / math.exp(-0.57 * 3 / (4 * 5.6575**2))
         assert b == pytest.approx(expected, rel=1e-14)
@@ -173,16 +179,17 @@ class TestBMeas:
     def test_round_trip(self, B, q):
         m = scattering_model(SILICON, -1.31e-3, B=B)
         try:
-            forward = b_meas(m, q)
+            forward = b_meas(SILICON, m, q)
         except Exception:
             return  # outside the form-factor domain
-        assert b_from_b_meas(forward, B, q) == pytest.approx(b_of_q(m, q), rel=1e-12)
+        back = debye_waller_correct(forward, 0.0, B, 0.0, q)[0]
+        assert back == pytest.approx(b_of_q(SILICON, m, q), rel=1e-12)
 
 
 class TestStructureFactor:
     def test_weak_amplitude(self, si_model):
         f = structure_factor_magnitude(SILICON, si_model, Reflection(1, 1, 1))
-        assert f == pytest.approx(4 * math.sqrt(2) * b_meas(si_model, Q111), rel=1e-15)
+        assert f == pytest.approx(4 * math.sqrt(2) * b_meas(SILICON, si_model, Q111), rel=1e-15)
 
     def test_survey_111_squared(self, si_model):
         # |F|^2 with the measured amplitude 4.1053 is about 540 fm^2.
@@ -199,14 +206,14 @@ class TestStructureFactor:
         assert f2 == pytest.approx(918.0, abs=3.0)
         # derivation chain: b(Q422) = 4.1603, DW = 0.91042
         q = q_over_4pi(SILICON, Reflection(4, 2, 2))
-        assert b_of_q(si_model, q) == pytest.approx(4.16026, abs=1e-4)
+        assert b_of_q(SILICON, si_model, q) == pytest.approx(4.16026, abs=1e-4)
         assert debye_waller(si_model.B, q) == pytest.approx(0.91042, abs=1e-5)
 
     def test_strong_to_weak_ratio(self, si_model):
         # Same b_meas: the class amplitudes differ by sqrt(2) exactly.
         q422 = q_over_4pi(SILICON, Reflection(4, 2, 2))
         strong = structure_factor_magnitude(SILICON, si_model, Reflection(4, 2, 2))
-        weak_equiv = 4 * math.sqrt(2) * b_meas(si_model, q422)
+        weak_equiv = 4 * math.sqrt(2) * b_meas(SILICON, si_model, q422)
         assert strong / weak_equiv == pytest.approx(math.sqrt(2), rel=1e-15)
 
 
