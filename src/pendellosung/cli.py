@@ -232,8 +232,9 @@ def _write_csv(path: Path, header, rows):
 
 
 def _block_formatter(n_cols):
-    """Return format(block) -> bytes for an (n, n_cols) float block: the
-    CSV rows of the block, every value exactly as _FMT % x.
+    """Return format(block) -> bytes for an (n, n_cols) float block of at
+    most _BLOCK_ROWS rows: the CSV rows of the block, every value exactly
+    as _FMT % x.
 
     A value 1e-4 <= x < 999999.5 prints in fixed notation: its six
     digits are r = rint(m), m = x * 10**(5 - e), e its decimal exponent
@@ -246,7 +247,12 @@ def _block_formatter(n_cols):
     bytes, and the separator in the last byte. Every other value (not
     positive, not finite, out of range, or at or near a rounding tie) is
     formatted by _FMT % x into its slot, so % stays the one
-    specification. The zero bytes are dropped last."""
+    specification. The zero bytes are dropped last.
+
+    The working arrays, slots included, are allocated here once for
+    _BLOCK_ROWS rows; each call fills the first n rows of each in place.
+    Memory freed and taken again every block is what the C heap tends to
+    hand back to the kernel and fault in anew, page by page."""
     import numpy as np  # local, so that cli itself does not need numpy
 
     u8 = np.dtype("<u8")
@@ -256,7 +262,8 @@ def _block_formatter(n_cols):
 
     k = np.arange(1000)
     digits3 = ((48 + k // 100) | (48 + k // 10 % 10) << 8 | (48 + k % 10) << 16).astype(u8)
-    zeros3 = sum(k % 10**j == 0 for j in (1, 2, 3))  # trailing zeros, 3 for 000
+    # Trailing zeros, 3 for 000.
+    zeros3 = sum(k % 10**j == 0 for j in (1, 2, 3)).astype(np.intp)
 
     # Tables by j = 6 (e + 4) + z, z the trailing zeros of r. Stripped are
     # cut = min(z, 5 - e) digits: never the e + 1 before the point, which
@@ -282,36 +289,83 @@ def _block_formatter(n_cols):
                 frac.append(0)
     head, strip, shift, carry, frac = (np.array(t, u8) for t in (head, strip, shift, carry, frac))
 
-    seps = [","] * (n_cols - 1) + ["\n"]
+    seps = np.array([","] * (n_cols - 1) + ["\n"])
     last = np.array([ord(c) << 56 for c in seps], u8)
 
+    # The slots live in a bytearray, so that dropping their zero bytes reads
+    # them in place; slots past a short block are zeroed, which drops them.
+    shape = (_BLOCK_ROWS, n_cols)
+    slots = bytearray(_BLOCK_ROWS * n_cols * 16)
+    scratch = (np.frombuffer(slots, u8).reshape(shape + (2,)),
+               *(np.empty(shape, bool) for _ in range(4)),
+               *(np.empty(shape) for _ in range(3)),
+               *(np.empty(shape, np.intp) for _ in range(5)),
+               *(np.empty(shape, u8) for _ in range(2)))
+
     def format_block(block):
-        words = np.empty(block.shape + (2,), u8)
+        # take() with mode="clip" writes straight into out=; every index
+        # here is in range, so the clip never acts.
+        words, ok, fast, up, flag, x, m, r, i, j, z, hi, lo, d, t = (
+            s[:len(block)] for s in scratch)
         with np.errstate(all="ignore"):
-            ok = (block >= 1e-4) & (block < 999999.5)
-            x = np.where(ok, block, 1.0)
+            np.greater_equal(block, 1e-4, out=ok)
+            ok &= np.less(block, 999999.5, out=flag)
+            x.fill(1.0)
+            np.copyto(x, block, where=ok)
             # e + 4; log10 is off by one only next to a power of ten, where
             # m leaves [1e5, 1e6) and the value goes to %.
-            i = (np.log10(x) + 4).astype(np.intp)
-            m = x * scale[i]
-            r = np.rint(m)
-            fast = ok & (m >= 1e5) & (m < 1e6) & (np.abs(np.abs(m - r) - 0.5) > 1e-9)
-            up = fast & (r == 1e6)  # rounds up to the next power of ten
+            np.log10(x, out=m)
+            m += 4
+            np.copyto(i, m, casting="unsafe")
+            np.take(scale, i, out=m, mode="clip")
+            m *= x
+            np.rint(m, out=r)
+            np.greater_equal(m, 1e5, out=fast)
+            fast &= ok
+            fast &= np.less(m, 1e6, out=flag)
+            np.subtract(m, r, out=x)
+            np.abs(x, out=x)
+            x -= 0.5
+            np.abs(x, out=x)
+            fast &= np.greater(x, 1e-9, out=flag)
+            np.equal(r, 1e6, out=up)  # rounds up to the next power of ten
+            up &= fast
             i += up
-            r = np.where(fast & ~up, r, 1e5)
-            hi = np.floor(r / 1000.0)
-            lo = (r - 1000.0 * hi).astype(np.intp)
-            hi = hi.astype(np.intp)
-        j = 6 * i + np.where(lo == 0, 3 + zeros3[hi], zeros3[lo])
-        digits = (digits3[hi] | digits3[lo] << np.uint64(24)) & strip[j]
-        words[..., 0] = head[j] | (digits << shift[j]) + (digits & frac[j]) * np.uint64(255)
-        words[..., 1] = digits >> carry[j] | last
+            np.invert(fast, out=flag)
+            flag |= up
+            np.copyto(r, 1e5, where=flag)
+            np.divide(r, 1000.0, out=x)
+            np.floor(x, out=x)
+            np.multiply(x, 1000.0, out=m)
+            np.subtract(r, m, out=m)
+            np.copyto(lo, m, casting="unsafe")
+            np.copyto(hi, x, casting="unsafe")
+        np.take(zeros3, lo, out=j, mode="clip")
+        np.take(zeros3, hi, out=z, mode="clip")
+        z += 3
+        np.copyto(j, z, where=np.equal(lo, 0, out=flag))
+        i *= 6
+        j += i
+        np.take(digits3, lo, out=d, mode="clip")
+        d <<= np.uint64(24)
+        d |= np.take(digits3, hi, out=t, mode="clip")
+        d &= np.take(strip, j, out=t, mode="clip")
+        w0, w1 = words[..., 0], words[..., 1]
+        np.left_shift(d, np.take(shift, j, out=t, mode="clip"), out=w0)
+        np.take(frac, j, out=t, mode="clip")
+        t &= d
+        t *= np.uint64(255)
+        w0 += t
+        w0 |= np.take(head, j, out=t, mode="clip")
+        np.right_shift(d, np.take(carry, j, out=t, mode="clip"), out=w1)
+        w1 |= last
         if not fast.all():
-            slow = ~fast
+            slow = np.invert(fast, out=flag)
             text = b"".join((_FMT % v).encode().ljust(15, b"\0") + c.encode() for v, c in
                             zip(block[slow].tolist(), np.broadcast_to(seps, block.shape)[slow]))
             words[slow] = np.frombuffer(text, u8).reshape(-1, 2)
-        return words.tobytes().translate(None, b"\0")
+        scratch[0][len(block):] = 0
+        return slots.translate(None, b"\0")
 
     return format_block
 
@@ -320,18 +374,24 @@ def _write_columns(path: Path, header, columns):
     """CSV of equal-length numeric columns, formatted in blocks of
     _BLOCK_ROWS rows by _block_formatter: each value as _FMT % x, in
     fixed notation from numpy arrays where the digits are provably those
-    of %, by % itself otherwise. Memory stays at one block whatever the
-    column length. A .6g number never holds a comma, a quote or a
-    newline, so no field needs the quoting of the csv module."""
+    of %, by % itself otherwise. The writer's memory stays at one block
+    whatever the column length, and is allocated once per file: each
+    block's columns are copied into the same float array. A .6g number
+    never holds a comma, a quote or a newline, so no field needs the
+    quoting of the csv module."""
     import numpy as np  # local, so that cli itself does not need numpy
 
     format_block = _block_formatter(len(columns))
+    block = np.empty((_BLOCK_ROWS, len(columns)))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
-            fh.write(format_block(block.astype(np.float64, copy=False)))
+        n_rows = len(columns[0])
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            b = block[:min(_BLOCK_ROWS, n_rows - start)]
+            for c, col in enumerate(columns):
+                b[:, c] = col[start:start + len(b)]
+            fh.write(format_block(b))
 
 
 def read_measurements_csv(path) -> list:

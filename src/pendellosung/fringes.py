@@ -261,7 +261,8 @@ def intensity_profile(spectrum: BeamSpectrum, crystal: CrystalSpec,
 
     Every step is elementwise, so the sweep runs in tiles of _SWEEP_BLOCK
     samples that stay in cache, writing into the result arrays; the bits
-    equal a whole-array evaluation.
+    equal a whole-array evaluation. The four result arrays are the rows
+    of one (4, n) block: one allocation per profile, 32 bytes a sample.
     """
     try:
         n_samples = operator.index(n_samples)
@@ -271,11 +272,20 @@ def intensity_profile(spectrum: BeamSpectrum, crystal: CrystalSpec,
         raise ValueError("n_samples must be an integer >= 2")
     require_observable(r)
     (lam_lo, lam_hi), _ = reflection_window(crystal, r, spectrum.window)
-    lam = np.linspace(lam_lo, lam_hi, n_samples)
+    lam, two_theta, arg, raw = np.empty((4, n_samples))
+    # np.linspace's steps, i * step + lo with the end set to hi, a tile at a
+    # time; the whole of lam is written first, since a failing tile quotes it.
+    # (linspace differs only where a nonzero width gives a step that
+    # underflows to zero.)
+    step = (lam_hi - lam_lo) / (n_samples - 1)
+    tiles = [slice(a, a + _SWEEP_BLOCK) for a in range(0, n_samples, _SWEEP_BLOCK)]
+    for tile in tiles:
+        lt = lam[tile]
+        np.multiply(np.arange(tile.start, tile.start + lt.size), step, out=lt)
+        lt += lam_lo
+    lam[-1] = lam_hi
     f_mag = structure_factor_magnitude(crystal, model, r)
-    two_theta, arg, raw = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
-    for start in range(0, n_samples, _SWEEP_BLOCK):
-        tile = slice(start, start + _SWEEP_BLOCK)
+    for tile in tiles:
         theta, arg[tile] = _sweep(crystal, r, geom, f_mag, lam, tile)
         np.degrees(2.0 * theta, out=two_theta[tile])
         lt = lam[tile]

@@ -159,6 +159,12 @@ class ScatteringModel:
     B: float
     form_factor: FormFactorTable
 
+    def __post_init__(self):
+        if not math.isfinite(self.b_ne):
+            raise ValueError("b_ne must be finite")
+        if not 0 <= self.B < math.inf:
+            raise ValueError("B must be non-negative and finite")
+
 
 def q_over_4pi(crystal: CrystalSpec, r: Reflection) -> float:
     """Q/4pi = sqrt(h^2+k^2+l^2) / (2 a0) in 1/angstrom; NoReflection past floats."""

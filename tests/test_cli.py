@@ -1,5 +1,10 @@
 import csv
+import os
+import platform
 import re
+import resource
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -7,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pendellosung
 from pendellosung.cli import (
     _BLOCK_ROWS, _block_formatter, _write_columns, main, read_measurements_csv,
 )
@@ -202,6 +208,72 @@ class TestBlockFormatter:
             tracemalloc.stop()
         assert peak < 12 * slot_bytes
         assert (tmp_path / "big.csv").stat().st_size > 12 * slot_bytes
+
+
+# Values that go to %, and values the numpy path formats.
+_FALLBACKS = [-1.5, 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-5, 1e7, 2.5e-310, 12345.25]
+_FAST = [1.0, 0.123456, 2.5e-4, 98765.4, 31.4159, 0.00123, 999999.0, 42.0, 7.5e-3, 654321.0]
+
+
+class TestWriterReusesScratch:
+    """The writer fills the same arrays for every block; no field of an
+    earlier block may show through a later, shorter one."""
+
+    @staticmethod
+    def _alternating(n_rows, n_cols=4):
+        # At each (row in block, column), the value goes to % in one block
+        # and through the numpy path in the next, and the other way round.
+        r = np.arange(n_rows)[:, None]
+        c = np.arange(n_cols)[None, :]
+        fallback = (r % _BLOCK_ROWS + r // _BLOCK_ROWS + c) % 2 == 0
+        pick = (r * 7 + c * 3) % len(_FAST)
+        block = np.where(fallback, np.take(_FALLBACKS, pick), np.take(_FAST, pick))
+        return [np.ascontiguousarray(block[:, j]) for j in range(n_cols)]
+
+    @pytest.mark.parametrize("n_rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                        3 * _BLOCK_ROWS + 7])
+    def test_bytes_equal_percent(self, tmp_path, n_rows):
+        columns = self._alternating(n_rows)
+        _write_columns(tmp_path / "fast.csv", ["a", "b", "c", "d"], columns)
+        expected = b"a,b,c,d\n" + percent_rows(np.column_stack(columns))
+        assert (tmp_path / "fast.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("first, second", [(_FAST, _FALLBACKS), (_FALLBACKS, _FAST)])
+    def test_formatter_called_again_on_a_shorter_block(self, first, second):
+        fmt = _block_formatter(2)
+        full = np.resize(first, (_BLOCK_ROWS, 2))
+        short = np.resize(second, (3, 2))
+        assert fmt(full) == percent_rows(full)
+        assert fmt(short) == percent_rows(short)
+        assert fmt(full[:1]) == percent_rows(full[:1])
+
+
+def _is_linux_glibc():
+    return sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not _is_linux_glibc(), reason="counts glibc heap page faults on Linux")
+def test_simulate_faults_stay_near_the_profile(tmp_path):
+    # A writer that frees and takes its block memory again every block
+    # faults the pages back in each time: about 35k faults over a fresh
+    # `radius` at 3e5 samples. The profile itself may fault its own pages,
+    # up to twice over, and start-up noise is allowed for.
+    src = os.path.dirname(os.path.dirname(pendellosung.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def minor_faults(*argv):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        subprocess.run([sys.executable, "-m", "pendellosung", *argv], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    n = 300_000
+    baseline = minor_faults("radius", "--", "-0.00131")
+    faults = minor_faults("simulate", "711", "--samples", str(n), "--out", str(tmp_path))
+    result_pages = 4 * n * 8 // resource.getpagesize()
+    assert faults - baseline < 2 * result_pages + 2000
 
 
 class TestSynthFitRoundTrip:

@@ -309,6 +309,21 @@ class TestTiledProfile:
             intensity_profile(BeamSpectrum(), SILICON, si_model, Reflection(1, 1, 1), blade,
                               n_samples=17)
 
+    @pytest.mark.parametrize("n", [2, fringes._SWEEP_BLOCK - 1, fringes._SWEEP_BLOCK,
+                                   fringes._SWEEP_BLOCK + 1, 3 * fringes._SWEEP_BLOCK + 5])
+    def test_one_block_and_linspace_bits(self, si_model, blade, n):
+        # The four arrays are rows of one allocation; lam, written a tile
+        # at a time, is np.linspace bit for bit whatever the tile count.
+        r = Reflection(7, 1, 1)
+        spectrum = BeamSpectrum()
+        prof = intensity_profile(spectrum, SILICON, si_model, r, blade, n_samples=n)
+        arrays = (prof.lam, prof.two_theta_deg, prof.argument, prof.intensity)
+        base = prof.lam.base
+        assert base is not None and base.shape == (4, n)
+        assert all(a.base is base and a.flags.c_contiguous and a.shape == (n,) for a in arrays)
+        (lo, hi), _ = reflection_window(SILICON, r, spectrum.window)
+        assert prof.lam.tobytes() == np.linspace(lo, hi, n).tobytes()
+
     def test_peak_memory_is_results_plus_one_tile(self, si_model, blade):
         # Four result arrays plus one tile's temporaries; a whole-array
         # evaluation holds about ten result-sized arrays at its peak.

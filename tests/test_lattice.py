@@ -131,6 +131,25 @@ class TestScatteringLength:
         assert values == sorted(values)
 
 
+class TestScatteringModelChecks:
+    """A model refuses a non-finite b_ne and a non-finite or negative B
+    when it is built, replace() included, not in a later calculation."""
+
+    @pytest.mark.parametrize("b_ne", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bne(self, si_model, b_ne):
+        with pytest.raises(ValueError, match="^b_ne must be finite$"):
+            scattering_model(SILICON, b_ne)
+        with pytest.raises(ValueError, match="^b_ne must be finite$"):
+            replace(si_model, b_ne=b_ne)
+
+    @pytest.mark.parametrize("B", [math.inf, -1.0, math.nan])
+    def test_negative_or_non_finite_b(self, si_model, B):
+        with pytest.raises(ValueError, match="^B must be non-negative and finite$"):
+            scattering_model(SILICON, -1.31e-3, B=B)
+        with pytest.raises(ValueError, match="^B must be non-negative and finite$"):
+            replace(si_model, B=B)
+
+
 class TestDebyeWaller:
     def test_b_zero(self):
         for q in (0.0, 0.2, 0.7):
