@@ -289,8 +289,8 @@ def _block_formatter(n_cols):
                 frac.append(0)
     head, strip, shift, carry, frac = (np.array(t, u8) for t in (head, strip, shift, carry, frac))
 
-    seps = np.array([","] * (n_cols - 1) + ["\n"])
-    last = np.array([ord(c) << 56 for c in seps], u8)
+    seps = [b","] * (n_cols - 1) + [b"\n"]
+    last = np.array([c[0] << 56 for c in seps], u8)
 
     # The slots live in a bytearray, so that dropping their zero bytes reads
     # them in place; slots past a short block are zeroed, which drops them.
@@ -360,10 +360,10 @@ def _block_formatter(n_cols):
         np.right_shift(d, np.take(carry, j, out=t, mode="clip"), out=w1)
         w1 |= last
         if not fast.all():
-            slow = np.invert(fast, out=flag)
-            text = b"".join((_FMT % v).encode().ljust(15, b"\0") + c.encode() for v, c in
-                            zip(block[slow].tolist(), np.broadcast_to(seps, block.shape)[slow]))
-            words[slow] = np.frombuffer(text, u8).reshape(-1, 2)
+            rows, cols = np.invert(fast, out=flag).nonzero()
+            text = b"".join((_FMT % v).encode().ljust(15, b"\0") + seps[c] for v, c in
+                            zip(block[rows, cols].tolist(), cols.tolist()))
+            words[rows, cols] = np.frombuffer(text, u8).reshape(-1, 2)
         scratch[0][len(block):] = 0
         return slots.translate(None, b"\0")
 

@@ -145,8 +145,9 @@ def bessel_j0(x):
     # or inf, get the rational form, which most fringe-sweep tiles never need.
     with np.errstate(all="ignore"):
         out = _j0_large(ax)
-    small = ax <= 5.0
-    if small.any():
+    # fmin skips NaN, where min would return it and hide the small entries.
+    if np.fmin.reduce(ax, initial=math.inf) <= 5.0:
+        small = ax <= 5.0
         axs = ax[small]
         z = axs ** 2
         p = (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _polevl(z, _RQ)
@@ -216,11 +217,12 @@ class FringeCount:
 
 
 def _sweep(crystal: CrystalSpec, r: Reflection, geom: BladeGeometry, f_mag: float,
-           lam: np.ndarray, tile=Ellipsis):
+           lam: np.ndarray, tile=Ellipsis, out=None):
     """Bragg angle theta (radians) and the J0 argument, for |F| = f_mag (fm),
-    at each wavelength of lam[tile] (angstrom); NoReflection, quoting the
-    NaN count and the range of the rest of lam, unless 0 < sin(theta) <= 1,
-    and PendellosungError if the argument overflows to infinity."""
+    at each wavelength of lam[tile] (angstrom), the argument written into
+    out if given; NoReflection, quoting the NaN count and the range of the
+    rest of lam, unless 0 < sin(theta) <= 1, and PendellosungError if the
+    argument overflows to infinity."""
     lt = lam[tile]
     s = lt * q_over_4pi(crystal, r)
     # The largest sin(theta) has the largest |argument|. min and argmax pick
@@ -232,14 +234,21 @@ def _sweep(crystal: CrystalSpec, r: Reflection, geom: BladeGeometry, f_mag: floa
         quoted = [f"NaN ({nan.sum()} of {lam.size} entries)"] if nan.any() else []
         quoted += [f"[{rest.min():.4g}, {rest.max():.4g}] A"] if rest.size else []
         raise NoReflection(f"({r.label()}): no Bragg angle for lambda in {' and '.join(quoted)}")
-    theta = np.radians(np.degrees(np.arcsin(s)))
+    # Through degrees and back, as np.radians(np.degrees(.)), whose loops
+    # are these two products.
+    theta = np.arcsin(s)
+    theta *= 180.0 / math.pi
+    theta *= math.pi / 180.0
     scale = geom.thickness_cm * ANGSTROM_PER_CM * f_mag * ANGSTROM_PER_FM
-    den = crystal.a0**3 * np.cos(theta)
+    den = np.cos(theta)
+    den *= crystal.a0**3
     # The same IEEE steps on Python floats, which overflow without a warning.
     if top is not None and math.isinf(scale * float(lt.flat[top]) / float(den.flat[top])):
         raise PendellosungError(f"({r.label()}): J0 argument overflows at lambda = "
                                 f"{lt.flat[top]:.4g} A (t = {geom.thickness_cm:.4g} cm)")
-    return theta, scale * lt / den
+    arg = np.multiply(lt, scale, out=out)
+    arg /= den
+    return theta, arg
 
 
 def pendellosung_argument(crystal: CrystalSpec, model: ScatteringModel,
@@ -286,11 +295,17 @@ def intensity_profile(spectrum: BeamSpectrum, crystal: CrystalSpec,
     lam[-1] = lam_hi
     f_mag = structure_factor_magnitude(crystal, model, r)
     for tile in tiles:
-        theta, arg[tile] = _sweep(crystal, r, geom, f_mag, lam, tile)
-        np.degrees(2.0 * theta, out=two_theta[tile])
+        theta, arg_tile = _sweep(crystal, r, geom, f_mag, lam, tile, out=arg[tile])
+        tt = np.multiply(theta, 2.0, out=two_theta[tile])
+        tt *= 180.0 / math.pi  # np.degrees
+        # (I0 lambda^2) |F|^2, then J0^2, in place.
+        j = bessel_j0(arg_tile)
+        j *= j
         lt = lam[tile]
-        np.multiply(spectrum.intensity(lt) * lt**2 * f_mag**2, bessel_j0(arg[tile]) ** 2,
-                    out=raw[tile])
+        i0 = spectrum.intensity(lt)
+        i0 *= lt * lt
+        i0 *= f_mag**2
+        np.multiply(i0, j, out=raw[tile])
     peak = raw.max()
     if peak > 0:
         raw /= peak

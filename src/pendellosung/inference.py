@@ -523,8 +523,12 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     if not reflections:
         raise InsufficientData("no reflections left for the Monte Carlo")
     q, f, b_pred = _predicted_rows(model, crystal, reflections)
+    try:
+        n_trials = operator.index(n_trials)
+    except TypeError:
+        n_trials = 0  # refused below, like a count under two
     if n_trials < 2:
-        raise ValueError("need at least two trials")
+        raise ValueError("n_trials must be an integer >= 2")
     seed = _check_seed(seed)
     if seed >> 128:  # Philox keys are 128 bits
         raise ValueError("the Monte-Carlo seed must be below 2**128")
@@ -540,10 +544,13 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     scaled = (estimator * sy).T  # unit-normal noise -> parameter deviations
     total = np.zeros(len(names))
     cross = np.zeros((len(names), len(names)))
+    buf = np.empty((min(_MC_CHUNK, n_trials), len(names)))
     for noise in _normal_chunks(seed, n_trials, len(sy)):
-        params = noise @ scaled  # deviations from the noiseless solution
-        total += params.sum(axis=0)
+        # Deviations from the noiseless solution, in one reused block; the
+        # running sum, taken last, adds the rows in the order of sum(axis=0).
+        params = np.matmul(noise, scaled, out=buf[:len(noise)])
         cross += params.T @ params
+        total += np.add.accumulate(params, axis=0, out=params)[-1]
     mean = total / n_trials
     empirical = (cross - n_trials * np.outer(mean, mean)) / (n_trials - 1)
     return MonteCarloResult(param_names=names, analytic_cov=analytic,

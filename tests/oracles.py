@@ -26,6 +26,14 @@ verdict and bit for bit.
 are frozen copies of the two per-reflection loops that synthetic amplitudes
 and the temperature-factor error model ran before both went through the
 fits' shared predicted rows and ``debye_waller_correct``.
+
+``sweep_with_temporaries`` and ``profile_with_temporaries`` are frozen
+copies of the fringe profile's per-tile steps as they stood when the angle
+conversions went through ``np.degrees``/``np.radians`` and the J0 argument
+and the intensity were built in temporaries; ``monte_carlo_with_temporaries``
+is the Monte Carlo as it stood when every noise chunk gave a fresh
+parameter block reduced by ``sum(axis=0)``. They pin the in-place rewrites
+of those loops bit for bit.
 """
 
 from __future__ import annotations
@@ -36,13 +44,17 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 
+from pendellosung import inference
+from pendellosung.constants import ANGSTROM_PER_CM, ANGSTROM_PER_FM
 from pendellosung.fringes import (
-    _DR1, _DR2, _PIO4, _PP, _PQ, _QP, _QQ, _RP, _RQ, _SQ2OPI,
+    _DR1, _DR2, _PIO4, _PP, _PQ, _QP, _QQ, _RP, _RQ, _SQ2OPI, _SWEEP_BLOCK,
 )
 from pendellosung.errors import DegenerateDesign
-from pendellosung.lattice import Reflection, b_meas, classify, debye_waller, q_over_4pi
+from pendellosung.lattice import (
+    Reflection, b_meas, classify, debye_waller, q_over_4pi, structure_factor_magnitude,
+)
 from pendellosung.planner import (
-    PEAK_SLACK_DEG, Contaminant, _two_theta, _window, bragg_angle,
+    PEAK_SLACK_DEG, Contaminant, _two_theta, _window, bragg_angle, reflection_window,
 )
 
 _SERIES_CUT = 30.0
@@ -254,3 +266,57 @@ def temperature_factor_sigmas_per_reflection(model, crystal, reflections):
         b_q = b_meas(crystal, model, q) / debye_waller(model.B, q)
         out.append(b_q * q * q * crystal.sigma_B)
     return np.array(out)
+
+
+def sweep_with_temporaries(crystal, r, geom, f_mag, lam):
+    """theta (radians) and the J0 argument at each wavelength of lam, one
+    temporary per step (the range and overflow checks left out)."""
+    s = lam * q_over_4pi(crystal, r)
+    theta = np.radians(np.degrees(np.arcsin(s)))
+    scale = geom.thickness_cm * ANGSTROM_PER_CM * f_mag * ANGSTROM_PER_FM
+    den = crystal.a0**3 * np.cos(theta)
+    return theta, scale * lam / den
+
+
+def profile_with_temporaries(spectrum, crystal, model, r, geom, n_samples):
+    """(lam, two_theta_deg, argument, intensity) of the fringe profile, tile
+    by tile of _SWEEP_BLOCK samples, each step into a fresh array."""
+    (lam_lo, lam_hi), _ = reflection_window(crystal, r, spectrum.window)
+    lam, two_theta, arg, raw = np.empty((4, n_samples))
+    step = (lam_hi - lam_lo) / (n_samples - 1)
+    lam[:] = np.arange(n_samples) * step + lam_lo
+    lam[-1] = lam_hi
+    f_mag = structure_factor_magnitude(crystal, model, r)
+    for a in range(0, n_samples, _SWEEP_BLOCK):
+        tile = slice(a, a + _SWEEP_BLOCK)
+        lt = lam[tile]
+        theta, arg[tile] = sweep_with_temporaries(crystal, r, geom, f_mag, lt)
+        two_theta[tile] = np.degrees(2.0 * theta)
+        raw[tile] = (spectrum.intensity(lt) * lt**2 * f_mag**2
+                     * bessel_j0_out_of_place(arg[tile]) ** 2)
+    peak = raw.max()
+    if peak > 0:
+        raw /= peak
+    return lam, two_theta, arg, raw
+
+
+def monte_carlo_with_temporaries(model, crystal, reflections, sigma, n_trials, seed,
+                                 include_forward):
+    """(analytic, empirical) covariances of monte_carlo_validate, a fresh
+    parameter block per noise chunk."""
+    q, f, b_pred = inference._predicted_rows(model, crystal, list(reflections))
+    x1, _, sy, x2 = inference._log_rows(q, b_pred, sigma,
+                                        inference._forward(crystal, include_forward), 1.0 - f)
+    design = inference._joint_design(x1, x2, crystal.Z / crystal.b_nuclear,
+                                     free_intercept=True)
+    w = 1.0 / sy**2
+    analytic = inference._normal_cov(design, w)
+    scaled = ((analytic @ design.T) * w * sy).T
+    total = np.zeros(3)
+    cross = np.zeros((3, 3))
+    for noise in inference._normal_chunks(seed, n_trials, len(sy)):
+        params = noise @ scaled
+        total += params.sum(axis=0)
+        cross += params.T @ params
+    mean = total / n_trials
+    return analytic, (cross - n_trials * np.outer(mean, mean)) / (n_trials - 1)

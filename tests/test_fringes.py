@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pendellosung import (
+    GERMANIUM,
     SILICON,
     BeamSpectrum,
     BladeGeometry,
@@ -21,10 +22,18 @@ from pendellosung import (
     q_over_4pi,
     scattering_model,
     structure_factor_magnitude,
+    survey,
 )
 from pendellosung.planner import reflection_window
 
-from oracles import bessel_j0_out_of_place, j0_oracle, j0_zero, j0_zeros_between
+from oracles import (
+    bessel_j0_out_of_place,
+    j0_oracle,
+    j0_zero,
+    j0_zeros_between,
+    profile_with_temporaries,
+    sweep_with_temporaries,
+)
 
 
 class TestBesselJ0:
@@ -338,6 +347,62 @@ class TestTiledProfile:
         finally:
             tracemalloc.stop()
         assert peak < 6 * n * 8
+
+
+class TestAngleConversionPremise:
+    """np.degrees and np.radians are one multiply by 180/pi and pi/180 bit
+    for bit, the premise of the profile's in-place conversions."""
+
+    def test_products_are_the_ufuncs(self):
+        rng = np.random.default_rng(20)
+        tiny, big = np.finfo(float).tiny, np.finfo(float).max
+        x = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, tiny, -tiny,
+             big, -big],
+            rng.uniform(-math.pi, math.pi, 100_000),
+            rng.uniform(-400.0, 400.0, 100_000),
+            # Every binary exponent, subnormals included.
+            np.ldexp(rng.uniform(-1.0, 1.0, 100_000), rng.integers(-1074, 1025, 100_000)),
+        ])
+        with np.errstate(all="ignore"):
+            assert np.degrees(x).tobytes() == (x * (180.0 / math.pi)).tobytes()
+            assert np.radians(x).tobytes() == (x * (math.pi / 180.0)).tobytes()
+
+
+_SI_PURE = [p.reflection for p in survey(SILICON).pure]
+
+
+class TestProfileMatchesFrozenTemporaries:
+    """The profile's in-place tile steps give the bits of the frozen copy
+    that built every step in a temporary."""
+
+    B = fringes._SWEEP_BLOCK
+
+    @pytest.mark.parametrize("shape", ["flat", "maxwellian"])
+    @pytest.mark.parametrize("crystal,r", [(SILICON, r) for r in _SI_PURE]
+                             + [(GERMANIUM, Reflection(1, 1, 1))],
+                             ids=[f"Si{r.label()}" for r in _SI_PURE] + ["Ge111"])
+    def test_profiles(self, crystal, r, shape):
+        model = scattering_model(crystal, -1.31e-3)
+        spectrum = BeamSpectrum(shape=shape)
+        # The thinnest blade puts J0's small-argument branch in the low orders.
+        for t in (0.03125, 1.0, 2.0):
+            for n in (2, 3, self.B - 1, self.B, self.B + 1, 2 * self.B + 5):
+                prof = intensity_profile(spectrum, crystal, model, r, BladeGeometry(t),
+                                         n_samples=n)
+                got = (prof.lam, prof.two_theta_deg, prof.argument, prof.intensity)
+                want = profile_with_temporaries(spectrum, crystal, model, r,
+                                                BladeGeometry(t), n)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (t, n)
+
+    @pytest.mark.parametrize("lam", [0.9, 1.2, 1.5])
+    @pytest.mark.parametrize("r", [Reflection(1, 1, 1), Reflection(7, 1, 1)],
+                             ids=["111", "711"])
+    def test_argument_of_a_python_float(self, si_model, blade, r, lam):
+        got = pendellosung_argument(SILICON, si_model, r, blade, lam)
+        f_mag = structure_factor_magnitude(SILICON, si_model, r)
+        want = sweep_with_temporaries(SILICON, r, blade, f_mag, np.asarray(lam))[1]
+        assert type(got) is float and got.hex() == float(want).hex()
 
 
 class TestFringeSensitivity:

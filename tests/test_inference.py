@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -37,6 +38,7 @@ from pendellosung.inference import temperature_factor_sigmas
 from pendellosung.lattice import ReflectionClass
 
 from oracles import (
+    monte_carlo_with_temporaries,
     normal_cov_with_cond,
     synth_amplitudes_per_reflection,
     temperature_factor_sigmas_per_reflection,
@@ -647,6 +649,51 @@ class TestChunkedMonteCarlo:
         chunked = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=1000, seed=8)
         np.testing.assert_allclose(chunked.empirical_cov, whole.empirical_cov,
                                    rtol=1e-12, atol=0)
+
+
+class TestMonteCarloInPlace:
+    """One parameter block per call, reduced in place: the covariance bits of
+    the frozen loop that took a fresh block and sum(axis=0) per chunk."""
+
+    C = inference._MC_CHUNK
+
+    @pytest.mark.parametrize("forward", [True, False], ids=["forward", "no-forward"])
+    @pytest.mark.parametrize("n_trials", [2, 3, 1000, C - 1, C, C + 1, 2 * C + 1])
+    def test_covariance_bits(self, si_model, new_eight, n_trials, forward):
+        for seed in (0, 7):
+            res = monte_carlo_validate(si_model, SILICON, new_eight, sigma=0.0008,
+                                       n_trials=n_trials, seed=seed, include_forward=forward)
+            analytic, empirical = monte_carlo_with_temporaries(
+                si_model, SILICON, new_eight, 0.0008, n_trials, seed, forward)
+            assert res.analytic_cov.tobytes() == analytic.tobytes()
+            assert res.empirical_cov.tobytes() == empirical.tobytes()
+
+    @pytest.mark.parametrize("forward", [True, False], ids=["forward", "no-forward"])
+    def test_memory_is_the_noise_block_plus_one_parameter_block(self, si_model, new_eight,
+                                                                 forward):
+        n_obs = len(new_eight) + forward
+        noise, block = self.C * n_obs * 8, self.C * 3 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            monte_carlo_validate(si_model, SILICON, new_eight, n_trials=2 * self.C + 1,
+                                 include_forward=forward)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # A fresh block per chunk holds two at once: noise + 2 blocks.
+        assert peak < noise + 1.5 * block
+
+    @pytest.mark.parametrize("n_trials", [1e5, 2.5, "100", None, 1, -5])
+    def test_n_trials_must_be_an_integer_of_two_or_more(self, si_model, new_eight, n_trials):
+        with pytest.raises(ValueError, match="^n_trials must be an integer >= 2$"):
+            monte_carlo_validate(si_model, SILICON, new_eight, n_trials=n_trials)
+
+    def test_integer_types_run_as_their_value(self, si_model, new_eight):
+        a = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=np.int64(100))
+        b = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=100)
+        assert type(a.n_trials) is int and a.n_trials == 100
+        assert a.empirical_cov.tobytes() == b.empirical_cov.tobytes()
 
 
 def _cov_or_none(fn, a, w):
