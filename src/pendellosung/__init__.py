@@ -12,6 +12,7 @@ from .errors import (
     InsufficientData,
     NoReflection,
     PendellosungError,
+    SurveyTooLarge,
 )
 from .formfactor import FormFactorTable
 from .fringes import (

@@ -53,7 +53,7 @@ from pathlib import Path
 
 from . import fringes, inference, lattice, planner
 from .constants import CODATA
-from .errors import ConfigError, FormFactorRangeError, PendellosungError
+from .errors import ConfigError, FormFactorRangeError, PendellosungError, SurveyTooLarge
 from .formfactor import table_from_csv
 from .lattice import BUILTIN_TABLES, CrystalSpec, Reflection, ScatteringModel
 
@@ -76,6 +76,19 @@ _COUNT = _checked(int, lambda v: v >= 2, "integer >= 2")
 _FINITE = _checked(float, math.isfinite, "finite number")
 _NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "non-negative finite number")
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive finite number")
+
+
+def _trials(text):
+    """--trials: an integer >= 2 (refused as _COUNT refuses it) and at most
+    inference.MAX_MC_TRIALS, refused with its own message."""
+    n = _COUNT(text)
+    if n > inference.MAX_MC_TRIALS:
+        raise argparse.ArgumentTypeError(
+            f"{n} trials is past the cap of {inference.MAX_MC_TRIALS}")
+    return n
+
+
+_trials.__name__ = _COUNT.__name__
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -662,7 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="include the reference (111) reflection")
 
     sp = sub.add_parser("mc", help="Monte-Carlo check of the fit covariance", parents=[common])
-    sp.add_argument("--trials", type=_COUNT, default=10_000)
+    sp.add_argument("--trials", type=_trials, default=10_000,
+                    help="noise draws, 2 to 10^9 (about 4 minutes of CPU at the cap)")
     # Zero noise leaves no spread to compare, so the sigma ratios are undefined.
     sp.add_argument("--sigma", type=_POSITIVE, default=inference.DEFAULT_SIGMA_B_MEAS)
 
@@ -689,7 +703,8 @@ def main(argv=None) -> int:
         if getattr(args, "out", None) is not None:
             cfg = replace(cfg, out_dir=Path(args.out))
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, SurveyTooLarge) as exc:
+        # SurveyTooLarge: the configured window asks for too long a survey walk.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FormFactorRangeError as exc:  # only commands raise it, so cfg is set

@@ -17,6 +17,11 @@ class EmptyWindow(PendellosungError):
     """Wavelength/angle windows do not overlap."""
 
 
+class SurveyTooLarge(PendellosungError):
+    """A window would send the survey walk past its fixed bound on
+    h^2 + k^2 + l^2 (planner.MAX_WALK_N_SQ)."""
+
+
 class FormFactorRangeError(PendellosungError):
     """Momentum transfer outside the tabulated form-factor domain."""
 

@@ -70,7 +70,11 @@ class FitResult:
     """Fitted parameters with covariance.
 
     Parameter order is fixed: ("B", "b_ne") for the two-parameter fit,
-    with "ln_b_nuclear" appended when the intercept is free.
+    with "ln_b_nuclear" appended when the intercept is free. n_iter counts
+    the Gauss-Newton steps on the exact model; converged is False when
+    the refinement stopped without a step below 1e-13, either after its
+    four steps or because a trial parameter set gave a non-positive
+    b(Q), and True for a fit without refinement.
     """
 
     param_names: tuple
@@ -78,6 +82,8 @@ class FitResult:
     covariance: np.ndarray
     chi2: float
     dof: int
+    n_iter: int
+    converged: bool
 
     def value(self, name: str) -> float:
         return float(self.values[self.param_names.index(name)])
@@ -150,8 +156,12 @@ def _forward(crystal: CrystalSpec, include_forward: bool):
 
 
 def _prepend(head, cols):
-    """Put the forward datum (x = 0), one value per column, in front."""
-    return tuple(np.concatenate([[h], c]) for h, c in zip(head, cols))
+    """Put the forward datum (x = 0), one value per column, in front; the
+    columns come back as the rows of one block."""
+    rows = np.empty((len(cols), len(cols[0]) + 1))
+    rows[:, 0] = head
+    rows[:, 1:] = cols
+    return tuple(rows)
 
 
 def _log_rows(q, b, sigma, forward=None, *extra):
@@ -173,9 +183,9 @@ def _corrected_rows(q, f, b, sigma, B, sigma_B, forward=None):
     b(Q) and sy come from debye_waller_correct; forward = (b_nuclear,
     sigma_b_nuclear) leads with the x = 0 datum.
     """
-    corrected = np.array([debye_waller_correct(bi, si, B, sigma_B, qi) for bi, si, qi
-                          in zip(b, np.broadcast_to(sigma, q.shape), q)]).reshape(-1, 2)
-    rows = (1.0 - f, corrected[:, 0], corrected[:, 1])
+    corrected = [debye_waller_correct(bi, si, B, sigma_B, qi) for bi, si, qi
+                 in zip(b.tolist(), np.broadcast_to(sigma, q.shape).tolist(), q.tolist())]
+    rows = (1.0 - f, *np.array(corrected).reshape(-1, 2).T)
     return rows if forward is None else _prepend((0.0, *forward), rows)
 
 
@@ -194,9 +204,9 @@ def _measured_rows(ms, crystal: CrystalSpec, table: FormFactorTable | None = Non
     if not ms:
         raise InsufficientData("no measurements")
     _require_reflections(m.reflection for m in ms)
-    q = np.array([q_over_4pi(crystal, m.reflection) for m in ms])
+    q = [q_over_4pi(crystal, m.reflection) for m in ms]
     f = None if table is None else np.array([table.f_at(qi) for qi in q])
-    return q, f, np.array([m.b_meas for m in ms]), np.array([m.sigma for m in ms])
+    return np.array(q), f, np.array([m.b_meas for m in ms]), np.array([m.sigma for m in ms])
 
 
 def _predicted_rows(model: ScatteringModel, crystal: CrystalSpec, reflections):
@@ -206,7 +216,7 @@ def _predicted_rows(model: ScatteringModel, crystal: CrystalSpec, reflections):
     q = [q_over_4pi(crystal, r) for r in reflections]
     f = [model.form_factor.f_at(qi) for qi in q]
     b = [_b_of_f(crystal, model, fi) * debye_waller(model.B, qi) for qi, fi in zip(q, f)]
-    return np.array(q), np.array(f), np.array(b)
+    return tuple(np.array((q, f, b)))
 
 
 def _wls_line(x, y, sigma, fixed_intercept=None):
@@ -238,10 +248,12 @@ def _wls_line(x, y, sigma, fixed_intercept=None):
 
 def _joint_design(x1, x2, scale, free_intercept: bool):
     """Columns of ln b = c - B x1 - b_ne scale x2 in (B, b_ne[, c]) order."""
-    cols = [-x1, -scale * x2]
+    a = np.empty((len(x1), 3 if free_intercept else 2))
+    np.negative(x1, out=a[:, 0])
+    np.multiply(-scale, x2, out=a[:, 1])
     if free_intercept:
-        cols.append(np.ones_like(x1))
-    return np.column_stack(cols)
+        a[:, 2] = 1.0
+    return a
 
 
 def _normal_cov(a, w):
@@ -297,7 +309,7 @@ def fit_temperature_factor(ms, crystal: CrystalSpec, *,
     """
     q, _, b, s = _measured_rows(ms, crystal)
     x, y, sy = _log_rows(q, b, s, _forward(crystal, include_forward and free_intercept))
-    if free_intercept and np.ptp(x) == 0:
+    if free_intercept and x.max() == x.min():
         raise InsufficientData("need two distinct Q values (or a fixed intercept)")
     _, slope, cov = _wls_line(x, y, sy,
                               None if free_intercept else math.log(crystal.b_nuclear))
@@ -314,7 +326,7 @@ def fit_bne(ms, crystal: CrystalSpec, table: FormFactorTable, *,
     q, f, b, s = _measured_rows(ms, crystal, table)
     x, y, sy = _corrected_rows(q, f, b, s, crystal.B, crystal.sigma_B,
                                _forward(crystal, include_forward))
-    if np.ptp(x) == 0:
+    if x.max() == x.min():
         raise InsufficientData("need two distinct form-factor abscissas")
     _, slope, cov = _wls_line(x, y, sy)
     return -slope / crystal.Z, math.sqrt(cov[1, 1]) / crystal.Z
@@ -338,7 +350,7 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
     if len(ms) < 2:
         raise InsufficientData("joint fit needs at least two reflections")
     q, f, b, s = _measured_rows(ms, crystal, table)
-    if np.ptp(q) == 0 and np.ptp(f) == 0:
+    if q.max() == q.min() and f.max() == f.min():
         raise DegenerateDesign("all measurements share one (q^2, 1-f) point")
     x1, y, sy, x2 = _log_rows(q, b, s, _forward(crystal, include_forward), 1.0 - f)
 
@@ -361,27 +373,39 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
         return np.log(bq) - t[0] * x1, bq
 
     model = design @ theta + offset
+    # Gauss-Newton steps taken, and whether the last one stalled below 1e-13
+    # (refine=False keeps the linear solution, which needs no steps).
+    n_iter, converged = 0, not refine
     if refine:
+        # The Jacobian's columns, rewritten in place each step; the first
+        # and the b_ne numerator do not change.
+        jac = np.empty_like(design)
+        np.negative(x1, out=jac[:, 0])
+        z_x2 = -crystal.Z * x2
         for _ in range(4):
             model_exact, bq = exact_model(theta)
             if model_exact is None:
                 break
             model = model_exact
-            jac_cols = [-x1, -crystal.Z * x2 / bq]
+            np.divide(z_x2, bq, out=jac[:, 1])
             if free_intercept:
-                jac_cols.append(math.exp(theta[2]) / bq)
-            jac = np.column_stack(jac_cols)
+                np.divide(math.exp(theta[2]), bq, out=jac[:, 2])
             step, cov = solve_normal(jac, y - model)
             theta = theta + step
+            n_iter += 1
             if np.abs(step).max() < 1e-13:
+                converged = True
                 break
         model_exact, _ = exact_model(theta)
         if model_exact is not None:
             model = model_exact
+        else:
+            converged = False
 
     chi2 = float((w * (y - model) ** 2).sum())
     return FitResult(param_names=names, values=np.asarray(theta, dtype=float),
-                     covariance=cov, chi2=chi2, dof=int(len(y) - len(theta)))
+                     covariance=cov, chi2=chi2, dof=int(len(y) - len(theta)),
+                     n_iter=n_iter, converged=converged)
 
 
 # --- projected error budgets ---------------------------------------------
@@ -456,9 +480,8 @@ def synth_measurements(model: ScatteringModel, crystal: CrystalSpec,
     if not ((sig >= 0) & (sig < math.inf)).all():
         raise ValueError("sigma must be non-negative and finite")
     noise = np.random.default_rng(_check_seed(seed)).standard_normal(len(refls))
-    return [Measurement(reflection=r, b_meas=v,
-                        sigma=float(s) if s > 0 else DEFAULT_SIGMA_B_MEAS)
-            for r, v, s in zip(refls, b_pred + sig * noise, sig)]
+    return [Measurement(reflection=r, b_meas=v, sigma=s if s > 0 else DEFAULT_SIGMA_B_MEAS)
+            for r, v, s in zip(refls, (b_pred + sig * noise).tolist(), sig.tolist())]
 
 
 def temperature_factor_sigmas(model: ScatteringModel, crystal: CrystalSpec,
@@ -476,6 +499,10 @@ def temperature_factor_sigmas(model: ScatteringModel, crystal: CrystalSpec,
 # Monte-Carlo trials drawn per noise block: about 5 MB of noise for the
 # default nine observations, whatever the trial count.
 _MC_CHUNK = 1 << 16
+# The largest trial count monte_carlo_validate takes: memory stays at one
+# block, but time grows with the count, about 4 minutes of CPU at the cap
+# at 0.25 s per 10^6 trials.
+MAX_MC_TRIALS = 10**9
 
 
 def _normal_chunks(seed: int, n_rows: int, n_cols: int):
@@ -514,7 +541,8 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     counter-based Philox generator keyed by the seed, making the result
     independent of any batching or scheduling of trials. Trials are drawn
     in fixed chunks of that one stream, and only the parameter sums and
-    cross products are kept, so memory does not grow with n_trials. An
+    cross products are kept, so memory does not grow with n_trials; time
+    does, so n_trials is capped at MAX_MC_TRIALS. An
     empty set raises InsufficientData, an extinct reflection
     ForbiddenReflection, (000) DegenerateDesign, whatever sigma is.
     """
@@ -529,6 +557,8 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
         n_trials = 0  # refused below, like a count under two
     if n_trials < 2:
         raise ValueError("n_trials must be an integer >= 2")
+    if n_trials > MAX_MC_TRIALS:
+        raise ValueError(f"n_trials must be at most {MAX_MC_TRIALS}")
     seed = _check_seed(seed)
     if seed >> 128:  # Philox keys are 128 bits
         raise ValueError("the Monte-Carlo seed must be below 2**128")

@@ -29,6 +29,17 @@ survey audit for diamond crystals, which amends three strict verdicts:
 top-of-spectrum tail, 45-47 deg and above 92 deg respectively) and (331)
 is dropped (no in-range harmonic, but excluded from the reference survey
 program). ``strict=True`` disables the amendments.
+
+Survey walk
+-----------
+candidates walks the integer triples h >= k >= l >= 0 up to the n^2 =
+h^2 + k^2 + l^2 that the peak wavelength can reach. Mixed parity is
+DISALLOWED (fcc extinction) for every crystal, so k and l step by two from
+h's parity and the walk never visits those triples; the class rule still
+drops the FORBIDDEN ones (h + k + l = 2 mod 4). n^2 grows with k and l, so
+each inner loop stops at the first triple past the bound. The bound grows
+as (a0 / lambda_peak)^2 and the walk as its 3/2 power, so a window whose
+bound passes MAX_WALK_N_SQ is refused before the walk starts.
 """
 
 from __future__ import annotations
@@ -38,13 +49,12 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 
-from .errors import EmptyWindow, NoReflection
+from .errors import EmptyWindow, NoReflection, SurveyTooLarge
 from .lattice import (
     CrystalSpec,
     Reflection,
     ReflectionClass,
     _class_of,
-    classify,
     q_over_4pi,
 )
 
@@ -151,12 +161,15 @@ def _window(q: float, w: SpectrumWindow):
     asin(sin) round trip would miss 180 deg by 1.7e-6 deg); an end set by
     the spectrum is the Bragg angle of that wavelength.
     """
-    lam_lo = max(w.lambda_min, w._sin_min / q)
-    lam_hi = min(w.lambda_max, w._sin_max / q)
+    lam_min, lam_max = w.lambda_min, w.lambda_max
+    lam_lo, lam_hi = w._sin_min / q, w._sin_max / q
+    # max(lam_min, lam_lo) and min(lam_max, lam_hi), as those builtins pick.
+    lam_lo = lam_lo if lam_lo > lam_min else lam_min
+    lam_hi = lam_hi if lam_hi < lam_max else lam_max
     if not lam_lo < lam_hi:
         return None
-    tt_lo = w.two_theta_min if lam_lo > w.lambda_min else _two_theta(q, lam_lo)
-    tt_hi = w.two_theta_max if lam_hi < w.lambda_max else _two_theta(q, lam_hi)
+    tt_lo = w.two_theta_min if lam_lo > lam_min else _two_theta(q, lam_lo)
+    tt_hi = w.two_theta_max if lam_hi < lam_max else _two_theta(q, lam_hi)
     return (lam_lo, lam_hi), (tt_lo, tt_hi)
 
 
@@ -192,7 +205,9 @@ def contamination(crystal: CrystalSpec, r: Reflection, w: SpectrumWindow = DEFAU
     if fund is None:
         return []
     lam_lo, lam_hi = fund[0]
+    lam_min, lam_max = w.lambda_min, w.lambda_max
     q1 = q if m0 == 1 else q_over_4pi(crystal, prim)
+    h, k, l = prim.h, prim.k, prim.l
     found = []
     for m in itertools.count(1):
         if m == m0:
@@ -201,10 +216,12 @@ def contamination(crystal: CrystalSpec, r: Reflection, w: SpectrumWindow = DEFAU
         # lower orders reach it through the spectrum top, higher orders
         # through the spectrum floor. The first higher order past the
         # window top is kept as a margin warning.
-        lo = max(lam_lo, (m / m0) * w.lambda_min)
-        hi = min(lam_hi, (m / m0) * w.lambda_max)
+        ratio = m / m0
+        lo, hi = ratio * lam_min, ratio * lam_max
+        lo = lo if lo > lam_lo else lam_lo  # max(lam_lo, lo)
+        hi = hi if hi < lam_hi else lam_hi  # min(lam_hi, hi)
         margin = m > m0 and not lo < hi
-        if (lo < hi or margin) and not _class_of(m * prim.h, m * prim.k, m * prim.l).extinct:
+        if (lo < hi or margin) and not _class_of(m * h, m * k, m * l).extinct:
             window = _window(m * q1, w)
             if window is not None:
                 overlap = None if margin else (_two_theta(q, lo), _two_theta(q, hi))
@@ -214,33 +231,56 @@ def contamination(crystal: CrystalSpec, r: Reflection, w: SpectrumWindow = DEFAU
             return found
 
 
+# The survey walk refuses a window whose n^2 = h^2 + k^2 + l^2 bound is
+# past this: about 24,000 triples to step through, where the walk's cost
+# grows as (a0 / lambda_peak)^3.
+MAX_WALK_N_SQ = 10_000
+
+
 def candidates(crystal: CrystalSpec, w: SpectrumWindow = DEFAULT_WINDOW):
     """Canonical observable reflections reachable under the window.
 
     Reachable means: non-extinct class, a non-empty measurement window,
     and the peak-flux wavelength meeting the reflection inside the
-    detector range (within PEAK_SLACK_DEG).
+    detector range (within PEAK_SLACK_DEG). A window that would walk past
+    n^2 = MAX_WALK_N_SQ raises SurveyTooLarge before the walk starts.
     """
     tt_floor, tt_cap = w.two_theta_min - PEAK_SLACK_DEG, w.two_theta_max + PEAK_SLACK_DEG
     q_cap = math.sin(math.radians(tt_cap / 2.0)) / w.lambda_peak
-    n_sq_cap = int((2.0 * crystal.a0 * q_cap) ** 2)
-    h_max = int(math.isqrt(n_sq_cap))
-    out = []
-    # Integer triples first: a Reflection is built only for a non-empty window.
-    for h in range(1, h_max + 1):
-        for k in range(0, h + 1):
-            for l in range(0, k + 1):
-                n_sq = h * h + k * k + l * l
-                if n_sq > n_sq_cap or _class_of(h, k, l).extinct:
+    two_a0 = 2.0 * crystal.a0
+    try:
+        n_sq_cap = int((two_a0 * q_cap) ** 2)
+    except OverflowError:  # a peak wavelength so short that n^2 is past the floats
+        n_sq_cap = math.inf
+    if n_sq_cap > MAX_WALK_N_SQ:
+        raise SurveyTooLarge(
+            f"{crystal.name}: lambda_peak = {w.lambda_peak:.4g} A with two_theta_max = "
+            f"{w.two_theta_max:.4g} deg walks reflections up to h^2+k^2+l^2 = {n_sq_cap}, "
+            f"past the survey's bound of {MAX_WALK_N_SQ}")
+    peak = w.lambda_peak
+    found = []
+    # Integer triples first: a Reflection is built only for a non-empty
+    # window. k and l share h's parity (see the module docstring), and n^2
+    # rises with each index, so each loop ends at the first n^2 past the cap.
+    for h in range(1, math.isqrt(n_sq_cap) + 1):
+        for k in range(h % 2, h + 1, 2):
+            hk_sq = h * h + k * k
+            if hk_sq > n_sq_cap:
+                break
+            for l in range(h % 2, k + 1, 2):
+                n_sq = hk_sq + l * l
+                if n_sq > n_sq_cap:
+                    break
+                if _class_of(h, k, l).extinct:
                     continue
-                q = math.sqrt(n_sq) / (2.0 * crystal.a0)  # q_over_4pi
-                if w.lambda_peak * q > 1.0 or _window(q, w) is None:
+                q = math.sqrt(n_sq) / two_a0  # q_over_4pi
+                if peak * q > 1.0 or _window(q, w) is None:
                     continue
                 r = Reflection(h, k, l)
-                if tt_floor <= 2.0 * bragg_angle(crystal, r, w.lambda_peak) <= tt_cap:
-                    out.append(r)
-    out.sort(key=lambda r: (r.n_sq, r.h, r.k, r.l))
-    return out
+                if tt_floor <= 2.0 * bragg_angle(crystal, r, peak) <= tt_cap:
+                    found.append((n_sq, h, k, l, r))
+    found.sort()
+    return [entry[-1] for entry in found]
 
 
 def _strict_pure(contaminants) -> bool:
@@ -288,7 +328,7 @@ def plan_reflection(crystal: CrystalSpec, r: Reflection,
         if amended is not None:
             pure, note = amended
     return ReflectionPlan(
-        reflection=r, reflection_class=classify(r), q=q,
+        reflection=r, reflection_class=_class_of(r.h, r.k, r.l), q=q,
         lambda_window=lam_win, two_theta_window=tt_win,
         contaminants=cont, pure=pure, note=note,
     )

@@ -88,6 +88,8 @@ CONFIGS = {
     "no_forward": "[fit]\ninclude_forward = false\nfree_intercept = false\n",
     "window": "[spectrum]\nlambda_min = 0.7\nlambda_max = 2.0\ntwo_theta_max = 100\n",
     "narrow": "[spectrum]\ntwo_theta_max = 45\n",
+    # A peak wavelength whose survey walk is past the planner's bound.
+    "deep_peak": "[spectrum]\nlambda_peak = 0.01\n",
     "blade": "[blade]\nthickness_cm = 0.5\n[model]\nb_ne = 0.01\nB = 0.3\n[run]\nseed = 9\n",
     # Error configurations.
     "malformed": "[crystal\nname = Si\n",
@@ -137,7 +139,7 @@ _add("si", _FULL + [
     ["simulate", "222"], ["simulate", "999"], ["simulate", "711", "--samples", "1"],
     ["mc", "--sigma", "0"], ["mc", "--trials", "1"], ["synth", "--sigma", "10"],
     ["radius", "--", "nan"], ["simulate", "1" + "0" * 200 + ",0,0"],
-    ["mc", "--trials", "100", "--seed", str(2**128)],
+    ["mc", "--trials", "100", "--seed", str(2**128)], ["mc", "--trials", "1000000001"],
 ])
 _add("ge", [["plan"], ["plan", "--all", "--strict"], ["simulate", "111"], ["simulate", "711"],
             ["budget"], ["synth"], ["mc"]])
@@ -154,6 +156,7 @@ for _config in ("malformed", "unknown_crystal", "inline_no_table", "bad_referenc
                 "unknown_key", "missing_table", "nan_blade", "bad_seed"):
     _add(_config, [["plan"]])
 _add("nan_table", _ERRORS)
+_add("deep_peak", [["plan"]])
 _add("huge_blade", [["simulate", "711"]])
 _add("zero_sigma_forward", [["budget"], ["mc", "--trials", "100"], ["fit", "si_meas.csv"]])
 

@@ -52,6 +52,21 @@ class TestPlan:
         rows = read_rows(tmp_path / "plan.csv")
         assert [r[0] for r in rows[1:]] == ["111"]
 
+    @pytest.mark.parametrize("command", [["plan"], ["budget"], ["synth"], ["mc"]])
+    def test_survey_walk_past_its_bound_is_a_config_error(self, tmp_path, capsys,
+                                                           monkeypatch, command):
+        from pendellosung import planner
+
+        def walked(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(planner, "_class_of", walked)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[spectrum]\nlambda_peak = 0.01\n")
+        assert run("--config", str(cfg), *command, "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: Si: lambda_peak = 0.01 A with two_theta_max = 110 deg walks")
+
     @pytest.mark.parametrize("command,message", [
         (["synth"], "no reflections left to synthesize"),
         (["mc", "--trials", "100"], "no reflections left for the Monte Carlo"),
@@ -456,6 +471,34 @@ class TestMonteCarlo:
         printed = [line.rsplit("ratio ", 1)[1] for line in capsys.readouterr().out.splitlines()
                    if "ratio" in line]
         assert printed == [f"{r:.4f}" for r in results[0].sigma_ratios]
+
+    @pytest.mark.parametrize("trials", ["1000000001", "1" + "0" * 30])
+    def test_trials_past_the_cap_is_a_usage_error(self, tmp_path, capsys, monkeypatch, trials):
+        from pendellosung import inference
+
+        def ran(*args, **kwargs):
+            raise AssertionError("the Monte Carlo started")
+
+        monkeypatch.setattr(inference, "monte_carlo_validate", ran)
+        with pytest.raises(SystemExit) as exc:
+            run("mc", "--trials", trials, "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            f"pendellosung mc: error: argument --trials: {trials} trials is past the cap "
+            "of 1000000000")
+
+    def test_trials_at_the_cap_reach_the_library(self, tmp_path, monkeypatch):
+        from pendellosung import inference
+
+        seen = []
+
+        def stopped(*args, n_trials, **kwargs):
+            seen.append(n_trials)
+            raise pendellosung.PendellosungError("stopped before drawing")
+
+        monkeypatch.setattr(inference, "monte_carlo_validate", stopped)
+        assert run("mc", "--trials", "1000000000", "--out", str(tmp_path)) == 3
+        assert seen == [10**9]
 
 
 class TestConfigOverrides:

@@ -321,7 +321,8 @@ _KEY_VALUES = {
                 "b": ("0.4613", "0.5"), "sigma_b": ("0.0027", "0.01"),
                 "form_factor_csv": ("missing.csv",)},
     "spectrum": {"lambda_min": ("0.7", "0.8", "1.5"), "lambda_max": ("2.0", "2.5", "3.0"),
-                 "lambda_peak": ("1.2", "2.0"), "two_theta_min": ("5", "15", "40"),
+                 # 0.001 A: a survey walk past the planner's bound, refused unwalked.
+                 "lambda_peak": ("1.2", "2.0", "0.001"), "two_theta_min": ("5", "15", "40"),
                  "two_theta_max": ("60", "110", "180", "200")},
     "blade": {"thickness_cm": ("0.5", "1.0", "3.0")},
     "model": {"reference": ("argonne", "dubna", "theory", "none"),
@@ -376,7 +377,9 @@ _COMMAND_ARGS = {
     "radius": _concat(_flag("--sigma", _NUMBERS), _NUMBERS.map(lambda v: ["--", v])),
     "synth": _concat(_flag("--sigma", _NUMBERS), _switch("--all-pure"),
                      _flag("--error-model", st.sampled_from(["flat", "temperature-factor"]))),
-    "mc": _concat(_flag("--trials", _COUNTS), _flag("--sigma", _NUMBERS)),
+    # Trial counts past the cap are refused before any noise is drawn.
+    "mc": _concat(_flag("--trials", _COUNTS | st.sampled_from(["1000000001", str(10**18)])),
+                  _flag("--sigma", _NUMBERS)),
 }
 
 

@@ -317,7 +317,8 @@ SIGMA_DRAW = 0.0008  # fm
 @pytest.fixture(scope="module")
 def repeated_fits(si_model, new_eight):
     """Per fit: (noise-free values, their reported sigmas, (N, k) noisy
-    values); then the noisy joint fits' chi2 values and their dof."""
+    values); then the noisy joint fits' chi2 values, their dof and the
+    joint fits themselves."""
     no_sigma_b = replace(SILICON, sigma_B=0.0)
     table = si_model.form_factor
 
@@ -335,7 +336,8 @@ def repeated_fits(si_model, new_eight):
     per_fit = {name: (np.atleast_1d(values), np.atleast_1d(sigmas),
                       np.array([np.atleast_1d(run[name][0]) for _, run in runs]))
                for name, (values, sigmas) in exact.items()}
-    return per_fit, np.array([joint.chi2 for joint, _ in runs]), runs[0][0].dof
+    return (per_fit, np.array([joint.chi2 for joint, _ in runs]), runs[0][0].dof,
+            [joint for joint, _ in runs])
 
 
 class TestFitsOverRepeatedDraws:
@@ -353,9 +355,44 @@ class TestFitsOverRepeatedDraws:
         assert np.all(np.abs(ratio - 1.0) < 4.0 / math.sqrt(2 * N_DRAWS)), ratio
 
     def test_joint_chi2_mean_is_dof(self, repeated_fits):
-        _, chi2, dof = repeated_fits
+        _, chi2, dof, _ = repeated_fits
         assert dof == 8 - 3
         assert abs(chi2.mean() - dof) < 4.0 * math.sqrt(2.0 * dof / N_DRAWS), chi2.mean()
+
+    def test_joint_refinement_never_stops_early(self, repeated_fits):
+        # Gauss-Newton converges linearly here, a factor of about 5e-4 per
+        # step, so a draw whose first step is large ends its four steps just
+        # above the 1e-13 stall (66 of the 2000 draws, at 1.1e-13 to 1.2e-12). No draw takes
+        # the other unconverged exit, a non-positive exact model.
+        joints = repeated_fits[3]
+        assert all(fit.converged or fit.n_iter == 4 for fit in joints)
+        assert sum(fit.converged for fit in joints) > 0.95 * N_DRAWS
+
+
+class TestFitDiagnostics:
+    """FitResult says how the Gauss-Newton refinement ended."""
+
+    def test_stalls_on_exact_amplitudes(self, si_model, new_eight):
+        ms = synth_measurements(si_model, SILICON, new_eight, sigma=0.0)
+        fit = joint_fit(ms, SILICON, si_model.form_factor)
+        assert fit.converged and 1 <= fit.n_iter <= 4
+
+    def test_four_steps_without_a_stall(self, si_model, new_eight):
+        ms = synth_measurements(si_model, SILICON, new_eight, sigma=0.0008, seed=14)
+        fit = joint_fit(ms, SILICON, si_model.form_factor, include_forward=False)
+        assert (fit.n_iter, fit.converged) == (4, False)
+
+    def test_non_positive_exact_model(self, si_model, new_eight):
+        # Noise of 1 fm drives the linear solution to a b_ne for which
+        # b(Q) = b_nuclear - b_ne Z (1 - f) is not positive at every row.
+        ms = synth_measurements(si_model, SILICON, new_eight, sigma=1.0, seed=8)
+        fit = joint_fit(ms, SILICON, si_model.form_factor)
+        assert (fit.n_iter, fit.converged) == (0, False)
+
+    def test_without_refinement(self, si_model, new_eight):
+        ms = synth_measurements(si_model, SILICON, new_eight, sigma=0.0008, seed=14)
+        fit = joint_fit(ms, SILICON, si_model.form_factor, refine=False)
+        assert (fit.n_iter, fit.converged) == (0, True)
 
 
 class TestExtinctMeasurements:
@@ -559,6 +596,17 @@ class TestSeedChecks:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("n_trials", [inference.MAX_MC_TRIALS + 1, 10**30])
+    def test_trials_past_the_cap_refused_before_drawing(self, si_model, new_eight,
+                                                          monkeypatch, n_trials):
+        def drawn(*args):
+            raise AssertionError("the noise loop started")
+
+        monkeypatch.setattr(inference, "_normal_chunks", drawn)
+        assert inference.MAX_MC_TRIALS == 10**9
+        with pytest.raises(ValueError, match=r"^n_trials must be at most 1000000000$"):
+            monte_carlo_validate(si_model, SILICON, new_eight, n_trials=n_trials)
+
     @pytest.mark.slow
     def test_matches_analytic_at_1e5(self, si_model, new_eight):
         res = monte_carlo_validate(si_model, SILICON, new_eight, sigma=0.0008,
