@@ -74,7 +74,9 @@ class FitResult:
     the Gauss-Newton steps on the exact model; converged is False when
     the refinement stopped without a step below 1e-13, either after its
     four steps or because a trial parameter set gave a non-positive
-    b(Q), and True for a fit without refinement.
+    b(Q), and True for a fit without refinement. last_step is the largest
+    parameter change of the last step (None when no step was taken);
+    p_value is the chi-square survival at dof (None at dof 0).
     """
 
     param_names: tuple
@@ -84,6 +86,8 @@ class FitResult:
     dof: int
     n_iter: int
     converged: bool
+    last_step: float | None
+    p_value: float | None
 
     def value(self, name: str) -> float:
         return float(self.values[self.param_names.index(name)])
@@ -211,11 +215,17 @@ def _measured_rows(ms, crystal: CrystalSpec, table: FormFactorTable | None = Non
 
 def _predicted_rows(model: ScatteringModel, crystal: CrystalSpec, reflections):
     """Per-reflection (q, f, model b_meas) arrays for a planned set checked
-    by _require_reflections; b_meas is b_meas(crystal, model, q) on that f(Q)."""
+    by _require_reflections; b_meas is b_meas(crystal, model, q) on that f(Q).
+    ValueError names the first reflection whose b_meas is not positive, which
+    no log row or weight could take."""
     _require_reflections(reflections)
     q = [q_over_4pi(crystal, r) for r in reflections]
     f = [model.form_factor.f_at(qi) for qi in q]
     b = [_b_of_f(crystal, model, fi) * debye_waller(model.B, qi) for qi, fi in zip(q, f)]
+    for r, bi in zip(reflections, b):
+        if not bi > 0:
+            raise ValueError(f"model amplitude at ({r.label()}) is {bi:.6g} fm, not positive "
+                             f"(b_ne = {model.b_ne:.6g} fm)")
     return tuple(np.array((q, f, b)))
 
 
@@ -256,11 +266,36 @@ def _joint_design(x1, x2, scale, free_intercept: bool):
     return a
 
 
+def _well_conditioned(m) -> bool:
+    """True when the 2x2 or 3x3 matrix m (nested lists of floats) certainly
+    has a 2-norm condition number s_max / s_min of at most about 1e8.
+
+    |det m| <= s_min s_max^(n-1) and s_max <= ||m||_F, so ||m||_F^n / |det m|
+    bounds s_max / s_min. For 1e-90 <= ||m||_F^2 <= 1e90 nothing overflows,
+    and underflow and the cofactor determinant's rounding stay below
+    1e-14 ||m||_F^n, so a bound of 1e8 leaves the true condition number six
+    decades under _normal_cov's cap. Any other m (NaN, inf, a zero
+    determinant, another size) gives False.
+    """
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        fro2 = a * a + b * b + c * c + d * d
+        det = a * d - b * c
+    elif len(m) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        fro2 = a * a + b * b + c * c + d * d + e * e + f * f + g * g + h * h + i * i
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    else:
+        return False
+    return 1e-90 <= fro2 <= 1e90 and math.sqrt(fro2) ** len(m) <= 1e8 * abs(det)
+
+
 def _normal_cov(a, w):
     """(A^T W A)^-1 of a weighted linear fit with design a and weights w.
 
     A singular or non-finite inverse, or a 2-norm condition number
-    s_max / s_min above 1e14 (np.linalg.cond's value), is refused.
+    s_max / s_min above 1e14 (np.linalg.cond's value), is refused. The
+    singular values are taken only where _well_conditioned cannot decide.
     """
     awa = a.T @ (w[:, None] * a)
     try:
@@ -268,6 +303,8 @@ def _normal_cov(a, w):
     except np.linalg.LinAlgError as exc:
         raise DegenerateDesign("collinear fit abscissas") from exc
     if np.isfinite(cov).all():
+        if _well_conditioned(awa.tolist()):
+            return cov
         s = np.linalg.svd(awa, compute_uv=False)
         s_max, s_min = float(s[0]), float(s[-1])
         if s_min != 0.0 and s_max / s_min <= 1e14:
@@ -292,7 +329,14 @@ def slope_uncertainty(xs, sigmas) -> float:
         raise ValueError("abscissas must be finite")
     if not ((sigmas > 0) & (sigmas < math.inf)).all():
         raise ValueError("sigmas must be positive and finite")
-    return math.sqrt(_wls_line(xs, np.zeros_like(xs), sigmas)[2][1, 1])
+    w = 1.0 / sigmas**2
+    wx = w * xs
+    s = w.sum()
+    sx = wx.sum()
+    denom = s * (wx * xs).sum() - sx * sx
+    if denom <= 0 or not np.isfinite(denom):
+        raise DegenerateDesign("abscissas do not constrain a slope")
+    return math.sqrt(s / denom)
 
 
 # --- single-parameter fits ----------------------------------------------
@@ -375,7 +419,7 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
     model = design @ theta + offset
     # Gauss-Newton steps taken, and whether the last one stalled below 1e-13
     # (refine=False keeps the linear solution, which needs no steps).
-    n_iter, converged = 0, not refine
+    n_iter, converged, last_step = 0, not refine, None
     if refine:
         # The Jacobian's columns, rewritten in place each step; the first
         # and the b_ne numerator do not change.
@@ -393,7 +437,8 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
             step, cov = solve_normal(jac, y - model)
             theta = theta + step
             n_iter += 1
-            if np.abs(step).max() < 1e-13:
+            last_step = float(np.abs(step).max())
+            if last_step < 1e-13:
                 converged = True
                 break
         model_exact, _ = exact_model(theta)
@@ -403,9 +448,31 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
             converged = False
 
     chi2 = float((w * (y - model) ** 2).sum())
+    dof = len(y) - len(theta)
     return FitResult(param_names=names, values=np.asarray(theta, dtype=float),
-                     covariance=cov, chi2=chi2, dof=int(len(y) - len(theta)),
-                     n_iter=n_iter, converged=converged)
+                     covariance=cov, chi2=chi2, dof=dof, n_iter=n_iter, converged=converged,
+                     last_step=last_step, p_value=_chi2_survival(chi2, dof) if dof > 0 else None)
+
+
+def _chi2_survival(chi2: float, dof: int) -> float:
+    """P(X > chi2) for X chi-square distributed with dof >= 1 degrees of
+    freedom, from the finite sums of Abramowitz & Stegun 26.4.4 (odd dof)
+    and 26.4.5 (even dof); it reads 0 once exp(-chi2/2) underflows.
+    """
+    h = 0.5 * chi2
+    if dof % 2 == 0:
+        term = total = math.exp(-h)
+        for k in range(1, dof // 2):
+            term *= h / k
+            total += term
+        return total
+    x = math.sqrt(chi2)
+    total = math.erfc(x / math.sqrt(2.0))
+    term = math.sqrt(2.0 / math.pi) * x * math.exp(-h)
+    for r in range(1, (dof + 1) // 2):
+        total += term
+        term *= chi2 / (2 * r + 1)
+    return total
 
 
 # --- projected error budgets ---------------------------------------------

@@ -21,7 +21,12 @@ The cases:
 * strict and amended surveys over a window grid and seeded random
   windows, and plans of off-candidate scans;
 * f_at, synthetic amplitudes, error budgets, joint fits, fit_bne and
-  fit_temperature_factor on seeded synthetic data.
+  fit_temperature_factor on seeded synthetic data;
+* slope_uncertainty on seeded abscissas and on each input it refuses;
+* the normal-equation inverse _normal_cov on 2- and 3-column designs with
+  condition numbers from 1 to 1e17 at scales from 1e-160 to 1e160 (so the
+  normal matrix runs from subnormal to overflowing), and on rank-deficient
+  designs.
 
 ``test_bits.py`` runs a subset of the cases on every test run.
 """
@@ -134,13 +139,42 @@ def _joint_fit(ms, *args, **kwargs):
     return fit.param_names, fit.values, fit.covariance, fit.chi2, fit.dof
 
 
+def _graded_design(seed, p, kappa, scale):
+    """A 6 x p design with orthonormal columns graded so that A^T A has
+    singular values from 1 down to 1/kappa, scaled by scale, and unit weights."""
+    import numpy as np
+
+    basis, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, p)))
+    return basis * (np.sqrt(np.geomspace(1.0, 1.0 / kappa, p)) * scale), np.ones(6)
+
+
+def _rank_deficient_design(seed, p, scale):
+    """An 8 x p integer design whose last column is a combination of the
+    others, scaled by scale, with seeded weights."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-5, 6, (8, p)).astype(float)
+    a[:, -1] = a[:, 0] - 2.0 * a[:, 1] if p == 3 else 3.0 * a[:, 0]
+    return a * scale, 10.0 ** rng.uniform(-2, 2, 8)
+
+
+def _normal_cov(a, w):
+    import numpy as np
+
+    from pendellosung.inference import _normal_cov
+
+    with np.errstate(all="ignore"):  # the overflowing scales warn in the product
+        return _normal_cov(a, w)
+
+
 def _build() -> None:
     import numpy as np
 
     from pendellosung import (
         GERMANIUM, SILICON, BladeGeometry, Measurement, Reflection, SpectrumWindow,
         bessel_j0, fit_bne, fit_temperature_factor, pendellosung_argument, plan_reflection,
-        scattering_model, synth_measurements,
+        scattering_model, slope_uncertainty, synth_measurements,
     )
     from pendellosung.constants import CODATA
     from pendellosung.fringes import _SWEEP_BLOCK
@@ -227,6 +261,39 @@ def _build() -> None:
                                                     include_forward=fwd, free_intercept=free)
                 CASES[f"fit_bne {label} seed={seed} forward={fwd}"] = partial(
                     fit_bne, ms, SILICON, table, include_forward=fwd)
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        xs = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-3, 3)
+        sigmas = 10.0 ** rng.uniform(-4, 0, n)
+        CASES[f"slope_uncertainty seed={seed} n={n}"] = partial(slope_uncertainty, xs, sigmas)
+    refusals = {
+        "lengths": ([0.1, 0.2, 0.3], [0.01, 0.01]),
+        "one point": ([0.1], [0.01]),
+        "nan abscissa": ([0.1, float("nan")], [0.01, 0.01]),
+        "inf abscissa": ([0.1, float("inf")], [0.01, 0.01]),
+        "zero sigma": ([0.1, 0.2], [0.01, 0.0]),
+        "negative sigma": ([0.1, 0.2], [-0.01, 0.01]),
+        "inf sigma": ([0.1, 0.2], [0.01, float("inf")]),
+        "nan sigma": ([0.1, 0.2], [float("nan"), 0.01]),
+        "one abscissa": ([0.3, 0.3, 0.3], [0.01, 0.02, 0.03]),
+        "overflowing sums": ([1e200, -1e200], [1.0, 1.0]),
+    }
+    for what, (xs, sigmas) in refusals.items():
+        CASES[f"slope_uncertainty refuses {what}"] = partial(slope_uncertainty, xs, sigmas)
+
+    for p in (2, 3):
+        for e in (-160, -80, -20, 0, 20, 80, 160):
+            scale = 10.0 ** e
+            for k in range(18):
+                for kappa in (10.0**k,) + ((0.5e8, 2e8) if k == 8 else (0.5e14, 2e14)
+                                           if k == 14 else ()):
+                    CASES[f"normal_cov p={p} scale=1e{e} kappa={kappa:g}"] = partial(
+                        _normal_cov, *_graded_design(100 * p + k, p, kappa, scale))
+            for seed in range(3):
+                CASES[f"normal_cov rank-deficient p={p} scale=1e{e} seed={seed}"] = partial(
+                    _normal_cov, *_rank_deficient_design(seed, p, scale))
+
     CASES["joint_fit non-canonical indices"] = partial(
         _joint_fit, [Measurement(Reflection(-2, 4, 2), 3.7877),
                      Measurement(Reflection(1, -5, 1), 3.7436),

@@ -91,6 +91,8 @@ CONFIGS = {
     # A peak wavelength whose survey walk is past the planner's bound.
     "deep_peak": "[spectrum]\nlambda_peak = 0.01\n",
     "blade": "[blade]\nthickness_cm = 0.5\n[model]\nb_ne = 0.01\nB = 0.3\n[run]\nseed = 9\n",
+    # b(Q) DW is negative at every planned reflection past (111).
+    "big_bne": "[model]\nb_ne = 1.0\n",
     # Error configurations.
     "malformed": "[crystal\nname = Si\n",
     "unknown_crystal": "[crystal]\nname = W\n",
@@ -158,6 +160,8 @@ for _config in ("malformed", "unknown_crystal", "inline_no_table", "bad_referenc
 _add("nan_table", _ERRORS)
 _add("deep_peak", [["plan"]])
 _add("huge_blade", [["simulate", "711"]])
+_add("big_bne", [["budget"], ["mc", "--trials", "100"], ["synth"],
+                 ["synth", "--error-model", "temperature-factor"]])
 _add("zero_sigma_forward", [["budget"], ["mc", "--trials", "100"], ["fit", "si_meas.csv"]])
 
 def _sha256(data: bytes) -> str:

@@ -438,6 +438,27 @@ class TestBudget:
         assert not (tmp_path / "budget.csv").exists()
 
 
+class TestModelAmplitudeNotPositive:
+    """[model] b_ne = 1 fm makes b(Q) DW negative past (111): budget, mc and
+    synth refuse the model as a data error naming the reflection, with no
+    numpy warning, and write nothing."""
+
+    @pytest.mark.parametrize("command", [["budget"], ["mc", "--trials", "100"], ["synth"],
+                                         ["synth", "--error-model", "temperature-factor"]],
+                             ids=["budget", "mc", "synth", "synth-temperature-factor"])
+    def test_data_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[model]\nb_ne = 1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("--config", str(cfg), *command, "--out", str(tmp_path / "out")) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("error: model amplitude at (422) is -2.86428 fm, not positive "
+                                "(b_ne = 1 fm)\n")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 class TestRadius:
     def test_report(self, capsys):
         assert run("radius", "--", "-0.00131") == 0

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pendellosung import (
     CODATA,
@@ -174,6 +174,22 @@ class TestSlopeUncertainty:
         # infinite one drops its point from a finite slope error.
         with pytest.raises(ValueError, match="must be (positive and )?finite"):
             slope_uncertainty(xs, sigmas)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_is_the_line_fits_slope_sigma(self, seed):
+        # The three sums are the ones the free-intercept line fit forms,
+        # so the variance is its covariance entry bit for bit.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        xs = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3, 3)
+        sigmas = 10.0 ** rng.uniform(-4, 0, n)
+        cov = inference._wls_line(xs, np.zeros(n), sigmas)[2]
+        assert slope_uncertainty(xs, sigmas) == math.sqrt(cov[1, 1])
+
+    def test_overflowing_sums_are_degenerate(self):
+        with np.errstate(over="ignore"), pytest.raises(
+                DegenerateDesign, match="^abscissas do not constrain a slope$"):
+            slope_uncertainty([1e200, -1e200], [1.0, 1.0])
 
     def test_matches_budget_bne_stage(self, si_model, new_eight):
         # Rebuild the b_ne-stage slope error by hand from the same inputs.
@@ -368,6 +384,11 @@ class TestFitsOverRepeatedDraws:
         assert all(fit.converged or fit.n_iter == 4 for fit in joints)
         assert sum(fit.converged for fit in joints) > 0.95 * N_DRAWS
 
+    def test_joint_p_values_are_uniform(self, repeated_fits):
+        p = np.array([fit.p_value for fit in repeated_fits[3]])
+        assert abs(p.mean() - 0.5) < 4.0 * math.sqrt(1.0 / 12.0 / N_DRAWS), p.mean()
+        assert abs((p < 0.05).mean() - 0.05) < 4.0 * math.sqrt(0.05 * 0.95 / N_DRAWS)
+
 
 class TestFitDiagnostics:
     """FitResult says how the Gauss-Newton refinement ended."""
@@ -376,23 +397,54 @@ class TestFitDiagnostics:
         ms = synth_measurements(si_model, SILICON, new_eight, sigma=0.0)
         fit = joint_fit(ms, SILICON, si_model.form_factor)
         assert fit.converged and 1 <= fit.n_iter <= 4
+        assert 0.0 <= fit.last_step < 1e-13
 
     def test_four_steps_without_a_stall(self, si_model, new_eight):
         ms = synth_measurements(si_model, SILICON, new_eight, sigma=0.0008, seed=14)
         fit = joint_fit(ms, SILICON, si_model.form_factor, include_forward=False)
         assert (fit.n_iter, fit.converged) == (4, False)
+        assert type(fit.last_step) is float and 1e-13 <= fit.last_step < 1e-9
 
     def test_non_positive_exact_model(self, si_model, new_eight):
         # Noise of 1 fm drives the linear solution to a b_ne for which
         # b(Q) = b_nuclear - b_ne Z (1 - f) is not positive at every row.
         ms = synth_measurements(si_model, SILICON, new_eight, sigma=1.0, seed=8)
         fit = joint_fit(ms, SILICON, si_model.form_factor)
-        assert (fit.n_iter, fit.converged) == (0, False)
+        assert (fit.n_iter, fit.converged, fit.last_step) == (0, False, None)
 
     def test_without_refinement(self, si_model, new_eight):
         ms = synth_measurements(si_model, SILICON, new_eight, sigma=0.0008, seed=14)
         fit = joint_fit(ms, SILICON, si_model.form_factor, refine=False)
-        assert (fit.n_iter, fit.converged) == (0, True)
+        assert (fit.n_iter, fit.converged, fit.last_step) == (0, True, None)
+
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_p_value_is_the_chi2_survival(self, si_model, new_eight, refine):
+        ms = synth_measurements(si_model, SILICON, new_eight, sigma=0.0008, seed=14)
+        fit = joint_fit(ms, SILICON, si_model.form_factor, refine=refine)
+        assert fit.dof == 6
+        assert fit.p_value == inference._chi2_survival(fit.chi2, 6)
+        assert 0.0 < fit.p_value < 1.0
+
+    def test_no_p_value_without_degrees_of_freedom(self, si_model, new_eight):
+        ms = synth_measurements(si_model, SILICON, new_eight[:3], sigma=0.0008, seed=2)
+        fit = joint_fit(ms, SILICON, si_model.form_factor, include_forward=False)
+        assert (fit.dof, fit.p_value) == (0, None)
+
+
+class TestChi2Survival:
+    """The p-value's chi-square survival without scipy, A&S 26.4.4-26.4.5."""
+
+    @pytest.mark.parametrize("dof", range(1, 31))
+    def test_matches_scipy(self, dof):
+        from scipy.stats import chi2
+
+        x = np.concatenate([[0.0], np.geomspace(1e-4, 1e3, 300)])
+        want = chi2.sf(x, dof)
+        got = np.array([inference._chi2_survival(v, dof) for v in x.tolist()])
+        assert got[0] == 1.0
+        tail = want < 1e-290  # where exp(-chi2/2) underflows the sums
+        np.testing.assert_allclose(got[~tail], want[~tail], rtol=1e-12, atol=0)
+        assert (got[tail] < 1e-280).all()
 
 
 class TestExtinctMeasurements:
@@ -445,6 +497,36 @@ class TestEntryPointsRefuseExtinct:
             temperature_factor_sigmas(si_model, SILICON, [Reflection(2, 2, 2)])
         with pytest.raises(DegenerateDesign, match="forward beam"):
             temperature_factor_sigmas(si_model, SILICON, iter(self.FORWARD))
+
+
+class TestModelAmplitudeNotPositive:
+    """A b_ne hypothesis large enough that b(Q) DW <= 0 at a planned
+    reflection: every route through the model amplitudes refuses it with one
+    ValueError naming that reflection, before a log or a weight is taken
+    (a RuntimeWarning fails the test)."""
+
+    @pytest.fixture(scope="class")
+    def big_bne(self):
+        return scattering_model(SILICON, 1.0)
+
+    @pytest.mark.parametrize("route", [error_budget, synth_measurements, monte_carlo_validate,
+                                       temperature_factor_sigmas],
+                             ids=lambda f: f.__name__)
+    def test_refused_naming_the_reflection(self, big_bne, new_eight, route):
+        with pytest.raises(ValueError, match=r"^model amplitude at \(422\) is -2\.86428 fm, "
+                                             r"not positive \(b_ne = 1 fm\)$"):
+            route(big_bne, SILICON, new_eight)
+
+    def test_names_the_first_in_the_given_order(self, pure_plans):
+        # At b_ne = 0.6 fm, (111) keeps a positive amplitude and every
+        # higher order loses it.
+        model = scattering_model(SILICON, 0.6)
+        nine = [p.reflection for p in pure_plans]
+        assert temperature_factor_sigmas(model, SILICON, nine[:1]).shape == (1,)
+        with pytest.raises(ValueError, match=r"^model amplitude at \(422\) is "):
+            error_budget(model, SILICON, nine)
+        with pytest.raises(ValueError, match=r"^model amplitude at \(642\) is "):
+            error_budget(model, SILICON, nine[::-1])
 
 
 class TestDegenerateFitBranches:
@@ -799,6 +881,63 @@ class TestConditionGuardMatchesFrozenCond:
         s = np.array([1.0, 0.3, 1.0 / (1e14 * rel)])
         a = basis * np.sqrt(s * 10.0 ** rng.uniform(-4, 4))
         assert self.accepted(a, np.ones(6)) == (rel < 1)
+
+
+class TestConditionGuardProperty:
+    """_normal_cov decides most designs from a determinant bound and takes the
+    singular values only where the bound cannot; over 2- and 3-column designs
+    with condition numbers on both sides of 1e8 and 1e14, at scales whose
+    normal matrix is subnormal or overflows, it matches the frozen
+    np.linalg.cond guard byte for byte and verdict for verdict."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([2, 3]),
+           log_kappa=st.floats(0.0, 17.0), log_scale=st.floats(-165.0, 165.0),
+           rank_deficient=st.booleans())
+    @example(seed=0, p=3, log_kappa=8.0, log_scale=0.0, rank_deficient=False)
+    @example(seed=1, p=2, log_kappa=14.0, log_scale=-160.0, rank_deficient=False)
+    @example(seed=2, p=3, log_kappa=1.0, log_scale=160.0, rank_deficient=False)
+    @example(seed=3, p=3, log_kappa=0.0, log_scale=-80.0, rank_deficient=True)
+    def test_matches_frozen_cond(self, seed, p, log_kappa, log_scale, rank_deficient):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(p, 10))
+        basis, _ = np.linalg.qr(rng.standard_normal((n, p)))
+        a = basis * np.sqrt(np.geomspace(1.0, 10.0 ** -log_kappa, p))
+        if rank_deficient:
+            a[:, -1] = a[:, 0] - 2.0 * a[:, 1] if p == 3 else 3.0 * a[:, 0]
+        with np.errstate(all="ignore"):  # the overflowing scales warn in A^T W A
+            TestConditionGuardMatchesFrozenCond.accepted(a * 10.0 ** log_scale,
+                                                         10.0 ** rng.uniform(-1, 1, n))
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    def test_fits_of_the_new_reflections_take_no_svd(self, si_model, new_eight, svd_calls):
+        ms = synth_measurements(si_model, SILICON, new_eight, sigma=0.0008, seed=3)
+        for forward in (True, False):
+            for free in (True, False):
+                fit = joint_fit(ms, SILICON, si_model.form_factor, include_forward=forward,
+                                free_intercept=free)
+                assert fit.n_iter >= 1
+        monte_carlo_validate(si_model, SILICON, new_eight, n_trials=2)
+        assert svd_calls == []
+
+    def test_svd_decides_near_the_cap(self, svd_calls):
+        # cond(A^T A) = 1e13: the bound cannot vouch for it, the SVD accepts.
+        basis, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 3)))
+        a, w = basis * np.sqrt([1.0, 0.3, 1e-13]), np.ones(6)
+        cov = inference._normal_cov(a, w)
+        assert svd_calls == [(3, 3)]
+        assert cov.tobytes() == normal_cov_with_cond(a, w).tobytes()
 
 
 @pytest.mark.parametrize("forward", [True, False], ids=["forward", "no-forward"])
