@@ -42,6 +42,7 @@ from .lattice import (
     Reflection,
     ScatteringModel,
     _b_of_f,
+    _positive_amplitude,
     debye_waller,
     q_over_4pi,
     require_observable,
@@ -76,7 +77,8 @@ class FitResult:
     four steps or because a trial parameter set gave a non-positive
     b(Q), and True for a fit without refinement. last_step is the largest
     parameter change of the last step (None when no step was taken);
-    p_value is the chi-square survival at dof (None at dof 0).
+    p_value is the chi-square survival at dof (None at dof 0); condition
+    is the 2-norm condition number of the final normal equations.
     """
 
     param_names: tuple
@@ -88,6 +90,13 @@ class FitResult:
     converged: bool
     last_step: float | None
     p_value: float | None
+
+    @property
+    def condition(self) -> float:
+        """s_max / s_min of the covariance, the inverse of the final normal
+        matrix, whose condition number it shares; computed when read."""
+        s = np.linalg.svd(self.covariance, compute_uv=False)
+        return float(s[0] / s[-1])
 
     def value(self, name: str) -> float:
         return float(self.values[self.param_names.index(name)])
@@ -188,7 +197,7 @@ def _corrected_rows(q, f, b, sigma, B, sigma_B, forward=None):
     sigma_b_nuclear) leads with the x = 0 datum.
     """
     corrected = [debye_waller_correct(bi, si, B, sigma_B, qi) for bi, si, qi
-                 in zip(b.tolist(), np.broadcast_to(sigma, q.shape).tolist(), q.tolist())]
+                 in zip(b.tolist(), np.full(q.shape, sigma).tolist(), q.tolist())]
     rows = (1.0 - f, *np.array(corrected).reshape(-1, 2).T)
     return rows if forward is None else _prepend((0.0, *forward), rows)
 
@@ -221,11 +230,8 @@ def _predicted_rows(model: ScatteringModel, crystal: CrystalSpec, reflections):
     _require_reflections(reflections)
     q = [q_over_4pi(crystal, r) for r in reflections]
     f = [model.form_factor.f_at(qi) for qi in q]
-    b = [_b_of_f(crystal, model, fi) * debye_waller(model.B, qi) for qi, fi in zip(q, f)]
-    for r, bi in zip(reflections, b):
-        if not bi > 0:
-            raise ValueError(f"model amplitude at ({r.label()}) is {bi:.6g} fm, not positive "
-                             f"(b_ne = {model.b_ne:.6g} fm)")
+    b = [_positive_amplitude(model, r, _b_of_f(crystal, model, fi) * debye_waller(model.B, qi))
+         for r, qi, fi in zip(reflections, q, f)]
     return tuple(np.array((q, f, b)))
 
 

@@ -30,18 +30,23 @@ class ReflectionClass(enum.Enum):
     indices the two-atom basis gives |1 + i^(h+k+l)| = 0, sqrt(2) or 2.
     """
 
-    DISALLOWED = "disallowed"  # mixed parity (fcc extinction)
-    FORBIDDEN = "forbidden"    # h+k+l = 2 mod 4 (basis interference)
-    WEAK = "weak"              # h+k+l odd
-    STRONG = "strong"          # h+k+l = 0 mod 4
+    DISALLOWED = ("disallowed", True)  # mixed parity (fcc extinction)
+    FORBIDDEN = ("forbidden", True)    # h+k+l = 2 mod 4 (basis interference)
+    WEAK = ("weak", False)             # h+k+l odd
+    STRONG = ("strong", False)         # h+k+l = 0 mod 4
+
+    def __new__(cls, value: str, extinct: bool):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.extinct = extinct  # |F| = 0 whatever the crystal
+        return member
 
     def __str__(self):
         return self.value
 
-    @property
-    def extinct(self) -> bool:
-        """|F| = 0 whatever the crystal."""
-        return self in (ReflectionClass.DISALLOWED, ReflectionClass.FORBIDDEN)
+
+# The members as module names, which _class_of reads faster than the class's.
+_DISALLOWED, _FORBIDDEN, _WEAK, _STRONG = ReflectionClass
 
 
 # |F| = UNIT_CELL_ATOMS * |1 + i^(h+k+l)| * b_meas for the observable classes
@@ -61,8 +66,9 @@ class Reflection:
 
     def __post_init__(self):
         try:
-            for v in (self.h, self.k, self.l):
-                operator.index(v)
+            operator.index(self.h)
+            operator.index(self.k)
+            operator.index(self.l)
         except TypeError:
             raise ValueError("Miller indices must be integers") from None
 
@@ -106,11 +112,11 @@ def classify(r: Reflection) -> ReflectionClass:
 def _class_of(h: int, k: int, l: int) -> ReflectionClass:
     """classify for an integer triple, for walks that build no Reflection."""
     if not h % 2 == k % 2 == l % 2:
-        return ReflectionClass.DISALLOWED
+        return _DISALLOWED
     s = h + k + l
     if s % 2 != 0:
-        return ReflectionClass.WEAK
-    return ReflectionClass.STRONG if s % 4 == 0 else ReflectionClass.FORBIDDEN
+        return _WEAK
+    return _STRONG if s % 4 == 0 else _FORBIDDEN
 
 
 @dataclass(frozen=True)
@@ -196,12 +202,25 @@ def b_meas(crystal: CrystalSpec, m: ScatteringModel, q_over_4pi: float) -> float
     return b_of_q(crystal, m, q_over_4pi) * debye_waller(m.B, q_over_4pi)
 
 
+def _positive_amplitude(m: ScatteringModel, r: Reflection, b: float) -> float:
+    """b, the model's b_meas at r; ValueError unless it is positive, since no
+    |F|, log row or weight could take it."""
+    if not b > 0:
+        raise ValueError(f"model amplitude at ({r.label()}) is {b:.6g} fm, not positive "
+                         f"(b_ne = {m.b_ne:.6g} fm)")
+    return b
+
+
 def structure_factor_magnitude(crystal: CrystalSpec, m: ScatteringModel, r: Reflection) -> float:
-    """|F_hkl| in fm: 4 |1 + i^(h+k+l)| b_meas(Q_hkl); 0 if extinct."""
+    """|F_hkl| in fm: 4 |1 + i^(h+k+l)| b_meas(Q_hkl); 0 if extinct.
+
+    ValueError when b_meas of an observable reflection is not positive.
+    """
     cls = classify(r)
     if cls.extinct:
         return 0.0
-    return _CLASS_AMPLITUDE[cls] * b_meas(crystal, m, q_over_4pi(crystal, r))
+    b = _positive_amplitude(m, r, b_meas(crystal, m, q_over_4pi(crystal, r)))
+    return _CLASS_AMPLITUDE[cls] * b
 
 
 def require_observable(r: Reflection) -> ReflectionClass:

@@ -160,7 +160,7 @@ for _config in ("malformed", "unknown_crystal", "inline_no_table", "bad_referenc
 _add("nan_table", _ERRORS)
 _add("deep_peak", [["plan"]])
 _add("huge_blade", [["simulate", "711"]])
-_add("big_bne", [["budget"], ["mc", "--trials", "100"], ["synth"],
+_add("big_bne", [["plan"], ["simulate", "711"], ["budget"], ["mc", "--trials", "100"], ["synth"],
                  ["synth", "--error-model", "temperature-factor"]])
 _add("zero_sigma_forward", [["budget"], ["mc", "--trials", "100"], ["fit", "si_meas.csv"]])
 

@@ -454,6 +454,22 @@ class TestFringeCount:
             fringe_count(SILICON, si_model, Reflection(2, 2, 2), blade, SpectrumWindow())
 
 
+class TestNonPositiveModelAmplitude:
+    """At b_ne = 1 fm the model amplitude of (711) is negative: every fringe
+    function refuses it by name, where a sweep used to run on a negative
+    |F| and fail with an unrelated message (or not at all)."""
+
+    @pytest.mark.parametrize("call", [
+        lambda m, r, g: pendellosung_argument(SILICON, m, r, g, 1.0),
+        lambda m, r, g: intensity_profile(BeamSpectrum(), SILICON, m, r, g),
+        lambda m, r, g: fringe_count(SILICON, m, r, g, SpectrumWindow()),
+    ], ids=["argument", "profile", "count"])
+    def test_refused_naming_the_reflection(self, blade, call):
+        with pytest.raises(ValueError, match=r"^model amplitude at \(711\) is -4\.13246 fm, "
+                                             r"not positive \(b_ne = 1 fm\)$"):
+            call(scattering_model(SILICON, 1.0), Reflection(7, 1, 1), blade)
+
+
 def _lambda_for_argument(model, r, blade, target, lo=0.82, hi=2.49, crystal=SILICON):
     """Invert the monotone argument function by bisection."""
     f_lo = pendellosung_argument(crystal, model, r, blade, lo) - target

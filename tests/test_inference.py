@@ -431,6 +431,67 @@ class TestFitDiagnostics:
         assert (fit.dof, fit.p_value) == (0, None)
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shapes of the matrices np.linalg.svd is called on, in order."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+class TestFitCondition:
+    """FitResult.condition is the 2-norm condition number of the final
+    normal equations, taken from the covariance when it is read."""
+
+    @staticmethod
+    def normal_matrix(fit, ms, model, forward, free, refine):
+        """J^T W J rebuilt from the rows written out: x1 = q^2, x2 = 1 - f,
+        weights (b_meas / sigma)^2, and the forward datum at x1 = x2 = 0;
+        J is the design without refinement, else the exact model's Jacobian
+        at the fitted parameters."""
+        q = np.array([q_over_4pi(SILICON, m.reflection) for m in ms])
+        x1, x2 = q * q, 1.0 - np.array([model.form_factor.f_at(qi) for qi in q])
+        w = (np.array([m.b_meas for m in ms]) / np.array([m.sigma for m in ms])) ** 2
+        if forward:
+            x1, x2 = np.r_[0.0, x1], np.r_[0.0, x2]
+            w = np.r_[(SILICON.b_nuclear / SILICON.sigma_b_nuclear) ** 2, w]
+        z = SILICON.Z
+        if refine:
+            c = fit.value("ln_b_nuclear") if free else math.log(SILICON.b_nuclear)
+            bq = math.exp(c) - fit.value("b_ne") * z * x2
+            cols = [-x1, -z * x2 / bq] + ([math.exp(c) / bq] if free else [])
+        else:
+            cols = [-x1, -z / SILICON.b_nuclear * x2] + ([np.ones_like(x1)] if free else [])
+        a = np.column_stack(cols)
+        return a.T @ (w[:, None] * a)
+
+    @pytest.mark.parametrize("refine", [True, False])
+    @pytest.mark.parametrize("forward,free", [(True, True), (False, True), (True, False),
+                                              (False, False)])
+    @pytest.mark.parametrize("seed", [0, 5, 14, 31])
+    def test_matches_cond_of_the_normal_matrix(self, si_model, new_eight, seed, forward,
+                                               free, refine):
+        ms = synth_measurements(si_model, SILICON, new_eight, sigma=0.0008, seed=seed)
+        fit = joint_fit(ms, SILICON, si_model.form_factor, include_forward=forward,
+                        free_intercept=free, refine=refine)
+        normal = self.normal_matrix(fit, ms, si_model, forward, free, refine)
+        assert type(fit.condition) is float
+        assert fit.condition == pytest.approx(np.linalg.cond(normal), rel=1e-6)
+
+    def test_computed_only_when_read(self, si_model, new_eight, svd_calls):
+        ms = synth_measurements(si_model, SILICON, new_eight, sigma=0.0008, seed=3)
+        fit = joint_fit(ms, SILICON, si_model.form_factor)
+        assert svd_calls == []
+        assert fit.condition > 1.0
+        assert svd_calls == [(3, 3)]
+
+
 class TestChi2Survival:
     """The p-value's chi-square survival without scipy, A&S 26.4.4-26.4.5."""
 
@@ -516,6 +577,15 @@ class TestModelAmplitudeNotPositive:
         with pytest.raises(ValueError, match=r"^model amplitude at \(422\) is -2\.86428 fm, "
                                              r"not positive \(b_ne = 1 fm\)$"):
             route(big_bne, SILICON, new_eight)
+
+    def test_structure_factor_gives_the_same_refusal(self, big_bne, new_eight):
+        # |F| takes the amplitude from the same check, so the message is
+        # the one every planned-set route above gives.
+        with pytest.raises(ValueError) as planned:
+            error_budget(big_bne, SILICON, new_eight)
+        with pytest.raises(ValueError) as single:
+            structure_factor_magnitude(SILICON, big_bne, new_eight[0])
+        assert str(single.value) == str(planned.value)
 
     def test_names_the_first_in_the_given_order(self, pure_plans):
         # At b_ne = 0.6 fm, (111) keeps a positive amplitude and every
@@ -908,18 +978,6 @@ class TestConditionGuardProperty:
         with np.errstate(all="ignore"):  # the overflowing scales warn in A^T W A
             TestConditionGuardMatchesFrozenCond.accepted(a * 10.0 ** log_scale,
                                                          10.0 ** rng.uniform(-1, 1, n))
-
-    @pytest.fixture
-    def svd_calls(self, monkeypatch):
-        calls = []
-        svd = np.linalg.svd
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
-        return calls
 
     def test_fits_of_the_new_reflections_take_no_svd(self, si_model, new_eight, svd_calls):
         ms = synth_measurements(si_model, SILICON, new_eight, sigma=0.0008, seed=3)

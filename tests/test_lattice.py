@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,7 @@ from pendellosung import (
     scattering_model,
     structure_factor_magnitude,
 )
+from pendellosung import lattice
 from pendellosung.lattice import _class_of
 
 Q111 = math.sqrt(3) / (2 * 5.43072)
@@ -98,6 +100,51 @@ class TestClassify:
     def test_class_invariant_under_sign_and_order(self, h, k, l):
         r = Reflection(h, k, l)
         assert classify(r) is classify(r.canonical())
+
+
+class TestReflectionClassMembers:
+    """Each member carries its extinct flag as data; its value, str, lookup
+    by value and pickling are those of a plain string-valued enum."""
+
+    def test_extinct_truth_table(self):
+        assert {c: c.extinct for c in ReflectionClass} == {
+            ReflectionClass.DISALLOWED: True, ReflectionClass.FORBIDDEN: True,
+            ReflectionClass.WEAK: False, ReflectionClass.STRONG: False}
+        assert all(type(c.extinct) is bool for c in ReflectionClass)
+
+    @pytest.mark.parametrize("member,value", [
+        (ReflectionClass.DISALLOWED, "disallowed"), (ReflectionClass.FORBIDDEN, "forbidden"),
+        (ReflectionClass.WEAK, "weak"), (ReflectionClass.STRONG, "strong"),
+    ])
+    def test_value_str_and_lookup(self, member, value):
+        assert member.value == value
+        assert str(member) == value
+        assert repr(member) == f"<ReflectionClass.{member.name}: {value!r}>"
+        assert ReflectionClass(value) is member
+        with pytest.raises(ValueError):
+            ReflectionClass((value, member.extinct))
+
+    @pytest.mark.parametrize("member", list(ReflectionClass))
+    def test_pickle_round_trip_is_the_member(self, member):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(member, protocol)) is member
+
+    def test_integer_rule_is_classify_and_the_parity_oracle(self):
+        # Every triple in [-9, 9]^3: _class_of, classify and the parity rule
+        # written out give the same member object.
+        for h in range(-9, 10):
+            for k in range(-9, 10):
+                for l in range(-9, 10):
+                    if len({h % 2, k % 2, l % 2}) > 1:
+                        want = ReflectionClass.DISALLOWED
+                    elif (h + k + l) % 2:
+                        want = ReflectionClass.WEAK
+                    elif (h + k + l) % 4:
+                        want = ReflectionClass.FORBIDDEN
+                    else:
+                        want = ReflectionClass.STRONG
+                    assert _class_of(h, k, l) is want
+                    assert classify(Reflection(h, k, l)) is want
 
 
 class TestScatteringLength:
@@ -227,6 +274,23 @@ class TestStructureFactor:
         q = q_over_4pi(SILICON, Reflection(4, 2, 2))
         assert b_of_q(SILICON, si_model, q) == pytest.approx(4.16026, abs=1e-4)
         assert debye_waller(si_model.B, q) == pytest.approx(0.91042, abs=1e-5)
+
+    def test_refuses_a_non_positive_model_amplitude(self):
+        # At b_ne = 1 fm, b(Q) DW is negative past (111): no |F| to return.
+        model = scattering_model(SILICON, 1.0)
+        assert structure_factor_magnitude(SILICON, model, Reflection(1, 1, 1)) > 0.0
+        with pytest.raises(ValueError, match=r"^model amplitude at \(711\) is -4\.13246 fm, "
+                                             r"not positive \(b_ne = 1 fm\)$"):
+            structure_factor_magnitude(SILICON, model, Reflection(7, 1, 1))
+        # An extinct reflection has |F| = 0 whatever the model.
+        assert structure_factor_magnitude(SILICON, model, Reflection(2, 2, 2)) == 0.0
+        assert structure_factor_magnitude(SILICON, model, Reflection(1, 1, 0)) == 0.0
+
+    def test_refuses_a_nan_model_amplitude(self, si_model, monkeypatch):
+        monkeypatch.setattr(lattice, "b_meas", lambda *args: math.nan)
+        with pytest.raises(ValueError, match=r"^model amplitude at \(111\) is nan fm, "):
+            structure_factor_magnitude(SILICON, si_model, Reflection(1, 1, 1))
+        assert structure_factor_magnitude(SILICON, si_model, Reflection(2, 2, 2)) == 0.0
 
     def test_strong_to_weak_ratio(self, si_model):
         # Same b_meas: the class amplitudes differ by sqrt(2) exactly.

@@ -316,8 +316,12 @@ class TestEmptyResultsAndSkips:
 
 
 class TestSurveyCallStructure:
-    """The public calls a survey makes, counted through the module
-    attributes they are looked up by, as a tracer binds its spans."""
+    """The public calls a survey makes and the call that makes each,
+    counted through the module attributes they are looked up by, as a
+    tracer binds its spans: survey -> candidates -> bragg_angle and
+    survey -> plan_reflection -> contamination, once per plan. The
+    benchmark's traced runs read these spans, so a change that fuses one
+    of them away fails here first."""
 
     COUNTED = ("candidates", "plan_reflection", "contamination", "bragg_angle")
 
@@ -328,12 +332,18 @@ class TestSurveyCallStructure:
         (GERMANIUM, SpectrumWindow(lambda_min=0.6, lambda_max=3.0, two_theta_max=150.0)),
     ], ids=["si-default", "si-narrow", "ge-wide"])
     def test_one_pass_per_plan(self, monkeypatch, crystal, w, strict):
-        calls = dict.fromkeys(self.COUNTED, 0)
+        calls = {}  # (caller, callee) -> count
+        stack = ["survey"]
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+                edge = (stack[-1], name)
+                calls[edge] = calls.get(edge, 0) + 1
+                stack.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stack.pop()
             return wrapper
 
         # The amended verdicts come from a per-crystal table built by the
@@ -343,8 +353,9 @@ class TestSurveyCallStructure:
             monkeypatch.setattr(planner, name, counted(name, getattr(planner, name)))
         plans = planner.survey(crystal, w, strict=strict).plans
         assert plans
-        assert calls == {"candidates": 1, "plan_reflection": len(plans),
-                         "contamination": len(plans), "bragg_angle": len(plans)}
+        n = len(plans)
+        assert calls == {("survey", "candidates"): 1, ("candidates", "bragg_angle"): n,
+                         ("survey", "plan_reflection"): n, ("plan_reflection", "contamination"): n}
 
 
 @st.composite
