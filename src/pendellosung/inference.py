@@ -15,6 +15,11 @@ analytic covariance. All of them reduce the same weighted rows: log rows
 (x = 1 - f), each optionally led by the forward datum at x = 0; model
 amplitudes of a planned set come only from _predicted_rows.
 
+Inputs are checked once, where they enter: the public functions refuse what
+they cannot reduce, and each row set is checked as it is built, before any
+weight is formed (_require_weighable). The private reductions, _slope_sigma,
+_normal_cov and the joint fit's Gauss-Newton steps, trust those rows.
+
 Error conventions: one standard deviation, Gaussian, uncorrelated inputs.
 Removing the Debye-Waller attenuation inflates the error linearly,
 
@@ -154,18 +159,34 @@ def charge_radius_from_bne(constants: PhysicalConstants, b_ne: float,
 # --- shared reduction core ------------------------------------------------
 
 
+# A row error sy must give a weight 1/sy^2 within 1e-150..1e150, or the weight
+# sums that S Sxx - Sx^2 and the normal matrix multiply overflow or underflow.
+_SY_MIN, _SY_MAX = 1e-75, 1e75
+
+
+def _require_weighable(sy, sigma, name="sigma"):
+    """ValueError naming the sigma (one, or a list aligned with sy's end) of
+    the first row error in sy whose weight is out of range."""
+    bad = [i for i, v in enumerate(sy) if not _SY_MIN <= v <= _SY_MAX]
+    if bad:
+        s = sigma if isinstance(sigma, (int, float)) else sigma[bad[0] - len(sy) + len(sigma)]
+        raise ValueError(f"{name} = {s:.6g} fm gives a row weight 1/sy^2 outside 1e-150..1e150")
+
+
 def _forward(crystal: CrystalSpec, include_forward: bool):
     """The forward datum (b_nuclear, sigma_b_nuclear) at x = 0, or None.
 
     Every weighted reduction takes the datum from here; a zero sigma would
-    give it infinite weight, so it is refused.
+    give it infinite weight, so it is refused, as is one out of weight range.
     """
     if not include_forward:
         return None
     if crystal.sigma_b_nuclear == 0:
         raise DegenerateDesign(f"{crystal.name}: sigma_b_nuclear = 0 gives the forward "
                                "datum infinite weight; set it or exclude the datum")
-    return crystal.b_nuclear, crystal.sigma_b_nuclear
+    s0 = crystal.sigma_b_nuclear
+    _require_weighable((s0 / crystal.b_nuclear, s0), s0, "sigma_b_nuclear")
+    return crystal.b_nuclear, s0
 
 
 def _prepend(head, cols):
@@ -183,6 +204,8 @@ def _log_rows(q, b, sigma, forward=None, *extra):
     forward = (b_nuclear, sigma_b_nuclear) leads with the x = 0 datum;
     extra abscissa columns are passed through and are 0 at that datum.
     """
+    sl = sigma.tolist() if isinstance(sigma, np.ndarray) else [sigma] * len(b)
+    _require_weighable([s / v for s, v in zip(sl, b.tolist())], sl)
     rows = (q * q, np.log(b), sigma / b, *extra)
     if forward is None:
         return rows
@@ -193,11 +216,12 @@ def _log_rows(q, b, sigma, forward=None, *extra):
 def _corrected_rows(q, f, b, sigma, B, sigma_B, forward=None):
     """Rows of b(Q) = b_nuclear - b_ne Z (1 - f): (x = 1 - f, y = b(Q), sy).
 
-    b(Q) and sy come from debye_waller_correct; forward = (b_nuclear,
-    sigma_b_nuclear) leads with the x = 0 datum.
+    b(Q) and sy come from debye_waller_correct; sigma is a scalar or one per
+    row; forward = (b_nuclear, sigma_b_nuclear) leads with the x = 0 datum.
     """
+    sl = sigma.tolist() if isinstance(sigma, np.ndarray) else [sigma] * len(q)
     corrected = [debye_waller_correct(bi, si, B, sigma_B, qi) for bi, si, qi
-                 in zip(b.tolist(), np.full(q.shape, sigma).tolist(), q.tolist())]
+                 in zip(b.tolist(), sl, q.tolist())]
     rows = (1.0 - f, *np.array(corrected).reshape(-1, 2).T)
     return rows if forward is None else _prepend((0.0, *forward), rows)
 
@@ -242,24 +266,25 @@ def _wls_line(x, y, sigma, fixed_intercept=None):
     intercept row/column of the covariance is zero.
     """
     w = 1.0 / sigma**2
-    if fixed_intercept is not None:
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing sums are degenerate
+        if fixed_intercept is not None:
+            sxx = (w * x * x).sum()
+            if not 0 < sxx < math.inf:
+                raise DegenerateDesign("abscissas do not constrain a slope")
+            slope = (w * x * (y - fixed_intercept)).sum() / sxx
+            return fixed_intercept, slope, np.diag([0.0, 1.0 / sxx])
+        s = w.sum()
+        sx = (w * x).sum()
+        sy = (w * y).sum()
         sxx = (w * x * x).sum()
-        if sxx <= 0:
+        sxy = (w * x * y).sum()
+        denom = s * sxx - sx * sx
+        if not 0 < denom < math.inf:
             raise DegenerateDesign("abscissas do not constrain a slope")
-        slope = (w * x * (y - fixed_intercept)).sum() / sxx
-        return fixed_intercept, slope, np.diag([0.0, 1.0 / sxx])
-    s = w.sum()
-    sx = (w * x).sum()
-    sy = (w * y).sum()
-    sxx = (w * x * x).sum()
-    sxy = (w * x * y).sum()
-    denom = s * sxx - sx * sx
-    if denom <= 0 or not np.isfinite(denom):
-        raise DegenerateDesign("abscissas do not constrain a slope")
-    slope = (s * sxy - sx * sy) / denom
-    intercept = (sxx * sy - sx * sxy) / denom
-    cov = np.array([[sxx, -sx], [-sx, s]]) / denom
-    return intercept, slope, cov
+        slope = (s * sxy - sx * sy) / denom
+        intercept = (sxx * sy - sx * sxy) / denom
+        cov = np.array([[sxx, -sx], [-sx, s]]) / denom
+        return intercept, slope, cov
 
 
 def _joint_design(x1, x2, scale, free_intercept: bool):
@@ -297,25 +322,36 @@ def _well_conditioned(m) -> bool:
 
 
 def _normal_cov(a, w):
-    """(A^T W A)^-1 of a weighted linear fit with design a and weights w.
+    """(A^T W A)^-1 of a weighted fit with design a and weights w or w[:, None].
 
     A singular or non-finite inverse, or a 2-norm condition number
     s_max / s_min above 1e14 (np.linalg.cond's value), is refused. The
     singular values are taken only where _well_conditioned cannot decide.
     """
-    awa = a.T @ (w[:, None] * a)
+    awa = a.T @ ((w if w.ndim == 2 else w[:, None]) * a)
     try:
         cov = np.linalg.inv(awa)
     except np.linalg.LinAlgError as exc:
         raise DegenerateDesign("collinear fit abscissas") from exc
+    if _well_conditioned(awa.tolist()):
+        return cov  # finite: s_min >= ||awa||_F / 1e8 >= 1e-53
     if np.isfinite(cov).all():
-        if _well_conditioned(awa.tolist()):
-            return cov
         s = np.linalg.svd(awa, compute_uv=False)
         s_max, s_min = float(s[0]), float(s[-1])
         if s_min != 0.0 and s_max / s_min <= 1e14:
             return cov
     raise DegenerateDesign("collinear fit abscissas")
+
+
+def _slope_sigma(x, sy) -> float:
+    """slope_uncertainty on rows the caller built and checked."""
+    w = 1.0 / sy**2
+    wx = w * x
+    s, sx = float(w.sum()), float(wx.sum())
+    denom = s * float((wx * x).sum()) - sx * sx
+    if not 0 < denom < math.inf:
+        raise DegenerateDesign("abscissas do not constrain a slope")
+    return math.sqrt(s / denom)
 
 
 def slope_uncertainty(xs, sigmas) -> float:
@@ -335,14 +371,9 @@ def slope_uncertainty(xs, sigmas) -> float:
         raise ValueError("abscissas must be finite")
     if not ((sigmas > 0) & (sigmas < math.inf)).all():
         raise ValueError("sigmas must be positive and finite")
-    w = 1.0 / sigmas**2
-    wx = w * xs
-    s = w.sum()
-    sx = wx.sum()
-    denom = s * (wx * xs).sum() - sx * sx
-    if denom <= 0 or not np.isfinite(denom):
-        raise DegenerateDesign("abscissas do not constrain a slope")
-    return math.sqrt(s / denom)
+    _require_weighable(sigmas.tolist(), sigmas.tolist())
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing sums are degenerate
+        return _slope_sigma(xs, sigmas)
 
 
 # --- single-parameter fits ----------------------------------------------
@@ -376,6 +407,7 @@ def fit_bne(ms, crystal: CrystalSpec, table: FormFactorTable, *,
     q, f, b, s = _measured_rows(ms, crystal, table)
     x, y, sy = _corrected_rows(q, f, b, s, crystal.B, crystal.sigma_B,
                                _forward(crystal, include_forward))
+    _require_weighable(sy.tolist(), s.tolist())
     if x.max() == x.min():
         raise InsufficientData("need two distinct form-factor abscissas")
     _, slope, cov = _wls_line(x, y, sy)
@@ -400,25 +432,25 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
     if len(ms) < 2:
         raise InsufficientData("joint fit needs at least two reflections")
     q, f, b, s = _measured_rows(ms, crystal, table)
-    if q.max() == q.min() and f.max() == f.min():
+    if len(set(q.tolist())) == 1 and len(set(f.tolist())) == 1:
         raise DegenerateDesign("all measurements share one (q^2, 1-f) point")
     x1, y, sy, x2 = _log_rows(q, b, s, _forward(crystal, include_forward), 1.0 - f)
 
     names = ("B", "b_ne") + (("ln_b_nuclear",) if free_intercept else ())
     design = _joint_design(x1, x2, crystal.Z / crystal.b_nuclear, free_intercept)
     w = 1.0 / sy**2
+    w_col = w[:, None]
     offset = 0.0 if free_intercept else math.log(crystal.b_nuclear)
 
     def solve_normal(a, resid):
-        cov = _normal_cov(a, w)
+        cov = _normal_cov(a, w_col)
         return cov @ (a.T @ (w * resid)), cov
 
     theta, cov = solve_normal(design, y - offset)
 
-    def exact_model(t):
-        c = t[2] if free_intercept else offset
-        bq = math.exp(c) - t[1] * crystal.Z * x2
-        if (bq <= 0).any():
+    def exact_model(t):  # t: the parameters as floats
+        bq = math.exp(t[2] if free_intercept else offset) - t[1] * crystal.Z * x2
+        if any(v <= 0 for v in bq.tolist()):
             return None, None
         return np.log(bq) - t[0] * x1, bq
 
@@ -433,21 +465,23 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
         np.negative(x1, out=jac[:, 0])
         z_x2 = -crystal.Z * x2
         for _ in range(4):
-            model_exact, bq = exact_model(theta)
+            t = theta.tolist()
+            model_exact, bq = exact_model(t)
             if model_exact is None:
                 break
             model = model_exact
             np.divide(z_x2, bq, out=jac[:, 1])
             if free_intercept:
-                np.divide(math.exp(theta[2]), bq, out=jac[:, 2])
+                np.divide(math.exp(t[2]), bq, out=jac[:, 2])
             step, cov = solve_normal(jac, y - model)
             theta = theta + step
             n_iter += 1
-            last_step = float(np.abs(step).max())
+            steps = [abs(v) for v in step.tolist()]
+            last_step = max(steps) if sum(steps) >= 0 else math.nan  # NaN as np.max
             if last_step < 1e-13:
                 converged = True
                 break
-        model_exact, _ = exact_model(theta)
+        model_exact, _ = exact_model(theta.tolist())
         if model_exact is not None:
             model = model_exact
         else:
@@ -513,10 +547,11 @@ def error_budget(model: ScatteringModel, crystal: CrystalSpec,
         raise DegenerateDesign("need two abscissas (reflections plus forward point)")
     forward = _forward(crystal, include_forward)
     x, _, sy = _log_rows(q, b_pred, sigma_b_meas, forward)
-    sigma_big_b = slope_uncertainty(x, sy)
+    sigma_big_b = _slope_sigma(x, sy)
     x, _, sy = _corrected_rows(q, f, b_pred, sigma_b_meas, model.B,
                                sigma_big_b if propagate_sigma_B else 0.0, forward)
-    sigma_bne = slope_uncertainty(x, sy) / crystal.Z
+    _require_weighable(sy.tolist(), sigma_b_meas)
+    sigma_bne = _slope_sigma(x, sy) / crystal.Z
 
     return BudgetResult(sigma_B=sigma_big_b, sigma_bne=sigma_bne, n_reflections=len(refls))
 
@@ -550,11 +585,12 @@ def synth_measurements(model: ScatteringModel, crystal: CrystalSpec,
         raise InsufficientData("no reflections left to synthesize")
     b_pred = _predicted_rows(model, crystal, refls)[2]
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), (len(refls),))
-    if not ((sig >= 0) & (sig < math.inf)).all():
+    sl = sig.tolist()
+    if not all(0 <= s < math.inf for s in sl):
         raise ValueError("sigma must be non-negative and finite")
     noise = np.random.default_rng(_check_seed(seed)).standard_normal(len(refls))
     return [Measurement(reflection=r, b_meas=v, sigma=s if s > 0 else DEFAULT_SIGMA_B_MEAS)
-            for r, v, s in zip(refls, (b_pred + sig * noise).tolist(), sig.tolist())]
+            for r, v, s in zip(refls, (b_pred + sig * noise).tolist(), sl)]
 
 
 def temperature_factor_sigmas(model: ScatteringModel, crystal: CrystalSpec,

@@ -65,10 +65,14 @@ class Reflection:
     l: int
 
     def __post_init__(self):
+        # Exact ints pass on their types; operator.index also takes bools.
+        if type(self.h) is type(self.k) is type(self.l) is int:
+            return
         try:
-            operator.index(self.h)
-            operator.index(self.k)
-            operator.index(self.l)
+            for v in (self.h, self.k, self.l):
+                if isinstance(v, bool):
+                    raise TypeError
+                operator.index(v)
         except TypeError:
             raise ValueError("Miller indices must be integers") from None
 

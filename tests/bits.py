@@ -26,7 +26,10 @@ The cases:
 * the normal-equation inverse _normal_cov on 2- and 3-column designs with
   condition numbers from 1 to 1e17 at scales from 1e-160 to 1e160 (so the
   normal matrix runs from subnormal to overflowing), and on rank-deficient
-  designs.
+  designs;
+* error budgets, Monte Carlo and the three fits at amplitude errors from
+  1e-300 to 1e300 fm, whose row weights run out of the float range at the
+  ends, and a Reflection of bool indices.
 
 ``test_bits.py`` runs a subset of the cases on every test run.
 """
@@ -293,6 +296,25 @@ def _build() -> None:
             for seed in range(3):
                 CASES[f"normal_cov rank-deficient p={p} scale=1e{e} seed={seed}"] = partial(
                     _normal_cov, *_rank_deficient_design(seed, p, scale))
+
+    exact = synth_measurements(model, SILICON, si_pure[1:], sigma=0.0)
+    for sigma in (1e-300, 1e-160, 1e-76, 1e-70, 1e70, 1e76, 1e160, 1e300):
+        for fwd in (True, False):
+            CASES[f"sigma_range error_budget sigma={sigma:g} forward={fwd}"] = partial(
+                _budget, model, SILICON, si_pure[1:], sigma_b_meas=sigma, include_forward=fwd)
+        CASES[f"sigma_range monte_carlo sigma={sigma:g}"] = partial(
+            _monte_carlo, model, SILICON, si_pure[1:], sigma=sigma, n_trials=100)
+        ms = [Measurement(m.reflection, m.b_meas, sigma) for m in exact]
+        CASES[f"sigma_range joint_fit sigma={sigma:g}"] = partial(_joint_fit, ms, SILICON, table)
+        CASES[f"sigma_range fit_bne sigma={sigma:g}"] = partial(fit_bne, ms, SILICON, table)
+        CASES[f"sigma_range fit_temperature_factor sigma={sigma:g}"] = partial(
+            fit_temperature_factor, ms, SILICON)
+        one = exact[:3] + [Measurement(exact[3].reflection, exact[3].b_meas, sigma)] + exact[4:]
+        CASES[f"sigma_range joint_fit one row sigma={sigma:g}"] = partial(
+            _joint_fit, one, SILICON, table)
+    CASES["reflection bool indices"] = lambda: _plan(
+        plan_reflection(SILICON, Reflection(True, True, True)))
+    CASES["reflection bool index label"] = lambda: Reflection(2, 2, False).label()
 
     CASES["joint_fit non-canonical indices"] = partial(
         _joint_fit, [Measurement(Reflection(-2, 4, 2), 3.7877),

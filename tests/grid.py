@@ -73,6 +73,8 @@ FILES = {
 6,4,2,6.40661,0.0008
 """,
     "extinct_meas.csv": "h,k,l,b_meas_fm,sigma_fm\n1,0,0,4.1,0.0008\n4,2,2,3.78,0.0008\n",
+    # Errors whose row weights (b/sigma)^2 leave the float range.
+    "tiny_sigma_meas.csv": _SI_MEASUREMENTS.replace(",0.0008", ",1e-300"),
 }
 
 _INLINE = ("[crystal]\nname = Si28\na0 = 5.43072\nZ = 14\nb_nuclear = 4.1507\n"
@@ -106,6 +108,7 @@ CONFIGS = {
     "huge_blade": "[blade]\nthickness_cm = 1e300\n",
     "bad_seed": "[run]\nseed = -3\n",
     "zero_sigma_forward": _INLINE.replace("sigma_b_nuclear = 0.0002\n", ""),
+    "tiny_sigma_forward": _INLINE.replace("sigma_b_nuclear = 0.0002", "sigma_b_nuclear = 1e-300"),
 }
 
 _FIT_MODES = [["fit", "si_meas.csv", "--mode", m] for m in ("auto", "joint", "bne", "B")]
@@ -142,6 +145,9 @@ _add("si", _FULL + [
     ["mc", "--sigma", "0"], ["mc", "--trials", "1"], ["synth", "--sigma", "10"],
     ["radius", "--", "nan"], ["simulate", "1" + "0" * 200 + ",0,0"],
     ["mc", "--trials", "100", "--seed", str(2**128)], ["mc", "--trials", "1000000001"],
+    ["budget", "--sigma", "1e-300"], ["budget", "--sigma", "1e300"],
+    ["mc", "--trials", "100", "--sigma", "1e-300"], ["mc", "--trials", "100", "--sigma", "1e300"],
+    ["fit", "tiny_sigma_meas.csv"], ["fit", "tiny_sigma_meas.csv", "--mode", "B"],
 ])
 _add("ge", [["plan"], ["plan", "--all", "--strict"], ["simulate", "111"], ["simulate", "711"],
             ["budget"], ["synth"], ["mc"]])
@@ -163,6 +169,7 @@ _add("huge_blade", [["simulate", "711"]])
 _add("big_bne", [["plan"], ["simulate", "711"], ["budget"], ["mc", "--trials", "100"], ["synth"],
                  ["synth", "--error-model", "temperature-factor"]])
 _add("zero_sigma_forward", [["budget"], ["mc", "--trials", "100"], ["fit", "si_meas.csv"]])
+_add("tiny_sigma_forward", [["budget"], ["mc", "--trials", "100"], ["fit", "si_meas.csv"]])
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()

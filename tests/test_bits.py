@@ -12,7 +12,7 @@ import bits
 KINDS = {"profile", "fringe_count", "pendellosung_argument", "bessel_j0", "monte_carlo",
          "survey", "plan_reflection", "f_at", "temperature_factor_sigmas", "error_budget",
          "synth", "joint_fit", "fit_temperature_factor", "fit_bne", "slope_uncertainty",
-         "normal_cov"}
+         "normal_cov", "sigma_range", "reflection"}
 
 
 def _first_of_each_kind():
@@ -35,7 +35,11 @@ def test_subset_digests_repeat():
     names += ["monte_carlo n=2 seed=0 forward=True", "joint_fit pair seed=0 forward=False "
               "free=True refine=True", "slope_uncertainty refuses one abscissa",
               "normal_cov p=3 scale=1e0 kappa=1e+13", "normal_cov p=2 scale=1e160 kappa=1",
-              "normal_cov rank-deficient p=3 scale=1e-160 seed=0"]
+              "normal_cov rank-deficient p=3 scale=1e-160 seed=0",
+              "sigma_range error_budget sigma=1e+300 forward=True",
+              "sigma_range monte_carlo sigma=1e-300", "sigma_range joint_fit sigma=1e-300",
+              "sigma_range fit_bne sigma=1e+300", "sigma_range fit_temperature_factor sigma=1e-300",
+              "sigma_range joint_fit one row sigma=1e+76", "reflection bool index label"]
     assert bits.run(names) == bits.run(names)
 
 

@@ -169,7 +169,8 @@ class TestInferenceEdges:
         assert [m.sigma for m in ms] == pytest.approx(list(sig))
 
     def test_reflection_requires_integers(self):
-        for hkl in [(1.5, 1, 1), (2.0, 2.0, 0.0), (math.inf, 0, 0)]:
+        for hkl in [(1.5, 1, 1), (2.0, 2.0, 0.0), (math.inf, 0, 0), (True, True, True),
+                    (2, 2, False), (np.True_, 1, 1)]:
             with pytest.raises(ValueError, match="Miller indices must be integers"):
                 Reflection(*hkl)
 

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from pendellosung import (
     ForbiddenReflection,
     InsufficientData,
     Measurement,
+    PendellosungError,
     Reflection,
     ScatteringModel,
     SpectrumWindow,
@@ -187,9 +190,42 @@ class TestSlopeUncertainty:
         assert slope_uncertainty(xs, sigmas) == math.sqrt(cov[1, 1])
 
     def test_overflowing_sums_are_degenerate(self):
-        with np.errstate(over="ignore"), pytest.raises(
-                DegenerateDesign, match="^abscissas do not constrain a slope$"):
+        with pytest.raises(DegenerateDesign, match="^abscissas do not constrain a slope$"):
             slope_uncertainty([1e200, -1e200], [1.0, 1.0])
+        with pytest.raises(DegenerateDesign, match="^abscissas do not constrain a slope$"):
+            inference._wls_line(np.array([1e200, -1e200]), np.zeros(2), np.ones(2))
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-76, 1e76, 1e300])
+    def test_weights_out_of_range_are_refused(self, sigma):
+        with pytest.raises(ValueError, match=re.escape(f"sigma = {sigma:.6g} fm gives a row")):
+            slope_uncertainty([0.0, 1.0], [0.1, sigma])
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("propagate", [True, False])
+    def test_budget_core_is_slope_uncertainty(self, si_model, pure_plans, seed, forward,
+                                              propagate, monkeypatch):
+        # error_budget reduces both stages through the private core; on the
+        # rows of each stage it equals the checked public function bit for bit.
+        rng = np.random.default_rng(seed)
+        pool = [p.reflection for p in pure_plans]
+        refls = [pool[i] for i in sorted(rng.choice(len(pool), int(rng.integers(2, 10)),
+                                                    replace=False))]
+        sigma = 10.0 ** rng.uniform(-4, -1)
+        core, seen = inference._slope_sigma, []
+
+        def spy(x, sy):
+            seen.append((x.copy(), sy.copy(), core(x, sy)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(inference, "_slope_sigma", spy)
+        budget = error_budget(si_model, SILICON, refls, sigma_b_meas=sigma,
+                              include_forward=forward, propagate_sigma_B=propagate)
+        monkeypatch.undo()
+        (x_b, sy_b, sigma_big_b), (x_bne, sy_bne, slope_bne) = seen
+        assert (budget.sigma_B, budget.sigma_bne) == (sigma_big_b, slope_bne / SILICON.Z)
+        assert slope_uncertainty(x_b, sy_b) == sigma_big_b
+        assert slope_uncertainty(x_bne, sy_bne) == slope_bne
 
     def test_matches_budget_bne_stage(self, si_model, new_eight):
         # Rebuild the b_ne-stage slope error by hand from the same inputs.
@@ -1127,3 +1163,63 @@ def test_round_trip_property_joint(BB, bne):
     fit = joint_fit(ms, SILICON, model.form_factor)
     assert fit.value("B") == pytest.approx(BB, rel=1e-9, abs=1e-12)
     assert fit.value("b_ne") == pytest.approx(bne, rel=1e-9, abs=1e-12)
+
+
+class TestForwardWeightRange:
+    @pytest.mark.parametrize("s0", [1e-300, 1e300])
+    def test_forward_datum_out_of_range_is_refused(self, si_model, new_eight, s0):
+        crystal = replace(SILICON, sigma_b_nuclear=s0)
+        ms = synth_measurements(si_model, crystal, new_eight, seed=1)
+        calls = [lambda: error_budget(si_model, crystal, new_eight),
+                 lambda: monte_carlo_validate(si_model, crystal, new_eight, n_trials=10),
+                 lambda: joint_fit(ms, crystal, si_model.form_factor),
+                 lambda: fit_bne(ms, crystal, si_model.form_factor),
+                 lambda: fit_temperature_factor(ms, crystal)]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"sigma_b_nuclear = {s0:g} fm")):
+                call()
+        assert error_budget(si_model, crystal, new_eight, include_forward=False).sigma_B > 0
+
+
+# Log-uniform over 1e-320..1e300, so each decade of the float range is drawn
+# alike (the low end is subnormal).
+_SPAN = st.floats(-320.0, 300.0).map(lambda e: 10.0**e)
+
+
+class TestWeightRangeProperty:
+    """Amplitude errors, temperature factors and b_ne hypotheses across the
+    float range: the budget, the joint fit and the Monte Carlo each return
+    finite values or refuse with a typed error, and never warn."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(what=st.sampled_from(["budget", "joint_fit", "mc"]), sigma=_SPAN, big_b=_SPAN,
+           b_ne=_SPAN, b_ne_sign=st.sampled_from([-1.0, 1.0]), forward=st.booleans())
+    @example(what="budget", sigma=1e-300, big_b=0.4613, b_ne=1.31e-3, b_ne_sign=-1.0,
+             forward=True)
+    @example(what="joint_fit", sigma=1e300, big_b=0.4613, b_ne=1.31e-3, b_ne_sign=-1.0,
+             forward=True)
+    @example(what="mc", sigma=1e-300, big_b=0.4613, b_ne=1.31e-3, b_ne_sign=-1.0,
+             forward=False)
+    @example(what="budget", sigma=0.0008, big_b=1000.0, b_ne=1.31e-3, b_ne_sign=-1.0,
+             forward=True)
+    def test_finite_or_refused(self, new_eight, what, sigma, big_b, b_ne, b_ne_sign, forward):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                model = scattering_model(SILICON, b_ne_sign * b_ne, B=big_b)
+                if what == "budget":
+                    r = error_budget(model, SILICON, new_eight, sigma_b_meas=sigma,
+                                     include_forward=forward)
+                    values = [r.sigma_B, r.sigma_bne]
+                elif what == "mc":
+                    r = monte_carlo_validate(model, SILICON, new_eight, sigma=sigma,
+                                             n_trials=20, include_forward=forward)
+                    values = [*r.analytic_cov.ravel(), *r.empirical_cov.ravel()]
+                else:
+                    exact = synth_measurements(model, SILICON, new_eight, sigma=0.0)
+                    ms = [Measurement(m.reflection, m.b_meas, sigma) for m in exact]
+                    r = joint_fit(ms, SILICON, model.form_factor, include_forward=forward)
+                    values = [*r.values, *r.covariance.ravel(), r.chi2]
+            except (PendellosungError, ValueError):
+                return
+        assert all(math.isfinite(v) for v in values)
