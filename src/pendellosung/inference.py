@@ -13,7 +13,10 @@ budgets for planned reflection sets, and Monte-Carlo validation of the
 analytic covariance. All of them reduce the same weighted rows: log rows
 (x = q^2, y = ln b, sy = sigma/b) and Debye-Waller corrected rows
 (x = 1 - f), each optionally led by the forward datum at x = 0; model
-amplitudes of a planned set come only from _predicted_rows.
+amplitudes of a planned set come only from _predicted_rows. Rows are lists
+of Python floats from their sources (_measured_rows, _predicted_rows)
+through the per-row checks; each builder then fills one numpy block, the
+forward datum in column 0, and only the reductions read that block.
 
 Inputs are checked once, where they enter: the public functions refuse what
 they cannot reduce, and each row set is checked as it is built, before any
@@ -120,10 +123,13 @@ def debye_waller_correct(b_meas_value: float, sigma_b_meas: float,
 
     Values round-trip exactly against the forward attenuation; the error
     combines the scaled measurement error and the temperature-factor term
-    linearly (module docstring).
+    linearly (module docstring). ValueError when b(Q) is not finite.
     """
     dw = debye_waller(B, q_over_4pi)
-    b_q = b_meas_value / dw
+    b_q = b_meas_value / dw if dw else math.inf
+    if not abs(b_q) < math.inf:  # dw underflowed to 0, or b(Q) overflowed or is NaN
+        raise ValueError(f"Debye-Waller factor exp(-B (Q/4pi)^2) = {dw:.6g} at B = {B:.6g} A^2, "
+                         f"Q/4pi = {q_over_4pi:.6g} 1/A leaves b(Q) = {b_q:.6g} fm not finite")
     sigma = sigma_b_meas / dw + b_q * q_over_4pi**2 * sigma_B
     return b_q, sigma
 
@@ -189,41 +195,41 @@ def _forward(crystal: CrystalSpec, include_forward: bool):
     return crystal.b_nuclear, s0
 
 
-def _prepend(head, cols):
-    """Put the forward datum (x = 0), one value per column, in front; the
-    columns come back as the rows of one block."""
-    rows = np.empty((len(cols), len(cols[0]) + 1))
-    rows[:, 0] = head
-    rows[:, 1:] = cols
-    return tuple(rows)
+def _block(head, *cols):
+    """The rows cols as one block, led in column 0 by head (the forward datum) if given."""
+    k = 0 if head is None else 1
+    rows = np.empty((len(cols), len(cols[0]) + k))
+    if k:
+        rows[:, 0] = head
+    rows[:, k:] = cols
+    return rows
 
 
 def _log_rows(q, b, sigma, forward=None, *extra):
     """Rows of ln b = ln b_nuclear - B q^2: (x = q^2, y = ln b, sy = sigma/b).
 
-    forward = (b_nuclear, sigma_b_nuclear) leads with the x = 0 datum;
-    extra abscissa columns are passed through and are 0 at that datum.
+    sigma is a scalar or a list; forward = (b_nuclear, sigma_b_nuclear) leads
+    with the x = 0 datum; extra abscissa columns are 0 at that datum.
     """
-    sl = sigma.tolist() if isinstance(sigma, np.ndarray) else [sigma] * len(b)
-    _require_weighable([s / v for s, v in zip(sl, b.tolist())], sl)
-    rows = (q * q, np.log(b), sigma / b, *extra)
-    if forward is None:
-        return rows
-    b0, s0 = forward
-    return _prepend((0.0, math.log(b0), s0 / b0) + (0.0,) * len(extra), rows)
+    sl = sigma if isinstance(sigma, list) else [sigma] * len(b)
+    sy = [s / v for s, v in zip(sl, b)]
+    _require_weighable(sy, sl)
+    head = forward and (0.0, math.log(forward[0]), forward[1] / forward[0]) + (0.0,) * len(extra)
+    return _block(head, [v * v for v in q], np.log(b), sy, *extra)  # not math.log: it moves bits
 
 
-def _corrected_rows(q, f, b, sigma, B, sigma_B, forward=None):
+def _corrected_rows(q, f, b, sigma, B, sigma_B, forward=None, weighted=True):
     """Rows of b(Q) = b_nuclear - b_ne Z (1 - f): (x = 1 - f, y = b(Q), sy).
 
-    b(Q) and sy come from debye_waller_correct; sigma is a scalar or one per
-    row; forward = (b_nuclear, sigma_b_nuclear) leads with the x = 0 datum.
+    b(Q) and sy come from debye_waller_correct, sy checked when weighted;
+    sigma is a scalar or a list; forward leads with the x = 0 datum.
     """
-    sl = sigma.tolist() if isinstance(sigma, np.ndarray) else [sigma] * len(q)
-    corrected = [debye_waller_correct(bi, si, B, sigma_B, qi) for bi, si, qi
-                 in zip(b.tolist(), sl, q.tolist())]
-    rows = (1.0 - f, *np.array(corrected).reshape(-1, 2).T)
-    return rows if forward is None else _prepend((0.0, *forward), rows)
+    sl = sigma if isinstance(sigma, list) else [sigma] * len(q)
+    corrected = [debye_waller_correct(bi, si, B, sigma_B, qi) for bi, si, qi in zip(b, sl, q)]
+    b_q, sy = zip(*corrected) if corrected else ((), ())
+    if weighted:
+        _require_weighable(sy, sl)
+    return _block(forward and (0.0, *forward), [1.0 - v for v in f], b_q, sy)
 
 
 def _require_reflections(reflections):
@@ -236,18 +242,18 @@ def _require_reflections(reflections):
 
 
 def _measured_rows(ms, crystal: CrystalSpec, table: FormFactorTable | None = None):
-    """Per-measurement (q, f or None without a table, b_meas, sigma) arrays
+    """Per-measurement (q, f or None without a table, b_meas, sigma) lists
     of a non-empty measurement list checked by _require_reflections."""
     if not ms:
         raise InsufficientData("no measurements")
     _require_reflections(m.reflection for m in ms)
     q = [q_over_4pi(crystal, m.reflection) for m in ms]
-    f = None if table is None else np.array([table.f_at(qi) for qi in q])
-    return np.array(q), f, np.array([m.b_meas for m in ms]), np.array([m.sigma for m in ms])
+    f = None if table is None else [table.f_at(qi) for qi in q]
+    return q, f, [m.b_meas for m in ms], [m.sigma for m in ms]
 
 
 def _predicted_rows(model: ScatteringModel, crystal: CrystalSpec, reflections):
-    """Per-reflection (q, f, model b_meas) arrays for a planned set checked
+    """Per-reflection (q, f, model b_meas) lists for a planned set checked
     by _require_reflections; b_meas is b_meas(crystal, model, q) on that f(Q).
     ValueError names the first reflection whose b_meas is not positive, which
     no log row or weight could take."""
@@ -256,7 +262,7 @@ def _predicted_rows(model: ScatteringModel, crystal: CrystalSpec, reflections):
     f = [model.form_factor.f_at(qi) for qi in q]
     b = [_positive_amplitude(model, r, _b_of_f(crystal, model, fi) * debye_waller(model.B, qi))
          for r, qi, fi in zip(reflections, q, f)]
-    return tuple(np.array((q, f, b)))
+    return q, f, b
 
 
 def _wls_line(x, y, sigma, fixed_intercept=None):
@@ -407,7 +413,6 @@ def fit_bne(ms, crystal: CrystalSpec, table: FormFactorTable, *,
     q, f, b, s = _measured_rows(ms, crystal, table)
     x, y, sy = _corrected_rows(q, f, b, s, crystal.B, crystal.sigma_B,
                                _forward(crystal, include_forward))
-    _require_weighable(sy.tolist(), s.tolist())
     if x.max() == x.min():
         raise InsufficientData("need two distinct form-factor abscissas")
     _, slope, cov = _wls_line(x, y, sy)
@@ -432,9 +437,10 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
     if len(ms) < 2:
         raise InsufficientData("joint fit needs at least two reflections")
     q, f, b, s = _measured_rows(ms, crystal, table)
-    if len(set(q.tolist())) == 1 and len(set(f.tolist())) == 1:
+    if len(set(q)) == 1 and len(set(f)) == 1:
         raise DegenerateDesign("all measurements share one (q^2, 1-f) point")
-    x1, y, sy, x2 = _log_rows(q, b, s, _forward(crystal, include_forward), 1.0 - f)
+    x1, y, sy, x2 = _log_rows(q, b, s, _forward(crystal, include_forward),
+                              [1.0 - v for v in f])
 
     names = ("B", "b_ne") + (("ln_b_nuclear",) if free_intercept else ())
     design = _joint_design(x1, x2, crystal.Z / crystal.b_nuclear, free_intercept)
@@ -550,7 +556,6 @@ def error_budget(model: ScatteringModel, crystal: CrystalSpec,
     sigma_big_b = _slope_sigma(x, sy)
     x, _, sy = _corrected_rows(q, f, b_pred, sigma_b_meas, model.B,
                                sigma_big_b if propagate_sigma_B else 0.0, forward)
-    _require_weighable(sy.tolist(), sigma_b_meas)
     sigma_bne = _slope_sigma(x, sy) / crystal.Z
 
     return BudgetResult(sigma_B=sigma_big_b, sigma_bne=sigma_bne, n_reflections=len(refls))
@@ -584,13 +589,13 @@ def synth_measurements(model: ScatteringModel, crystal: CrystalSpec,
     if not refls:
         raise InsufficientData("no reflections left to synthesize")
     b_pred = _predicted_rows(model, crystal, refls)[2]
-    sig = np.broadcast_to(np.asarray(sigma, dtype=float), (len(refls),))
-    sl = sig.tolist()
+    sl = ([float(sigma)] * len(refls) if isinstance(sigma, (int, float))  # np.float64 too
+          else np.broadcast_to(np.asarray(sigma, dtype=float), (len(refls),)).tolist())
     if not all(0 <= s < math.inf for s in sl):
         raise ValueError("sigma must be non-negative and finite")
     noise = np.random.default_rng(_check_seed(seed)).standard_normal(len(refls))
-    return [Measurement(reflection=r, b_meas=v, sigma=s if s > 0 else DEFAULT_SIGMA_B_MEAS)
-            for r, v, s in zip(refls, (b_pred + sig * noise).tolist(), sl)]
+    return [Measurement(reflection=r, b_meas=b + s * e, sigma=s if s > 0 else DEFAULT_SIGMA_B_MEAS)
+            for r, b, s, e in zip(refls, b_pred, sl, noise.tolist())]
 
 
 def temperature_factor_sigmas(model: ScatteringModel, crystal: CrystalSpec,
@@ -602,7 +607,7 @@ def temperature_factor_sigmas(model: ScatteringModel, crystal: CrystalSpec,
     reflection raises ForbiddenReflection, (000) DegenerateDesign.
     """
     q, f, b = _predicted_rows(model, crystal, list(reflections))
-    return _corrected_rows(q, f, b, 0.0, model.B, crystal.sigma_B)[2]
+    return _corrected_rows(q, f, b, 0.0, model.B, crystal.sigma_B, weighted=False)[2]
 
 
 # Monte-Carlo trials drawn per noise block: about 5 MB of noise for the
@@ -674,7 +679,8 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     if not 0 < sigma < math.inf:
         # Zero noise leaves no spread to compare.
         raise ValueError("sigma must be positive and finite")
-    x1, _, sy, x2 = _log_rows(q, b_pred, sigma, _forward(crystal, include_forward), 1.0 - f)
+    x1, _, sy, x2 = _log_rows(q, b_pred, sigma, _forward(crystal, include_forward),
+                              [1.0 - v for v in f])
     design = _joint_design(x1, x2, crystal.Z / crystal.b_nuclear, free_intercept=True)
     w = 1.0 / sy**2
     analytic = _normal_cov(design, w)

@@ -29,7 +29,12 @@ The cases:
   designs;
 * error budgets, Monte Carlo and the three fits at amplitude errors from
   1e-300 to 1e300 fm, whose row weights run out of the float range at the
-  ends, and a Reflection of bool indices.
+  ends, and a Reflection of bool indices;
+* synthetic amplitudes with one sigma given as a float, an int, an
+  np.float64, a 0-d array, a list and a tuple, and a list of the wrong length;
+* the Debye-Waller correction, the fits, the budget and the
+  temperature-factor sigmas at temperature factors up to 1e6 A^2, where the
+  factor underflows.
 
 ``test_bits.py`` runs a subset of the cases on every test run.
 """
@@ -172,11 +177,13 @@ def _normal_cov(a, w):
 
 
 def _build() -> None:
+    from dataclasses import replace
+
     import numpy as np
 
     from pendellosung import (
         GERMANIUM, SILICON, BladeGeometry, Measurement, Reflection, SpectrumWindow,
-        bessel_j0, fit_bne, fit_temperature_factor, pendellosung_argument, plan_reflection,
+        bessel_j0, debye_waller_correct, fit_bne, fit_temperature_factor, pendellosung_argument, plan_reflection,
         scattering_model, slope_uncertainty, synth_measurements,
     )
     from pendellosung.constants import CODATA
@@ -312,6 +319,31 @@ def _build() -> None:
         one = exact[:3] + [Measurement(exact[3].reflection, exact[3].b_meas, sigma)] + exact[4:]
         CASES[f"sigma_range joint_fit one row sigma={sigma:g}"] = partial(
             _joint_fit, one, SILICON, table)
+    for v in (0, 1):
+        forms = {"float": float(v), "int": v, "float64": np.float64(v), "0-d": np.array(v, float),
+                 "list": [float(v)] * 8, "tuple": (float(v),) * 8}
+        for form, sigma in forms.items():
+            CASES[f"synth_sigma form={form} sigma={v}"] = partial(
+                _synth, model, SILICON, si_pure[1:], sigma=sigma)
+    CASES["synth_sigma wrong length"] = partial(_synth, model, SILICON, si_pure[1:],
+                                                sigma=[0.001] * 3)
+    for q in (0.0, 0.5, 0.7):
+        for big_b in (0.4613, 1e3, 2900.0, 1e5):
+            CASES[f"debye_waller correct B={big_b:g} q={q}"] = partial(
+                debye_waller_correct, 1.0, 0.001, big_b, 0.01, q)
+    for big_b in (1e3, 2900.0, 1e5, 1e6):
+        hot = replace(SILICON, B=big_b)
+        for fwd in (True, False):
+            CASES[f"debye_waller fit_bne B={big_b:g} forward={fwd}"] = partial(
+                fit_bne, exact, hot, table, include_forward=fwd)
+        CASES[f"debye_waller joint_fit B={big_b:g}"] = partial(_joint_fit, exact, hot, table)
+        CASES[f"debye_waller fit_temperature_factor B={big_b:g}"] = partial(
+            fit_temperature_factor, exact, hot)
+        hot_model = scattering_model(SILICON, CODATA.b_ne_argonne_fm, B=big_b)
+        CASES[f"debye_waller error_budget model B={big_b:g}"] = partial(
+            _budget, hot_model, SILICON, si_pure[1:])
+        CASES[f"debye_waller temperature_factor_sigmas model B={big_b:g}"] = partial(
+            temperature_factor_sigmas, hot_model, SILICON, si_pure[1:])
     CASES["reflection bool indices"] = lambda: _plan(
         plan_reflection(SILICON, Reflection(True, True, True)))
     CASES["reflection bool index label"] = lambda: Reflection(2, 2, False).label()

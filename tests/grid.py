@@ -109,6 +109,8 @@ CONFIGS = {
     "bad_seed": "[run]\nseed = -3\n",
     "zero_sigma_forward": _INLINE.replace("sigma_b_nuclear = 0.0002\n", ""),
     "tiny_sigma_forward": _INLINE.replace("sigma_b_nuclear = 0.0002", "sigma_b_nuclear = 1e-300"),
+    # The crystal's Debye-Waller factor underflows to 0 at every reflection.
+    "huge_b": _INLINE.replace("B = 0.4613", "B = 100000"),
 }
 
 _FIT_MODES = [["fit", "si_meas.csv", "--mode", m] for m in ("auto", "joint", "bne", "B")]
@@ -170,6 +172,7 @@ _add("big_bne", [["plan"], ["simulate", "711"], ["budget"], ["mc", "--trials", "
                  ["synth", "--error-model", "temperature-factor"]])
 _add("zero_sigma_forward", [["budget"], ["mc", "--trials", "100"], ["fit", "si_meas.csv"]])
 _add("tiny_sigma_forward", [["budget"], ["mc", "--trials", "100"], ["fit", "si_meas.csv"]])
+_add("huge_b", [["fit", "si_meas.csv", "--mode", "bne"]])
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()

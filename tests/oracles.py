@@ -306,7 +306,8 @@ def monte_carlo_with_temporaries(model, crystal, reflections, sigma, n_trials, s
     parameter block per noise chunk."""
     q, f, b_pred = inference._predicted_rows(model, crystal, list(reflections))
     x1, _, sy, x2 = inference._log_rows(q, b_pred, sigma,
-                                        inference._forward(crystal, include_forward), 1.0 - f)
+                                        inference._forward(crystal, include_forward),
+                                        [1.0 - v for v in f])
     design = inference._joint_design(x1, x2, crystal.Z / crystal.b_nuclear,
                                      free_intercept=True)
     w = 1.0 / sy**2

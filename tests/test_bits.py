@@ -12,7 +12,7 @@ import bits
 KINDS = {"profile", "fringe_count", "pendellosung_argument", "bessel_j0", "monte_carlo",
          "survey", "plan_reflection", "f_at", "temperature_factor_sigmas", "error_budget",
          "synth", "joint_fit", "fit_temperature_factor", "fit_bne", "slope_uncertainty",
-         "normal_cov", "sigma_range", "reflection"}
+         "normal_cov", "sigma_range", "reflection", "synth_sigma", "debye_waller"}
 
 
 def _first_of_each_kind():
@@ -39,7 +39,8 @@ def test_subset_digests_repeat():
               "sigma_range error_budget sigma=1e+300 forward=True",
               "sigma_range monte_carlo sigma=1e-300", "sigma_range joint_fit sigma=1e-300",
               "sigma_range fit_bne sigma=1e+300", "sigma_range fit_temperature_factor sigma=1e-300",
-              "sigma_range joint_fit one row sigma=1e+76", "reflection bool index label"]
+              "sigma_range joint_fit one row sigma=1e+76", "reflection bool index label",
+              "synth_sigma wrong length", "debye_waller fit_bne B=100000 forward=True"]
     assert bits.run(names) == bits.run(names)
 
 

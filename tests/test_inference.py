@@ -77,6 +77,15 @@ class TestDebyeWallerCorrect:
         b, _ = debye_waller_correct(forward, 0.0008, si_model.B, 0.0027, q)
         assert b == pytest.approx(b_of_q(SILICON, si_model, q), rel=1e-12)
 
+    @pytest.mark.parametrize("b, big_b, q", [(1.0, 1e5, 0.5), (1.0, 2900.0, 0.7),
+                                             (1.0, 2900.0, 0.5), (math.nan, 0.4613, 0.5)],
+                             ids=["underflow", "underflow-2900", "overflow", "nan"])
+    def test_non_finite_correction_is_refused(self, b, big_b, q):
+        # exp(-2900 * 0.25) is subnormal: b / dw overflows to inf.
+        with pytest.raises(ValueError, match=re.escape(
+                f"at B = {big_b:.6g} A^2, Q/4pi = {q:.6g} 1/A leaves b(Q) = ")):
+            debye_waller_correct(b, 0.001, big_b, 0.01, q)
+
 
 class TestExtractBneSingle:
     def test_silicon(self):
@@ -697,6 +706,21 @@ class TestSynthMeasurements:
             synth_measurements(si_model, SILICON, [Reflection(4, 2, 2), Reflection(6, 2, 0)],
                                sigma=sigma)
 
+    @pytest.mark.parametrize("v", [0, 1])
+    def test_sigma_forms_give_the_same_bits(self, si_model, new_eight, v):
+        forms = [float(v), v, np.float64(v), np.array(v, dtype=float), [float(v)] * 8,
+                 (float(v),) * 8]
+        got = [[(m.b_meas.hex(), m.sigma.hex()) for m in
+                synth_measurements(si_model, SILICON, new_eight, sigma=sigma, seed=3)]
+               for sigma in forms]
+        assert all(g == got[0] for g in got[1:])
+
+    def test_wrong_length_sigma_keeps_numpy_message(self, si_model, new_eight):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "operands could not be broadcast together with remapped shapes "
+                "[original->remapped]: (3,)  and requested shape (8,)") + "$"):
+            synth_measurements(si_model, SILICON, new_eight, sigma=[0.001] * 3)
+
     def test_deterministic(self, si_model, new_eight):
         a = synth_measurements(si_model, SILICON, new_eight, sigma=0.0008, seed=11)
         b = synth_measurements(si_model, SILICON, new_eight, sigma=0.0008, seed=11)
@@ -869,7 +893,8 @@ class TestChunkedMonteCarlo:
         # The single-block reference: every trial's parameters at once.
         q, f, b_pred = inference._predicted_rows(si_model, SILICON, new_eight)
         anchor = (SILICON.b_nuclear, SILICON.sigma_b_nuclear) if forward else None
-        x1, _, sy, x2 = inference._log_rows(q, b_pred, sigma, anchor, 1.0 - f)
+        x1, _, sy, x2 = inference._log_rows(q, b_pred, sigma, anchor,
+                                            [1.0 - v for v in f])
         design = inference._joint_design(x1, x2, SILICON.Z / SILICON.b_nuclear, True)
         w = 1.0 / sy**2
         estimator = inference._normal_cov(design, w) @ design.T @ np.diag(w)
@@ -1220,6 +1245,47 @@ class TestWeightRangeProperty:
                     ms = [Measurement(m.reflection, m.b_meas, sigma) for m in exact]
                     r = joint_fit(ms, SILICON, model.form_factor, include_forward=forward)
                     values = [*r.values, *r.covariance.ravel(), r.chi2]
+            except (PendellosungError, ValueError):
+                return
+        assert all(math.isfinite(v) for v in values)
+
+
+# 0, or log-uniform over 1e-3..1e6 A^2: the Debye-Waller factor of a Si
+# reflection underflows to 0 from B of about 2000 A^2 on.
+_B_SPAN = st.one_of(st.just(0.0), st.floats(-3.0, 6.0).map(lambda e: 10.0**e))
+
+
+class TestTemperatureFactorRangeProperty:
+    """Crystal and model temperature factors up to 1e6 A^2: the fits, the
+    budget and the temperature-factor sigmas each return finite values or
+    refuse with a typed error; none divides by zero or warns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(what=st.sampled_from(["fit_bne", "fit_temperature_factor", "joint_fit", "sigmas",
+                                 "budget"]),
+           crystal_b=_B_SPAN, model_b=_B_SPAN, forward=st.booleans())
+    @example(what="fit_bne", crystal_b=1e5, model_b=0.4613, forward=True)
+    @example(what="fit_bne", crystal_b=2900.0, model_b=0.4613, forward=False)
+    def test_finite_or_refused(self, new_eight, what, crystal_b, model_b, forward):
+        crystal = replace(SILICON, B=crystal_b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                model = scattering_model(crystal, CODATA.b_ne_argonne_fm, B=model_b)
+                if what == "sigmas":
+                    values = temperature_factor_sigmas(model, crystal, new_eight).tolist()
+                elif what == "budget":
+                    r = error_budget(model, crystal, new_eight, include_forward=forward)
+                    values = [r.sigma_B, r.sigma_bne]
+                else:
+                    ms = synth_measurements(model, crystal, new_eight, sigma=0.0)
+                    if what == "fit_bne":
+                        values = fit_bne(ms, crystal, model.form_factor, include_forward=forward)
+                    elif what == "fit_temperature_factor":
+                        values = fit_temperature_factor(ms, crystal, include_forward=forward)
+                    else:
+                        r = joint_fit(ms, crystal, model.form_factor, include_forward=forward)
+                        values = [*r.values, *r.covariance.ravel(), r.chi2]
             except (PendellosungError, ValueError):
                 return
         assert all(math.isfinite(v) for v in values)
