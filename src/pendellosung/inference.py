@@ -20,8 +20,9 @@ forward datum in column 0, and only the reductions read that block.
 
 Inputs are checked once, where they enter: the public functions refuse what
 they cannot reduce, and each row set is checked as it is built, before any
-weight is formed (_require_weighable). The private reductions, _slope_sigma,
-_normal_cov and the joint fit's Gauss-Newton steps, trust those rows.
+weight is formed (_require_weighable). The private reductions, _line (the
+one weighted straight line of both single-parameter fits, the error budget
+and slope_uncertainty), _normal_cov and the Gauss-Newton steps, trust them.
 
 Error conventions: one standard deviation, Gaussian, uncorrelated inputs.
 Removing the Debye-Waller attenuation inflates the error linearly,
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +61,13 @@ from .lattice import (
 DEFAULT_SIGMA_B_MEAS = 0.0008  # fm, per-reflection amplitude precision
 
 
+def _positive_float(value, name: str) -> float:
+    """float(value) if 0 < value <= the largest float, else a ValueError naming name."""
+    if 0 < value <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class Measurement:
     """One measured Bragg amplitude b_meas (fm) with its one-sigma error."""
@@ -68,10 +77,8 @@ class Measurement:
     sigma: float = DEFAULT_SIGMA_B_MEAS
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
-        if not 0 < self.b_meas < math.inf:
-            raise ValueError("b_meas must be positive and finite")
+        object.__setattr__(self, "sigma", _positive_float(self.sigma, "sigma"))
+        object.__setattr__(self, "b_meas", _positive_float(self.b_meas, "b_meas"))
 
 
 @dataclass(frozen=True)
@@ -218,17 +225,13 @@ def _log_rows(q, b, sigma, forward=None, *extra):
     return _block(head, [v * v for v in q], np.log(b), sy, *extra)  # not math.log: it moves bits
 
 
-def _corrected_rows(q, f, b, sigma, B, sigma_B, forward=None, weighted=True):
-    """Rows of b(Q) = b_nuclear - b_ne Z (1 - f): (x = 1 - f, y = b(Q), sy).
-
-    b(Q) and sy come from debye_waller_correct, sy checked when weighted;
-    sigma is a scalar or a list; forward leads with the x = 0 datum.
-    """
+def _corrected_rows(q, f, b, sigma, B, sigma_B, forward=None):
+    """Rows of b(Q) = b_nuclear - b_ne Z (1 - f): (x = 1 - f, y = b(Q), sy), b(Q)
+    and sy from debye_waller_correct, sy checked; sigma is a scalar or a list;
+    forward leads with the x = 0 datum."""
     sl = sigma if isinstance(sigma, list) else [sigma] * len(q)
-    corrected = [debye_waller_correct(bi, si, B, sigma_B, qi) for bi, si, qi in zip(b, sl, q)]
-    b_q, sy = zip(*corrected) if corrected else ((), ())
-    if weighted:
-        _require_weighable(sy, sl)
+    b_q, sy = zip(*[debye_waller_correct(bi, si, B, sigma_B, qi) for bi, si, qi in zip(b, sl, q)])
+    _require_weighable(sy, sl)
     return _block(forward and (0.0, *forward), [1.0 - v for v in f], b_q, sy)
 
 
@@ -263,34 +266,6 @@ def _predicted_rows(model: ScatteringModel, crystal: CrystalSpec, reflections):
     b = [_positive_amplitude(model, r, _b_of_f(crystal, model, fi) * debye_waller(model.B, qi))
          for r, qi, fi in zip(reflections, q, f)]
     return q, f, b
-
-
-def _wls_line(x, y, sigma, fixed_intercept=None):
-    """Weighted straight-line fit; returns (intercept, slope, cov2x2).
-
-    With fixed_intercept given, only the slope is estimated and the
-    intercept row/column of the covariance is zero.
-    """
-    w = 1.0 / sigma**2
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowing sums are degenerate
-        if fixed_intercept is not None:
-            sxx = (w * x * x).sum()
-            if not 0 < sxx < math.inf:
-                raise DegenerateDesign("abscissas do not constrain a slope")
-            slope = (w * x * (y - fixed_intercept)).sum() / sxx
-            return fixed_intercept, slope, np.diag([0.0, 1.0 / sxx])
-        s = w.sum()
-        sx = (w * x).sum()
-        sy = (w * y).sum()
-        sxx = (w * x * x).sum()
-        sxy = (w * x * y).sum()
-        denom = s * sxx - sx * sx
-        if not 0 < denom < math.inf:
-            raise DegenerateDesign("abscissas do not constrain a slope")
-        slope = (s * sxy - sx * sy) / denom
-        intercept = (sxx * sy - sx * sxy) / denom
-        cov = np.array([[sxx, -sx], [-sx, s]]) / denom
-        return intercept, slope, cov
 
 
 def _joint_design(x1, x2, scale, free_intercept: bool):
@@ -349,15 +324,22 @@ def _normal_cov(a, w):
     raise DegenerateDesign("collinear fit abscissas")
 
 
-def _slope_sigma(x, sy) -> float:
-    """slope_uncertainty on rows the caller built and checked."""
+def _line(x, sy, y=None, fixed_intercept=None):
+    """(slope, its sigma) of the weighted line y = c + slope x, c free or
+    fixed_intercept, on rows the caller checked; the slope is None without y."""
     w = 1.0 / sy**2
     wx = w * x
+    if fixed_intercept is not None:
+        sxx = float((wx * x).sum())
+        if not 0 < sxx < math.inf:
+            raise DegenerateDesign("abscissas do not constrain a slope")
+        return (wx * (y - fixed_intercept)).sum() / sxx, math.sqrt(1.0 / sxx)
     s, sx = float(w.sum()), float(wx.sum())
     denom = s * float((wx * x).sum()) - sx * sx
     if not 0 < denom < math.inf:
         raise DegenerateDesign("abscissas do not constrain a slope")
-    return math.sqrt(s / denom)
+    slope = None if y is None else (s * (wx * y).sum() - sx * (w * y).sum()) / denom
+    return slope, math.sqrt(s / denom)
 
 
 def slope_uncertainty(xs, sigmas) -> float:
@@ -379,7 +361,7 @@ def slope_uncertainty(xs, sigmas) -> float:
         raise ValueError("sigmas must be positive and finite")
     _require_weighable(sigmas.tolist(), sigmas.tolist())
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing sums are degenerate
-        return _slope_sigma(xs, sigmas)
+        return _line(xs, sigmas)[1]
 
 
 # --- single-parameter fits ----------------------------------------------
@@ -398,9 +380,9 @@ def fit_temperature_factor(ms, crystal: CrystalSpec, *,
     x, y, sy = _log_rows(q, b, s, _forward(crystal, include_forward and free_intercept))
     if free_intercept and x.max() == x.min():
         raise InsufficientData("need two distinct Q values (or a fixed intercept)")
-    _, slope, cov = _wls_line(x, y, sy,
-                              None if free_intercept else math.log(crystal.b_nuclear))
-    return -slope, math.sqrt(cov[1, 1])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing sums are degenerate
+        slope, sigma = _line(x, sy, y, None if free_intercept else math.log(crystal.b_nuclear))
+    return -slope, sigma
 
 
 def fit_bne(ms, crystal: CrystalSpec, table: FormFactorTable, *,
@@ -415,8 +397,9 @@ def fit_bne(ms, crystal: CrystalSpec, table: FormFactorTable, *,
                                _forward(crystal, include_forward))
     if x.max() == x.min():
         raise InsufficientData("need two distinct form-factor abscissas")
-    _, slope, cov = _wls_line(x, y, sy)
-    return -slope / crystal.Z, math.sqrt(cov[1, 1]) / crystal.Z
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing sums are degenerate
+        slope, sigma = _line(x, sy, y)
+    return -slope / crystal.Z, sigma / crystal.Z
 
 
 # --- joint fit -----------------------------------------------------------
@@ -547,18 +530,16 @@ def error_budget(model: ScatteringModel, crystal: CrystalSpec,
     """
     refls = list(reflections)
     q, f, b_pred = _predicted_rows(model, crystal, refls)
-    if not 0 < sigma_b_meas < math.inf:
-        raise ValueError("sigma_b_meas must be positive and finite")
+    sigma_b_meas = _positive_float(sigma_b_meas, "sigma_b_meas")
     if (len(refls) + (1 if include_forward else 0)) < 2:
         raise DegenerateDesign("need two abscissas (reflections plus forward point)")
     forward = _forward(crystal, include_forward)
     x, _, sy = _log_rows(q, b_pred, sigma_b_meas, forward)
-    sigma_big_b = _slope_sigma(x, sy)
+    sigma_big_b = _line(x, sy)[1]
     x, _, sy = _corrected_rows(q, f, b_pred, sigma_b_meas, model.B,
                                sigma_big_b if propagate_sigma_B else 0.0, forward)
-    sigma_bne = _slope_sigma(x, sy) / crystal.Z
-
-    return BudgetResult(sigma_B=sigma_big_b, sigma_bne=sigma_bne, n_reflections=len(refls))
+    return BudgetResult(sigma_B=sigma_big_b, sigma_bne=_line(x, sy)[1] / crystal.Z,
+                        n_reflections=len(refls))
 
 
 # --- synthetic data and Monte Carlo --------------------------------------
@@ -589,8 +570,11 @@ def synth_measurements(model: ScatteringModel, crystal: CrystalSpec,
     if not refls:
         raise InsufficientData("no reflections left to synthesize")
     b_pred = _predicted_rows(model, crystal, refls)[2]
-    sl = ([float(sigma)] * len(refls) if isinstance(sigma, (int, float))  # np.float64 too
-          else np.broadcast_to(np.asarray(sigma, dtype=float), (len(refls),)).tolist())
+    try:
+        sl = ([float(sigma)] * len(refls) if isinstance(sigma, (int, float))  # np.float64 too
+              else np.broadcast_to(np.asarray(sigma, dtype=float), (len(refls),)).tolist())
+    except OverflowError:  # an int past the float range
+        raise ValueError("sigma must be non-negative and finite") from None
     if not all(0 <= s < math.inf for s in sl):
         raise ValueError("sigma must be non-negative and finite")
     noise = np.random.default_rng(_check_seed(seed)).standard_normal(len(refls))
@@ -606,8 +590,9 @@ def temperature_factor_sigmas(model: ScatteringModel, crystal: CrystalSpec,
     b(Q) (Q/4pi)^2 crystal.sigma_B, growing with Q^2. An extinct
     reflection raises ForbiddenReflection, (000) DegenerateDesign.
     """
-    q, f, b = _predicted_rows(model, crystal, list(reflections))
-    return _corrected_rows(q, f, b, 0.0, model.B, crystal.sigma_B, weighted=False)[2]
+    q, _, b = _predicted_rows(model, crystal, list(reflections))
+    return np.array([debye_waller_correct(bi, 0.0, model.B, crystal.sigma_B, qi)[1]
+                     for bi, qi in zip(b, q)], dtype=float)
 
 
 # Monte-Carlo trials drawn per noise block: about 5 MB of noise for the
@@ -676,9 +661,7 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     seed = _check_seed(seed)
     if seed >> 128:  # Philox keys are 128 bits
         raise ValueError("the Monte-Carlo seed must be below 2**128")
-    if not 0 < sigma < math.inf:
-        # Zero noise leaves no spread to compare.
-        raise ValueError("sigma must be positive and finite")
+    sigma = _positive_float(sigma, "sigma")  # zero noise leaves no spread to compare
     x1, _, sy, x2 = _log_rows(q, b_pred, sigma, _forward(crystal, include_forward),
                               [1.0 - v for v in f])
     design = _joint_design(x1, x2, crystal.Z / crystal.b_nuclear, free_intercept=True)

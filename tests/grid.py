@@ -3,8 +3,9 @@
 Each case runs ``pendellosung`` in process (``cli.main``) in a fresh
 directory that holds the config and data files below, with ``--out out``,
 so every path a command prints is the same from run to run. ``grid.json``
-records per case the exit code, the warnings raised, and the sha256 of
-stdout, of stderr and of every file written under ``out/``.
+records per case the exit code (or the type and message of an exception
+the command let escape), the warnings raised, and the sha256 of stdout, of
+stderr and of every file written under ``out/``.
 
     python tests/grid.py --check     # run every case against grid.json
     python tests/grid.py --record    # rewrite grid.json, naming what changes
@@ -201,6 +202,8 @@ def run_case(name: str, workdir: Path) -> dict:
                 code = main(head + argv)
             except SystemExit as exc:  # argparse rejects the argv
                 code = exc.code
+            except Exception as exc:  # a crash is this case's result, not the end of the run
+                code = f"{type(exc).__name__}: {exc}"
     finally:
         os.chdir(cwd)
     out = workdir / "out"

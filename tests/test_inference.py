@@ -189,20 +189,25 @@ class TestSlopeUncertainty:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_is_the_line_fits_slope_sigma(self, seed):
-        # The three sums are the ones the free-intercept line fit forms,
-        # so the variance is its covariance entry bit for bit.
+        # The fits give the core their ordinates, the budget does not; the
+        # ordinates move only the slope, so the sigma is the same bit for bit.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
         xs = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3, 3)
         sigmas = 10.0 ** rng.uniform(-4, 0, n)
-        cov = inference._wls_line(xs, np.zeros(n), sigmas)[2]
-        assert slope_uncertainty(xs, sigmas) == math.sqrt(cov[1, 1])
+        ys = rng.normal(size=n)
+        slope, sigma = inference._line(xs, sigmas, ys)
+        assert slope_uncertainty(xs, sigmas) == sigma
+        coef, cov = np.polyfit(xs, ys, 1, w=1.0 / sigmas, cov="unscaled")
+        assert slope == pytest.approx(coef[0], rel=1e-9)
+        assert sigma == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-9)
 
     def test_overflowing_sums_are_degenerate(self):
         with pytest.raises(DegenerateDesign, match="^abscissas do not constrain a slope$"):
             slope_uncertainty([1e200, -1e200], [1.0, 1.0])
-        with pytest.raises(DegenerateDesign, match="^abscissas do not constrain a slope$"):
-            inference._wls_line(np.array([1e200, -1e200]), np.zeros(2), np.ones(2))
+        with pytest.raises(DegenerateDesign, match="^abscissas do not constrain a slope$"), \
+                np.errstate(over="ignore", invalid="ignore"):  # as its callers run it
+            inference._line(np.array([1e200, -1e200]), np.ones(2), np.zeros(2))
 
     @pytest.mark.parametrize("sigma", [1e-300, 1e-76, 1e76, 1e300])
     def test_weights_out_of_range_are_refused(self, sigma):
@@ -221,13 +226,15 @@ class TestSlopeUncertainty:
         refls = [pool[i] for i in sorted(rng.choice(len(pool), int(rng.integers(2, 10)),
                                                     replace=False))]
         sigma = 10.0 ** rng.uniform(-4, -1)
-        core, seen = inference._slope_sigma, []
+        core, seen = inference._line, []
 
-        def spy(x, sy):
-            seen.append((x.copy(), sy.copy(), core(x, sy)))
-            return seen[-1][2]
+        def spy(x, sy, *rest):
+            assert rest == ()  # the budget forms no slope
+            out = core(x, sy)
+            seen.append((x.copy(), sy.copy(), out[1]))
+            return out
 
-        monkeypatch.setattr(inference, "_slope_sigma", spy)
+        monkeypatch.setattr(inference, "_line", spy)
         budget = error_budget(si_model, SILICON, refls, sigma_b_meas=sigma,
                               include_forward=forward, propagate_sigma_B=propagate)
         monkeypatch.undo()
@@ -655,7 +662,7 @@ class TestDegenerateFitBranches:
     def test_fixed_intercept_needs_a_nonzero_abscissa(self):
         x = np.zeros(2)
         with pytest.raises(DegenerateDesign, match="abscissas do not constrain a slope"):
-            inference._wls_line(x, np.ones(2), np.full(2, 0.01), fixed_intercept=1.0)
+            inference._line(x, np.full(2, 0.01), np.ones(2), fixed_intercept=1.0)
 
     def test_bne_needs_two_form_factor_abscissas(self, si_model):
         ms = [Measurement(Reflection(4, 2, 2), 3.78), Measurement(Reflection(4, 2, 2), 3.79)]
@@ -1175,6 +1182,31 @@ class TestMeasurementInvariants:
     def test_positive_amplitude_required(self):
         with pytest.raises(ValueError):
             Measurement(Reflection(1, 1, 1), -4.1, 0.1)
+
+    def test_numbers_enter_as_floats(self):
+        m = Measurement(Reflection(1, 1, 1), 4, np.float64(0.5))
+        assert (type(m.b_meas), type(m.sigma)) == (float, float)
+        assert m == Measurement(Reflection(1, 1, 1), 4.0, 0.5)
+
+
+_HUGE = 10**400  # an int that float() cannot take
+
+
+@pytest.mark.parametrize("enter, message", [
+    (lambda m, r: error_budget(m, SILICON, r, sigma_b_meas=_HUGE), "sigma_b_meas must be positive"),
+    (lambda m, r: synth_measurements(m, SILICON, r, sigma=_HUGE), "sigma must be non-negative"),
+    (lambda m, r: synth_measurements(m, SILICON, r, sigma=[1e-3] * 7 + [_HUGE]),
+     "sigma must be non-negative"),
+    (lambda m, r: monte_carlo_validate(m, SILICON, r, sigma=_HUGE), "sigma must be positive"),
+    (lambda m, r: Measurement(r[0], 3.0, _HUGE), "sigma must be positive"),
+    (lambda m, r: Measurement(r[0], _HUGE, 3.0), "b_meas must be positive"),
+], ids=["error_budget", "synth", "synth-list", "monte_carlo", "Measurement-sigma",
+        "Measurement-b_meas"])
+def test_an_int_past_the_float_range_is_refused(si_model, new_eight, enter, message):
+    # Each entry point converts with float() and gives its own ValueError,
+    # not an OverflowError from the first arithmetic on the int.
+    with pytest.raises(ValueError, match=f"^{message} and finite$"):
+        enter(si_model, new_eight)
 
 
 @settings(max_examples=25, deadline=None)
