@@ -707,6 +707,9 @@ def main(argv=None) -> int:
         # SurveyTooLarge: the configured window asks for too long a survey walk.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:  # input files map theirs to typed errors; this is the output
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except FormFactorRangeError as exc:  # only commands raise it, so cfg is set
         builtin = cfg.model.form_factor is BUILTIN_TABLES.get(cfg.crystal.name)
         hint = "; the built-in table ends there: set [crystal] form_factor_csv" if builtin else ""

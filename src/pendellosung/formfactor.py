@@ -143,5 +143,9 @@ def table_from_csv(path, element: str = "") -> FormFactorTable:
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:2]] != ["q_over_4pi_A_inv", "f"]:
             raise ValueError(f"{path}: expected header 'q_over_4pi_A_inv,f'")
-        samples = [(float(row[0]), float(row[1])) for row in reader if row]
+        samples = []
+        for row in filter(None, reader):  # blank lines skipped, extra fields ignored
+            if len(row) < 2:
+                raise ValueError(f"{path}: expected at least 2 fields, got {len(row)}")
+            samples.append((float(row[0]), float(row[1])))
     return FormFactorTable(element=element or "custom", samples=tuple(samples))

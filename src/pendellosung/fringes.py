@@ -18,7 +18,6 @@ delta(argument)/pi across the scanned window, both rounded to nearest.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ from .lattice import (
     CrystalSpec,
     Reflection,
     ScatteringModel,
+    _integer,
     q_over_4pi,
     require_observable,
     structure_factor_magnitude,
@@ -145,9 +145,8 @@ def bessel_j0(x):
     # or inf, get the rational form, which most fringe-sweep tiles never need.
     with np.errstate(all="ignore"):
         out = _j0_large(ax)
-    # fmin skips NaN, where min would return it and hide the small entries.
-    if np.fmin.reduce(ax, initial=math.inf) <= 5.0:
-        small = ax <= 5.0
+    small = ax <= 5.0
+    if small.any():
         axs = ax[small]
         z = axs ** 2
         p = (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _polevl(z, _RQ)
@@ -273,12 +272,7 @@ def intensity_profile(spectrum: BeamSpectrum, crystal: CrystalSpec,
     equal a whole-array evaluation. The four result arrays are the rows
     of one (4, n) block: one allocation per profile, 32 bytes a sample.
     """
-    try:
-        n_samples = operator.index(n_samples)
-    except TypeError:
-        n_samples = 0  # refused below, like a count under two
-    if n_samples < 2:
-        raise ValueError("n_samples must be an integer >= 2")
+    n_samples = _integer(n_samples, lambda n: n >= 2, "n_samples must be an integer >= 2")
     require_observable(r)
     (lam_lo, lam_hi), _ = reflection_window(crystal, r, spectrum.window)
     lam, two_theta, arg, raw = np.empty((4, n_samples))

@@ -38,7 +38,6 @@ is it with sigma_b_meas = 0.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -52,6 +51,7 @@ from .lattice import (
     Reflection,
     ScatteringModel,
     _b_of_f,
+    _integer,
     _positive_amplitude,
     debye_waller,
     q_over_4pi,
@@ -547,12 +547,7 @@ def error_budget(model: ScatteringModel, crystal: CrystalSpec,
 
 def _check_seed(seed) -> int:
     """seed as an int; ValueError unless it is a non-negative integer."""
-    try:
-        if operator.index(seed) >= 0:
-            return operator.index(seed)
-    except TypeError:
-        pass
-    raise ValueError("seed must be a non-negative integer")
+    return _integer(seed, lambda n: n >= 0, "seed must be a non-negative integer")
 
 
 def synth_measurements(model: ScatteringModel, crystal: CrystalSpec,
@@ -650,12 +645,7 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     if not reflections:
         raise InsufficientData("no reflections left for the Monte Carlo")
     q, f, b_pred = _predicted_rows(model, crystal, reflections)
-    try:
-        n_trials = operator.index(n_trials)
-    except TypeError:
-        n_trials = 0  # refused below, like a count under two
-    if n_trials < 2:
-        raise ValueError("n_trials must be an integer >= 2")
+    n_trials = _integer(n_trials, lambda n: n >= 2, "n_trials must be an integer >= 2")
     if n_trials > MAX_MC_TRIALS:
         raise ValueError(f"n_trials must be at most {MAX_MC_TRIALS}")
     seed = _check_seed(seed)

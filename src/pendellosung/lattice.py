@@ -23,6 +23,17 @@ from .errors import ForbiddenReflection, NoReflection
 from .formfactor import FormFactorTable
 
 
+def _integer(value, ok, message: str) -> int:
+    """operator.index(value) if value is not a bool and ok accepts it, else
+    ValueError(message): the library's one integer check."""
+    try:
+        if not isinstance(value, bool) and ok(n := operator.index(value)):
+            return n
+    except TypeError:
+        pass
+    raise ValueError(message)
+
+
 class ReflectionClass(enum.Enum):
     """Diamond-structure reflection classes by Miller-index parity.
 
@@ -65,16 +76,11 @@ class Reflection:
     l: int
 
     def __post_init__(self):
-        # Exact ints pass on their types; operator.index also takes bools.
+        # Exact ints pass on their types, without the helper's call.
         if type(self.h) is type(self.k) is type(self.l) is int:
             return
-        try:
-            for v in (self.h, self.k, self.l):
-                if isinstance(v, bool):
-                    raise TypeError
-                operator.index(v)
-        except TypeError:
-            raise ValueError("Miller indices must be integers") from None
+        for v in (self.h, self.k, self.l):
+            _integer(v, lambda n: True, "Miller indices must be integers")
 
     @property
     def n_sq(self) -> int:
@@ -147,8 +153,7 @@ class CrystalSpec:
                 raise ValueError(f"{name} must be finite")
         if self.a0 <= 0:
             raise ValueError("a0 must be positive")
-        if self.Z < 1:
-            raise ValueError("Z must be >= 1")
+        _integer(self.Z, lambda n: n >= 1, "Z must be an integer >= 1")
         if self.b_nuclear <= 0:
             raise ValueError("b_nuclear must be positive")
         for name in ("B", "sigma_b_nuclear", "sigma_B"):

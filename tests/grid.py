@@ -59,6 +59,7 @@ FILES = {
     "si_ff.csv": _SI_TABLE,
     "ge_ff.csv": "q_over_4pi_A_inv,f\n0,1\n0.15,0.86\n0.3,0.62\n0.45,0.46\n0.6,0.37\n0.75,0.31\n",
     "nan_ff.csv": "q_over_4pi_A_inv,f\n0,1\n0.2,0.8\n0.3,nan\n0.5,0.5\n",
+    "short_ff.csv": "q_over_4pi_A_inv,f\n0,1\n0.5\n",
     "si_meas.csv": _SI_MEASUREMENTS,
     # The same rows with a blank line inside: the same fit.
     "si_meas_blank.csv": _SI_MEASUREMENTS.replace("6,2,0", "\n6,2,0"),
@@ -104,6 +105,8 @@ CONFIGS = {
     "unknown_key": "[crystal]\nlattice = 5.43\n",
     "missing_table": "[crystal]\nform_factor_csv = nope.csv\n",
     "nan_table": "[crystal]\nform_factor_csv = nan_ff.csv\n",
+    # A table row of one field.
+    "short_table": "[crystal]\nform_factor_csv = short_ff.csv\n",
     "nan_blade": "[blade]\nthickness_cm = nan\n",
     # Finite, but the J0 argument overflows.
     "huge_blade": "[blade]\nthickness_cm = 1e300\n",
@@ -151,6 +154,7 @@ _add("si", _FULL + [
     ["budget", "--sigma", "1e-300"], ["budget", "--sigma", "1e300"],
     ["mc", "--trials", "100", "--sigma", "1e-300"], ["mc", "--trials", "100", "--sigma", "1e300"],
     ["fit", "tiny_sigma_meas.csv"], ["fit", "tiny_sigma_meas.csv", "--mode", "B"],
+    ["plan", "--out", "si_meas.csv"],  # an existing file as the output directory
 ])
 _add("ge", [["plan"], ["plan", "--all", "--strict"], ["simulate", "111"], ["simulate", "711"],
             ["budget"], ["synth"], ["mc"]])
@@ -164,7 +168,7 @@ _add("narrow", [["plan"], ["plan", "--all", "--strict"], ["budget"], ["synth"],
 _add("blade", [["plan"], ["simulate", "711"], ["simulate", "531", "--spectrum", "maxwellian"],
                ["synth"], ["mc", "--trials", "500"]])
 for _config in ("malformed", "unknown_crystal", "inline_no_table", "bad_reference",
-                "unknown_key", "missing_table", "nan_blade", "bad_seed"):
+                "unknown_key", "missing_table", "short_table", "nan_blade", "bad_seed"):
     _add(_config, [["plan"]])
 _add("nan_table", _ERRORS)
 _add("deep_peak", [["plan"]])

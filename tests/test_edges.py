@@ -320,7 +320,8 @@ _KEY_VALUES = {
     "crystal": {"name": ("Si", "Ge", "W"), "a0": ("5.43072", "5.6575"), "z": ("14", "32", "1.5"),
                 "b_nuclear": ("4.1507", "8.185"), "sigma_b_nuclear": ("0.0002", "0.01"),
                 "b": ("0.4613", "0.5"), "sigma_b": ("0.0027", "0.01"),
-                "form_factor_csv": ("missing.csv",)},
+                # short.csv: a table row of one field.
+                "form_factor_csv": ("missing.csv", "short.csv")},
     "spectrum": {"lambda_min": ("0.7", "0.8", "1.5"), "lambda_max": ("2.0", "2.5", "3.0"),
                  # 0.001 A: a survey walk past the planner's bound, refused unwalked.
                  "lambda_peak": ("1.2", "2.0", "0.001"), "two_theta_min": ("5", "15", "40"),
@@ -329,7 +330,8 @@ _KEY_VALUES = {
     "model": {"reference": ("argonne", "dubna", "theory", "none"),
               "b_ne": ("-1.31e-3", "0.01"), "b": ("0.4613", "0.3")},
     "fit": {"include_forward": ("true", "false"), "free_intercept": ("true", "false")},
-    "run": {"seed": ("0", "7", "-3")},
+    # m.csv: an existing file (the measurements) named as the output directory.
+    "run": {"seed": ("0", "7", "-3"), "out": ("out", "m.csv")},
 }
 _ENTRIES = [(section, key) for section, keys in _KEY_VALUES.items() for key in keys]
 
@@ -400,14 +402,19 @@ def _measurement_text(draw):
 @given(command=st.sampled_from(sorted(_COMMAND_ARGS)), data=st.data(),
        config=st.one_of(st.none(), _config_text()), measurements=_measurement_text(),
        seed=st.one_of(st.just([]), st.sampled_from(["0", "5", "-1"]).map(lambda v: ["--seed", v])))
-def test_exit_code_property(tmp_path, capsys, command, data, config, measurements, seed):
+def test_exit_code_property(tmp_path, monkeypatch, capsys, command, data, config, measurements,
+                            seed):
     """Any argv for any subcommand, under any small config, exits 0, 2 or 3;
-    a failure ends in an error line on stderr, never in a traceback."""
+    a failure ends in an error line on stderr, never in a traceback. It runs
+    in tmp_path, so the config's relative paths, [run] out among them, land
+    there."""
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "m.csv").write_text(measurements)
+    (tmp_path / "short.csv").write_text("q_over_4pi_A_inv,f\n0,1\n0.5\n")
     args = [a.format(measurements=tmp_path / "m.csv") for a in data.draw(_COMMAND_ARGS[command])]
-    argv = ["--out", str(tmp_path / "out"), *seed]
+    argv = list(seed)
     if config is not None:
-        (tmp_path / "c.ini").write_text(config.replace("missing.csv", str(tmp_path / "no.csv")))
+        (tmp_path / "c.ini").write_text(config)
         argv += ["--config", str(tmp_path / "c.ini")]
     try:
         rc = main([command, *argv, *args])
@@ -419,6 +426,67 @@ def test_exit_code_property(tmp_path, capsys, command, data, config, measurement
     if rc != 0:
         last = err.strip().splitlines()[-1]
         assert "error:" in last
+
+
+# Every kind of value an integer argument may be handed. Accepted counts stay
+# at most 64, so no call allocates much.
+_SMALL = st.integers(-3, 64)
+_INTEGER_LIKE = st.one_of(
+    st.booleans(), st.sampled_from([np.True_, np.False_]), _SMALL, _SMALL.map(float),
+    st.floats(), st.text(max_size=3), st.none(),
+    st.tuples(st.sampled_from([np.int8, np.int16, np.int32, np.int64]), _SMALL).map(
+        lambda t: t[0](t[1])),
+    st.tuples(st.sampled_from([np.uint8, np.uint64]), st.integers(0, 64)).map(
+        lambda t: t[0](t[1])),
+)
+
+
+def _profile(model, blade, n):
+    prof = intensity_profile(BeamSpectrum(), SILICON, model, Reflection(7, 1, 1), blade,
+                             n_samples=n)
+    return [a.tolist() for a in (prof.lam, prof.two_theta_deg, prof.argument, prof.intensity)]
+
+
+def _mc(model, n):
+    res = monte_carlo_validate(model, SILICON, [Reflection(4, 2, 2), Reflection(6, 2, 0)],
+                               n_trials=n)
+    return res.n_trials, res.empirical_cov.tolist(), res.analytic_cov.tolist()
+
+
+# (entry point, the ValueError message it refuses with) per integer argument.
+_INTEGER_SITES = {
+    "Miller index": (lambda model, blade, v: Reflection(v, 1, 1),
+                     "Miller indices must be integers"),
+    "Z": (lambda model, blade, v: replace(SILICON, Z=v), "Z must be an integer >= 1"),
+    "n_samples": (_profile, "n_samples must be an integer >= 2"),
+    "n_trials": (lambda model, blade, v: _mc(model, v), "n_trials must be an integer >= 2"),
+    "seed": (lambda model, blade, v: synth_measurements(model, SILICON, [Reflection(4, 2, 2)],
+                                                        seed=v),
+             "seed must be a non-negative integer"),
+}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(site=st.sampled_from(sorted(_INTEGER_SITES)), value=_INTEGER_LIKE)
+def test_integer_arguments_are_their_int_or_refused(si_model, blade, site, value):
+    """An integer argument given as any value either runs as the equal int
+    would, or raises that argument's ValueError; bools and floats, integral
+    or not, are refused."""
+    call, message = _INTEGER_SITES[site]
+
+    def outcome(v):
+        try:
+            return call(si_model, blade, v)
+        except ValueError as exc:
+            return ValueError, str(exc)
+
+    got = outcome(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        assert got == outcome(int(value))
+        if isinstance(got, tuple) and got[0] is ValueError:
+            assert got[1] == message
+    else:
+        assert got == (ValueError, message)
 
 
 class TestFiniteValues:
@@ -465,6 +533,14 @@ class TestFiniteValues:
         path.write_text("h,k,l,b_meas_fm,sigma_fm\n4,2,2,3.9\n6,2,0,3.9,0.0008\n")
         assert run("fit", str(path), "--out", str(tmp_path)) == 3
         assert "bad measurement row: expected 5 fields, got 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["{file}", "{file}/x"])  # FileExistsError, NotADirectoryError
+    @pytest.mark.parametrize("command", [["plan"], ["simulate", "711"]])
+    def test_cli_unwritable_output(self, tmp_path, capsys, out, command):
+        path = tmp_path / "file"
+        path.write_text("")
+        assert run(*command, "--out", out.format(file=path)) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write output: ")
 
 
 class TestRangeChecks:

@@ -792,7 +792,8 @@ class TestSharedPredictedRows:
 
 
 class TestSeedChecks:
-    @pytest.mark.parametrize("seed", [1.5, -1, "3", None])
+    # operator.index(True) is 1, but a bool seed is a mistake, not a key.
+    @pytest.mark.parametrize("seed", [1.5, -1, "3", None, True, False])
     def test_seed_must_be_a_non_negative_integer(self, si_model, new_eight, seed):
         with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
             synth_measurements(si_model, SILICON, new_eight, seed=seed)

@@ -2,6 +2,7 @@ import math
 import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -315,8 +316,22 @@ class TestCrystalSpec:
         with pytest.raises(ValueError):
             CrystalSpec(**base)
 
+    @pytest.mark.parametrize("Z", [14.5, True, math.nan, 0])
+    def test_z_must_be_an_integer(self, Z):
+        with pytest.raises(ValueError, match="^Z must be an integer >= 1$"):
+            replace(SILICON, Z=Z)
+
 
 class TestReflection:
+    def test_exact_ints_skip_the_integer_check(self, monkeypatch):
+        def checked(*args):
+            raise AssertionError("the integer check ran")
+
+        monkeypatch.setattr(lattice, "_integer", checked)
+        assert Reflection(4, 2, 2).n_sq == 24
+        with pytest.raises(AssertionError, match="the integer check ran"):
+            Reflection(np.int64(4), 2, 2)
+
     def test_canonical(self):
         assert Reflection(-2, 4, 2).canonical() == Reflection(4, 2, 2)
         assert Reflection(1, 7, 1).canonical() == Reflection(7, 1, 1)
