@@ -53,7 +53,8 @@ from pathlib import Path
 
 from . import fringes, inference, lattice, planner
 from .constants import CODATA
-from .errors import ConfigError, FormFactorRangeError, PendellosungError, SurveyTooLarge
+from .errors import (ConfigError, FormFactorRangeError, PendellosungError, SurveyTooLarge,
+                     _non_negative, _positive)
 from .formfactor import table_from_csv
 from .lattice import BUILTIN_TABLES, CrystalSpec, Reflection, ScatteringModel
 
@@ -74,8 +75,8 @@ def _checked(cast, ok, name):
 _SEED = _checked(int, lambda v: v >= 0, "non-negative integer")
 _COUNT = _checked(int, lambda v: v >= 2, "integer >= 2")
 _FINITE = _checked(float, math.isfinite, "finite number")
-_NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "non-negative finite number")
-_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive finite number")
+_NON_NEGATIVE = _checked(float, _non_negative, "non-negative finite number")
+_POSITIVE = _checked(float, _positive, "positive finite number")
 
 
 def _trials(text):

@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the two argument checks
+every module uses: _integer for integer arguments, _real for real ones."""
+
+import math
+import numbers
+import operator
 
 
 class PendellosungError(Exception):
@@ -39,3 +44,37 @@ class DegenerateDesign(PendellosungError):
 
 class ConfigError(PendellosungError):
     """Malformed or inconsistent run configuration."""
+
+
+def _integer(value, ok, message: str) -> int:
+    """operator.index(value) if value is not a bool and ok accepts it, else
+    ValueError(message): the library's one integer check."""
+    try:
+        if not isinstance(value, bool) and ok(n := operator.index(value)):
+            return n
+    except TypeError:
+        pass
+    raise ValueError(message)
+
+
+def _real(value, ok, message: str) -> float:
+    """float(value) if value is a real number that ok accepts, else
+    ValueError(message): the library's one real check. A bool (numpy's
+    too), a string, None and an int past the float range are refused."""
+    if type(value) is float and ok(value):  # the common case, already a float
+        return value
+    try:
+        if (isinstance(value, float) or isinstance(value, numbers.Real)  # np.float64: no ABC
+                and not isinstance(value, bool)) and ok(x := float(value)):
+            return x
+    except OverflowError:  # an int past the float range
+        pass
+    raise ValueError(message)
+
+
+def _positive(v: float) -> bool:
+    return 0 < v < math.inf
+
+
+def _non_negative(v: float) -> bool:
+    return 0 <= v < math.inf

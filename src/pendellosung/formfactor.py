@@ -11,7 +11,7 @@ samples is not physically critical here, but monotonicity is.
 
 The built-in silicon and germanium tables live in ``lattice`` beside their
 crystals; others load from CSV (header ``q_over_4pi_A_inv,f``, first row
-``0,1``, strictly increasing q, finite values).
+``0,1``, strictly increasing q up to 1e50, finite values).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormFactorRangeError
+from .errors import FormFactorRangeError, _real
 
 # Fractional q margin past the last sample over which linear extrapolation
 # (in the transformed coordinates) is still accepted.
@@ -81,11 +81,13 @@ class FormFactorTable:
     _tail: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for sample in self.samples for v in sample):
-            raise ValueError("q and f samples must be finite")
-        samples = _dedupe_by_q(sorted(self.samples))
+        samples = _dedupe_by_q(sorted(
+            tuple(_real(v, math.isfinite, "q and f samples must be finite") for v in sample)
+            for sample in self.samples))
         if len(samples) < 2:
             raise ValueError("need at least two samples (including q=0)")
+        if not samples[-1][0] <= 1e50:  # past ~1e51 the cubic in q^2 overflows to NaN
+            raise ValueError("q samples must not exceed 1e50 1/A")
         q = np.array([s[0] for s in samples])
         f = np.array([s[1] for s in samples])
         if q[0] != 0.0 or f[0] != 1.0:
@@ -122,7 +124,10 @@ class FormFactorTable:
         extended linearly in (q^2, ln f); beyond that the value is
         undefined and a FormFactorRangeError is raised.
         """
-        q = float(q_over_4pi)
+        try:
+            q = float(q_over_4pi)
+        except OverflowError:  # an int past the float range lies past any table
+            q = math.inf if q_over_4pi > 0 else -math.inf
         if q < 0.0:
             raise FormFactorRangeError(f"negative momentum transfer q={q}")
         if q <= self.q_max:

@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ANGSTROM_PER_CM, ANGSTROM_PER_FM
-from .errors import NoReflection, PendellosungError
+from .errors import NoReflection, PendellosungError, _integer, _positive, _real
 from .lattice import (
     CrystalSpec,
     Reflection,
     ScatteringModel,
-    _integer,
     q_over_4pi,
     require_observable,
     structure_factor_magnitude,
@@ -172,8 +171,8 @@ class BladeGeometry:
     thickness_cm: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.thickness_cm < math.inf:
-            raise ValueError("thickness must be positive and finite")
+        object.__setattr__(self, "thickness_cm", _real(self.thickness_cm, _positive,
+                                                       "thickness must be positive and finite"))
 
 
 @dataclass(frozen=True)

@@ -38,20 +38,19 @@ is it with sigma_b_meas = 0.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import PhysicalConstants
-from .errors import DegenerateDesign, InsufficientData
+from .errors import (DegenerateDesign, InsufficientData, _integer, _non_negative, _positive,
+                     _real)
 from .formfactor import FormFactorTable
 from .lattice import (
     CrystalSpec,
     Reflection,
     ScatteringModel,
     _b_of_f,
-    _integer,
     _positive_amplitude,
     debye_waller,
     q_over_4pi,
@@ -59,13 +58,6 @@ from .lattice import (
 )
 
 DEFAULT_SIGMA_B_MEAS = 0.0008  # fm, per-reflection amplitude precision
-
-
-def _positive_float(value, name: str) -> float:
-    """float(value) if 0 < value <= the largest float, else a ValueError naming name."""
-    if 0 < value <= sys.float_info.max:
-        return float(value)
-    raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -77,8 +69,9 @@ class Measurement:
     sigma: float = DEFAULT_SIGMA_B_MEAS
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", _positive_float(self.sigma, "sigma"))
-        object.__setattr__(self, "b_meas", _positive_float(self.b_meas, "b_meas"))
+        for name in ("sigma", "b_meas"):
+            object.__setattr__(self, name, _real(getattr(self, name), _positive,
+                                                 f"{name} must be positive and finite"))
 
 
 @dataclass(frozen=True)
@@ -133,12 +126,14 @@ def debye_waller_correct(b_meas_value: float, sigma_b_meas: float,
     linearly (module docstring). ValueError when b(Q) is not finite.
     """
     dw = debye_waller(B, q_over_4pi)
-    b_q = b_meas_value / dw if dw else math.inf
-    if not abs(b_q) < math.inf:  # dw underflowed to 0, or b(Q) overflowed or is NaN
-        raise ValueError(f"Debye-Waller factor exp(-B (Q/4pi)^2) = {dw:.6g} at B = {B:.6g} A^2, "
-                         f"Q/4pi = {q_over_4pi:.6g} 1/A leaves b(Q) = {b_q:.6g} fm not finite")
-    sigma = sigma_b_meas / dw + b_q * q_over_4pi**2 * sigma_B
-    return b_q, sigma
+    try:
+        b_q = b_meas_value / dw if dw else math.inf
+        if abs(b_q) < math.inf:  # else dw underflowed to 0, or b(Q) overflowed or is NaN
+            return b_q, sigma_b_meas / dw + b_q * q_over_4pi**2 * sigma_B
+    except OverflowError:  # an int argument past the float range
+        raise ValueError("b_meas, sigma_b_meas and sigma_B must lie in the float range") from None
+    raise ValueError(f"Debye-Waller factor exp(-B (Q/4pi)^2) = {dw:.6g} at B = {B:.6g} A^2, "
+                     f"Q/4pi = {q_over_4pi:.6g} 1/A leaves b(Q) = {b_q:.6g} fm not finite")
 
 
 def extract_bne_single(b_q: float, sigma_b_q: float,
@@ -151,10 +146,11 @@ def extract_bne_single(b_q: float, sigma_b_q: float,
     """
     if f >= 1.0:
         raise DegenerateDesign("f(Q) = 1 carries no b_ne signal")
-    denom = z * (1.0 - f)
-    bne = (b_nuclear - b_q) / denom
-    sigma = math.hypot(sigma_b_q, sigma_b_nuclear) / denom
-    return bne, sigma
+    try:
+        denom = z * (1.0 - f)
+        return (b_nuclear - b_q) / denom, math.hypot(sigma_b_q, sigma_b_nuclear) / denom
+    except OverflowError:  # an int argument past the float range
+        raise ValueError("amplitudes, errors, Z and f must lie in the float range") from None
 
 
 def charge_radius_from_bne(constants: PhysicalConstants, b_ne: float,
@@ -163,8 +159,9 @@ def charge_radius_from_bne(constants: PhysicalConstants, b_ne: float,
 
     Input in fm, output in fm^2; exactly linear, sigma scales alike.
     """
-    if not (math.isfinite(b_ne) and 0 <= sigma_b_ne < math.inf):
-        raise ValueError("b_ne must be finite, sigma_b_ne non-negative and finite")
+    message = "b_ne must be finite, sigma_b_ne non-negative and finite"
+    b_ne = _real(b_ne, math.isfinite, message)
+    sigma_b_ne = _real(sigma_b_ne, _non_negative, message)
     factor = constants.radius_factor_per_fm()
     return b_ne / factor, sigma_b_ne / factor
 
@@ -349,8 +346,10 @@ def slope_uncertainty(xs, sigmas) -> float:
     Sxx = sum x^2/s^2, the slope variance is S / (S Sxx - Sx^2). Only the
     abscissas and the point errors, one per abscissa, enter.
     """
-    xs = np.asarray(xs, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
+    try:
+        xs, sigmas = np.asarray(xs, dtype=float), np.asarray(sigmas, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise ValueError("abscissas and sigmas must be finite") from None
     if sigmas.shape != xs.shape:
         raise ValueError(f"need one sigma per abscissa, got {sigmas.size} for {xs.size}")
     if xs.size < 2:
@@ -530,7 +529,7 @@ def error_budget(model: ScatteringModel, crystal: CrystalSpec,
     """
     refls = list(reflections)
     q, f, b_pred = _predicted_rows(model, crystal, refls)
-    sigma_b_meas = _positive_float(sigma_b_meas, "sigma_b_meas")
+    sigma_b_meas = _real(sigma_b_meas, _positive, "sigma_b_meas must be positive and finite")
     if (len(refls) + (1 if include_forward else 0)) < 2:
         raise DegenerateDesign("need two abscissas (reflections plus forward point)")
     forward = _forward(crystal, include_forward)
@@ -565,13 +564,12 @@ def synth_measurements(model: ScatteringModel, crystal: CrystalSpec,
     if not refls:
         raise InsufficientData("no reflections left to synthesize")
     b_pred = _predicted_rows(model, crystal, refls)[2]
-    try:
-        sl = ([float(sigma)] * len(refls) if isinstance(sigma, (int, float))  # np.float64 too
-              else np.broadcast_to(np.asarray(sigma, dtype=float), (len(refls),)).tolist())
-    except OverflowError:  # an int past the float range
-        raise ValueError("sigma must be non-negative and finite") from None
-    if not all(0 <= s < math.inf for s in sl):
-        raise ValueError("sigma must be non-negative and finite")
+    message = "sigma must be non-negative and finite"
+    if isinstance(sigma, (int, float)):  # np.float64 too
+        sl = [_real(sigma, _non_negative, message)] * len(refls)
+    else:
+        sl = [_real(s, _non_negative, message) for s in
+              np.broadcast_to(np.asarray(sigma, dtype=object), (len(refls),)).tolist()]
     noise = np.random.default_rng(_check_seed(seed)).standard_normal(len(refls))
     return [Measurement(reflection=r, b_meas=b + s * e, sigma=s if s > 0 else DEFAULT_SIGMA_B_MEAS)
             for r, b, s, e in zip(refls, b_pred, sl, noise.tolist())]
@@ -651,7 +649,7 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     seed = _check_seed(seed)
     if seed >> 128:  # Philox keys are 128 bits
         raise ValueError("the Monte-Carlo seed must be below 2**128")
-    sigma = _positive_float(sigma, "sigma")  # zero noise leaves no spread to compare
+    sigma = _real(sigma, _positive, "sigma must be positive and finite")  # 0: no spread
     x1, _, sy, x2 = _log_rows(q, b_pred, sigma, _forward(crystal, include_forward),
                               [1.0 - v for v in f])
     design = _joint_design(x1, x2, crystal.Z / crystal.b_nuclear, free_intercept=True)

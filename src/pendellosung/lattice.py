@@ -16,22 +16,10 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 
-from .errors import ForbiddenReflection, NoReflection
+from .errors import ForbiddenReflection, NoReflection, _integer, _non_negative, _real
 from .formfactor import FormFactorTable
-
-
-def _integer(value, ok, message: str) -> int:
-    """operator.index(value) if value is not a bool and ok accepts it, else
-    ValueError(message): the library's one integer check."""
-    try:
-        if not isinstance(value, bool) and ok(n := operator.index(value)):
-            return n
-    except TypeError:
-        pass
-    raise ValueError(message)
 
 
 class ReflectionClass(enum.Enum):
@@ -149,8 +137,8 @@ class CrystalSpec:
 
     def __post_init__(self):
         for name in ("a0", "b_nuclear", "sigma_b_nuclear", "B", "sigma_B"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, _real(getattr(self, name), math.isfinite,
+                                                 f"{name} must be finite"))
         if self.a0 <= 0:
             raise ValueError("a0 must be positive")
         _integer(self.Z, lambda n: n >= 1, "Z must be an integer >= 1")
@@ -175,10 +163,9 @@ class ScatteringModel:
     form_factor: FormFactorTable
 
     def __post_init__(self):
-        if not math.isfinite(self.b_ne):
-            raise ValueError("b_ne must be finite")
-        if not 0 <= self.B < math.inf:
-            raise ValueError("B must be non-negative and finite")
+        object.__setattr__(self, "b_ne", _real(self.b_ne, math.isfinite, "b_ne must be finite"))
+        object.__setattr__(self, "B", _real(self.B, _non_negative,
+                                            "B must be non-negative and finite"))
 
 
 def q_over_4pi(crystal: CrystalSpec, r: Reflection) -> float:
@@ -190,10 +177,18 @@ def q_over_4pi(crystal: CrystalSpec, r: Reflection) -> float:
 
 
 def debye_waller(B: float, q_over_4pi: float) -> float:
-    """Thermal attenuation exp[-B (Q/4pi)^2]; 1 at Q=0 or B=0."""
-    if not 0 <= B < math.inf:
-        raise ValueError("B must be non-negative and finite")
-    return math.exp(-B * q_over_4pi * q_over_4pi)
+    """Thermal attenuation exp[-B (Q/4pi)^2]; 1 at Q=0 or B=0. ValueError
+    for a Q/4pi that leaves it undefined (NaN, or infinite at B = 0) or is
+    an int past the float range."""
+    B = _real(B, _non_negative, "B must be non-negative and finite")
+    try:
+        dw = math.exp(-B * q_over_4pi * q_over_4pi)
+    except OverflowError:  # an int Q/4pi past the float range
+        raise ValueError("Q/4pi must lie in the float range") from None
+    if dw != dw:
+        raise ValueError(f"Q/4pi = {q_over_4pi:.6g} 1/A leaves exp(-B (Q/4pi)^2) undefined "
+                         f"at B = {B:.6g} A^2")
+    return dw
 
 
 def b_of_q(crystal: CrystalSpec, m: ScatteringModel, q_over_4pi: float) -> float:

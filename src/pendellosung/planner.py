@@ -49,7 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 
-from .errors import EmptyWindow, NoReflection, SurveyTooLarge
+from .errors import EmptyWindow, NoReflection, SurveyTooLarge, _positive, _real
 from .lattice import (
     CrystalSpec,
     Reflection,
@@ -80,10 +80,11 @@ class SpectrumWindow:
     two_theta_max: float = 110.0
 
     def __post_init__(self):
+        for name in ("lambda_max", "lambda_peak"):
+            object.__setattr__(self, name, _real(getattr(self, name), _positive,
+                               "lambda_peak and lambda_max must be positive and finite"))
         if not 0 < self.lambda_min < self.lambda_max:
             raise ValueError("need 0 < lambda_min < lambda_max")
-        if not (0 < self.lambda_max < math.inf and 0 < self.lambda_peak < math.inf):
-            raise ValueError("lambda_peak and lambda_max must be positive and finite")
         if not 0 <= self.two_theta_min < self.two_theta_max <= 180:
             raise ValueError("need 0 <= two_theta_min < two_theta_max <= 180")
         # sin(theta) at the detector limits, for _window; not fields, so
@@ -136,8 +137,7 @@ class ReflectionPlan:
 
 def bragg_angle(crystal: CrystalSpec, r: Reflection, lam: float) -> float:
     """Bragg angle theta in degrees for wavelength lam (angstrom)."""
-    if not 0 < lam < math.inf:
-        raise ValueError("wavelength must be positive and finite")
+    lam = _real(lam, _positive, "wavelength must be positive and finite")
     q = q_over_4pi(crystal, r)
     if q == 0.0:
         raise NoReflection("(000) has no Bragg angle")

@@ -34,7 +34,11 @@ The cases:
   np.float64, a 0-d array, a list and a tuple, and a list of the wrong length;
 * the Debye-Waller correction, the fits, the budget and the
   temperature-factor sigmas at temperature factors up to 1e6 A^2, where the
-  factor underflows.
+  factor underflows;
+* crystals, models, windows, blades, form-factor tables and Measurements
+  built from int and np.float64 values, run through a survey, a plan, a
+  profile, a budget and the fits, and one Bragg angle at an np.float32
+  wavelength.
 
 ``test_bits.py`` runs a subset of the cases on every test run.
 """
@@ -182,9 +186,11 @@ def _build() -> None:
     import numpy as np
 
     from pendellosung import (
-        GERMANIUM, SILICON, BladeGeometry, Measurement, Reflection, SpectrumWindow,
-        bessel_j0, debye_waller_correct, fit_bne, fit_temperature_factor, pendellosung_argument, plan_reflection,
-        scattering_model, slope_uncertainty, synth_measurements,
+        GERMANIUM, SILICON, BeamSpectrum, BladeGeometry, FormFactorTable, Measurement, Reflection,
+        ScatteringModel, SpectrumWindow, bessel_j0, bragg_angle, charge_radius_from_bne,
+        debye_waller, debye_waller_correct, fit_bne, fit_temperature_factor, intensity_profile,
+        pendellosung_argument, plan_reflection, scattering_model, slope_uncertainty,
+        synth_measurements,
     )
     from pendellosung.constants import CODATA
     from pendellosung.fringes import _SWEEP_BLOCK
@@ -344,6 +350,45 @@ def _build() -> None:
             _budget, hot_model, SILICON, si_pure[1:])
         CASES[f"debye_waller temperature_factor_sigmas model B={big_b:g}"] = partial(
             temperature_factor_sigmas, hot_model, SILICON, si_pure[1:])
+    # Each real argument given as an int or an np.float64 of the same value.
+    crystal_keys = ("a0", "b_nuclear", "sigma_b_nuclear", "B", "sigma_B")
+    for form, conv, values in (
+            ("int", int, dict(a0=6, b_nuclear=4, sigma_b_nuclear=1, B=1, sigma_B=0, b_ne=0,
+                              lambda_max=3, lambda_peak=2, t=2, sigma=1)),
+            ("float64", np.float64, dict({k: getattr(SILICON, k) for k in crystal_keys},
+                                         b_ne=CODATA.b_ne_argonne_fm, lambda_max=2.5,
+                                         lambda_peak=1.2, t=1.0, sigma=0.0008))):
+        v = {k: conv(x) for k, x in values.items()}
+        crystal = replace(SILICON, **{k: v[k] for k in crystal_keys})
+        m = ScatteringModel(b_ne=v["b_ne"], B=v["B"], form_factor=table)
+        w = SpectrumWindow(lambda_max=v["lambda_max"], lambda_peak=v["lambda_peak"])
+        g = BladeGeometry(thickness_cm=v["t"])
+        r = Reflection(7, 1, 1)
+        CASES[f"real_args {form} survey"] = partial(_survey, crystal, w, False)
+        CASES[f"real_args {form} plan"] = lambda c=crystal, w=w: _plan(
+            plan_reflection(c, Reflection(4, 2, 2), w))
+        CASES[f"real_args {form} profile"] = lambda c=crystal, m=m, g=g, w=w: list(vars(
+            intensity_profile(BeamSpectrum("maxwellian", w), c, m, r, g, n_samples=300)).values())
+        CASES[f"real_args {form} bragg_angle"] = partial(bragg_angle, crystal, r, v["lambda_peak"])
+        CASES[f"real_args {form} debye_waller"] = partial(debye_waller, v["B"], 0.5)
+        CASES[f"real_args {form} budget"] = partial(_budget, m, crystal, si_pure[1:],
+                                                    sigma_b_meas=v["sigma"])
+        CASES[f"real_args {form} synth"] = partial(_synth, m, crystal, si_pure[1:],
+                                                   sigma=v["sigma"], seed=3)
+        ms = [Measurement(x.reflection, conv(x.b_meas) if form == "float64" else round(x.b_meas),
+                          v["sigma"]) for x in synth_measurements(m, crystal, si_pure[1:], seed=3)]
+        CASES[f"real_args {form} joint_fit"] = partial(_joint_fit, ms, crystal, table)
+        CASES[f"real_args {form} fit_bne"] = partial(fit_bne, ms, crystal, table)
+        CASES[f"real_args {form} fit_temperature_factor"] = partial(
+            fit_temperature_factor, ms, crystal)
+        CASES[f"real_args {form} radius"] = partial(charge_radius_from_bne, CODATA, v["b_ne"],
+                                                    v["sigma"])
+        samples = ((conv(0), conv(1)), (conv(values["t"]), conv(values["t"]) / 4))
+        CASES[f"real_args {form} f_at"] = lambda s=samples: [
+            FormFactorTable("X", s).f_at(q) for q in (0.0, 0.3, 1.0, 1.9)]
+    CASES["real_args float32 bragg_angle"] = partial(bragg_angle, SILICON, Reflection(4, 2, 2),
+                                                     np.float32(1.2))
+
     CASES["reflection bool indices"] = lambda: _plan(
         plan_reflection(SILICON, Reflection(True, True, True)))
     CASES["reflection bool index label"] = lambda: Reflection(2, 2, False).label()

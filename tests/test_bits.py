@@ -12,7 +12,7 @@ import bits
 KINDS = {"profile", "fringe_count", "pendellosung_argument", "bessel_j0", "monte_carlo",
          "survey", "plan_reflection", "f_at", "temperature_factor_sigmas", "error_budget",
          "synth", "joint_fit", "fit_temperature_factor", "fit_bne", "slope_uncertainty",
-         "normal_cov", "sigma_range", "reflection", "synth_sigma", "debye_waller"}
+         "normal_cov", "sigma_range", "reflection", "synth_sigma", "debye_waller", "real_args"}
 
 
 def _first_of_each_kind():
@@ -40,7 +40,8 @@ def test_subset_digests_repeat():
               "sigma_range monte_carlo sigma=1e-300", "sigma_range joint_fit sigma=1e-300",
               "sigma_range fit_bne sigma=1e+300", "sigma_range fit_temperature_factor sigma=1e-300",
               "sigma_range joint_fit one row sigma=1e+76", "reflection bool index label",
-              "synth_sigma wrong length", "debye_waller fit_bne B=100000 forward=True"]
+              "synth_sigma wrong length", "debye_waller fit_bne B=100000 forward=True",
+              "real_args int joint_fit", "real_args float32 bragg_angle"]
     assert bits.run(names) == bits.run(names)
 
 

@@ -9,15 +9,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pendellosung import (
+    CODATA,
     GERMANIUM_TABLE,
     SILICON,
+    SILICON_TABLE,
     BeamSpectrum,
     BladeGeometry,
+    FormFactorTable,
     Measurement,
     NoReflection,
     PendellosungError,
     Reflection,
+    ScatteringModel,
     SpectrumWindow,
+    bragg_angle,
+    charge_radius_from_bne,
+    debye_waller,
     error_budget,
     fit_bne,
     fit_temperature_factor,
@@ -485,6 +492,81 @@ def test_integer_arguments_are_their_int_or_refused(si_model, blade, site, value
         assert got == outcome(int(value))
         if isinstance(got, tuple) and got[0] is ValueError:
             assert got[1] == message
+    else:
+        assert got == (ValueError, message)
+
+
+# Every kind of value a real argument may be handed; ints of 2**1024 and
+# more are past the float range.
+_REAL_LIKE = st.one_of(
+    st.booleans(), st.sampled_from([np.True_, np.False_]), st.floats(), _SMALL,
+    st.integers(2**1024, 2**1100), st.integers(-2**1100, -2**1024),
+    st.floats(-1e3, 1e3).map(np.float64), st.floats(-1e3, 1e3, width=32).map(np.float32),
+    _SMALL.map(np.int64), st.text(max_size=3), st.binary(max_size=3), st.none(),
+)
+_TWO = [Reflection(4, 2, 2), Reflection(6, 2, 0)]
+_RADIUS = "b_ne must be finite, sigma_b_ne non-negative and finite"
+
+
+# (entry point, the ValueError message it refuses with) per real argument.
+_REAL_SITES = {
+    **{f"CrystalSpec {name}": (lambda model, v, name=name: replace(SILICON, **{name: v}),
+                               f"{name} must be finite")
+       for name in ("a0", "b_nuclear", "sigma_b_nuclear", "B", "sigma_B")},
+    "ScatteringModel b_ne": (lambda model, v: ScatteringModel(v, 0.5, SILICON_TABLE),
+                             "b_ne must be finite"),
+    "ScatteringModel B": (lambda model, v: ScatteringModel(0.0, v, SILICON_TABLE),
+                          "B must be non-negative and finite"),
+    "debye_waller B": (lambda model, v: debye_waller(v, 0.5), "B must be non-negative and finite"),
+    **{f"SpectrumWindow {name}": (lambda model, v, name=name: SpectrumWindow(**{name: v}),
+                                  "lambda_peak and lambda_max must be positive and finite")
+       for name in ("lambda_max", "lambda_peak")},
+    "bragg_angle lam": (lambda model, v: bragg_angle(SILICON, Reflection(4, 2, 2), v),
+                        "wavelength must be positive and finite"),
+    "BladeGeometry thickness_cm": (lambda model, v: BladeGeometry(v),
+                                   "thickness must be positive and finite"),
+    "charge_radius_from_bne b_ne": (lambda model, v: charge_radius_from_bne(CODATA, v), _RADIUS),
+    "charge_radius_from_bne sigma_b_ne": (
+        lambda model, v: charge_radius_from_bne(CODATA, 0.0, v), _RADIUS),
+    "synth_measurements sigma": (lambda model, v: synth_measurements(model, SILICON, _TWO,
+                                                                     sigma=v),
+                                 "sigma must be non-negative and finite"),
+    "Measurement b_meas": (lambda model, v: Measurement(_TWO[0], v, 0.001),
+                           "b_meas must be positive and finite"),
+    "Measurement sigma": (lambda model, v: Measurement(_TWO[0], 3.8, v),
+                          "sigma must be positive and finite"),
+    "error_budget sigma_b_meas": (lambda model, v: error_budget(model, SILICON, _TWO,
+                                                                sigma_b_meas=v),
+                                  "sigma_b_meas must be positive and finite"),
+    "monte_carlo_validate sigma": (lambda model, v: [
+        c.tolist() for c in vars(monte_carlo_validate(model, SILICON, _TWO, sigma=v,
+                                                       n_trials=4)).values()
+        if isinstance(c, np.ndarray)], "sigma must be positive and finite"),
+    "FormFactorTable sample": (lambda model, v: FormFactorTable("X", ((0.0, 1.0), (v, 0.5))),
+                               "q and f samples must be finite"),
+}
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(site=st.sampled_from(sorted(_REAL_SITES)), value=_REAL_LIKE)
+def test_real_arguments_are_their_float_or_refused(si_model, site, value):
+    """A real argument given as any value either runs exactly as float(value)
+    would, stored as that float, or raises that argument's ValueError; bools
+    (numpy's too), strings, bytes, None and ints past the float range are
+    refused."""
+    call, message = _REAL_SITES[site]
+
+    def outcome(v):
+        try:
+            return repr(call(si_model, v))  # repr tells 3 from 3.0 and matches nan
+        except (ValueError, PendellosungError) as exc:
+            return type(exc), str(exc)
+
+    got = outcome(value)
+    huge = isinstance(value, int) and abs(value) >= 2**1024
+    if isinstance(value, (int, float, np.integer, np.floating)) and not (
+            isinstance(value, bool) or huge):
+        assert got == outcome(float(value))
     else:
         assert got == (ValueError, message)
 

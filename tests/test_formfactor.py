@@ -100,6 +100,15 @@ class TestTableConstruction:
         with pytest.raises(ValueError):
             FormFactorTable(element="X", samples=((0.0, 1.0), (0.2, 0.8), (0.2, 0.7)))
 
+    def test_samples_are_stored_as_floats(self):
+        t = FormFactorTable(element="X", samples=((0, 1), (np.float64(0.5), 0.5)))
+        assert [type(v) for sample in t.samples for v in sample] == [float] * 4
+        assert t.f_at(0.5) == 0.5
+
+    def test_q_up_to_1e50_stays_finite(self):
+        t = FormFactorTable(element="X", samples=((0.0, 1.0), (1e49, 0.7), (1e50, 1e-300)))
+        assert all(math.isfinite(t.f_at(q)) for q in (0.3, 5e49, 1e50, 1.04e50))
+
     def test_duplicate_q_agreeing_collapses(self):
         t = FormFactorTable(element="X", samples=((0.0, 1.0), (0.2, 0.8), (0.2, 0.8)))
         assert len(t.samples) == 2
@@ -111,7 +120,11 @@ class TestTableConstruction:
         (((0.0, 1.0), (math.inf, 0.5)), "q and f samples must be finite"),
         (((0.0, 1.0),), "need at least two samples"),
         (((0.0, 1.0), (0.2, 0.5), (0.3, 0.0)), r"f must lie in \(0, 1\]"),
-    ], ids=["nan-f", "inf-f", "nan-q", "inf-q", "one-sample", "zero-f"])
+        (((0.0, 1.0), (10**400, 0.5)), "q and f samples must be finite"),
+        (((0.0, 1.0), ("0.3", 0.5)), "q and f samples must be finite"),
+        (((0.0, 1.0), (1.1e50, 0.5)), r"q samples must not exceed 1e50 1/A"),
+    ], ids=["nan-f", "inf-f", "nan-q", "inf-q", "one-sample", "zero-f", "huge-int-q", "str-q",
+            "past-1e50-q"])
     def test_invalid_samples(self, samples, message):
         with pytest.raises(ValueError, match=message):
             FormFactorTable(element="X", samples=samples)

@@ -14,6 +14,7 @@ from pendellosung import (
     SILICON,
     DegenerateDesign,
     ForbiddenReflection,
+    FormFactorRangeError,
     InsufficientData,
     Measurement,
     PendellosungError,
@@ -22,6 +23,7 @@ from pendellosung import (
     SpectrumWindow,
     b_meas,
     charge_radius_from_bne,
+    debye_waller,
     debye_waller_correct,
     error_budget,
     extract_bne_single,
@@ -1191,23 +1193,47 @@ class TestMeasurementInvariants:
 
 
 _HUGE = 10**400  # an int that float() cannot take
+_DWC = "b_meas, sigma_b_meas and sigma_B must lie in the float range"
+_EXTRACT = "amplitudes, errors, Z and f must lie in the float range"
+_SLOPE = "abscissas and sigmas must be finite"
 
 
-@pytest.mark.parametrize("enter, message", [
-    (lambda m, r: error_budget(m, SILICON, r, sigma_b_meas=_HUGE), "sigma_b_meas must be positive"),
-    (lambda m, r: synth_measurements(m, SILICON, r, sigma=_HUGE), "sigma must be non-negative"),
-    (lambda m, r: synth_measurements(m, SILICON, r, sigma=[1e-3] * 7 + [_HUGE]),
-     "sigma must be non-negative"),
-    (lambda m, r: monte_carlo_validate(m, SILICON, r, sigma=_HUGE), "sigma must be positive"),
-    (lambda m, r: Measurement(r[0], 3.0, _HUGE), "sigma must be positive"),
-    (lambda m, r: Measurement(r[0], _HUGE, 3.0), "b_meas must be positive"),
+@pytest.mark.parametrize("enter, error, message", [
+    (lambda m, r: error_budget(m, SILICON, r, sigma_b_meas=_HUGE), ValueError,
+     "sigma_b_meas must be positive and finite"),
+    (lambda m, r: synth_measurements(m, SILICON, r, sigma=_HUGE), ValueError,
+     "sigma must be non-negative and finite"),
+    (lambda m, r: synth_measurements(m, SILICON, r, sigma=[1e-3] * 7 + [_HUGE]), ValueError,
+     "sigma must be non-negative and finite"),
+    (lambda m, r: monte_carlo_validate(m, SILICON, r, sigma=_HUGE), ValueError,
+     "sigma must be positive and finite"),
+    (lambda m, r: Measurement(r[0], 3.0, _HUGE), ValueError, "sigma must be positive and finite"),
+    (lambda m, r: Measurement(r[0], _HUGE, 3.0), ValueError, "b_meas must be positive and finite"),
+    (lambda m, r: m.form_factor.f_at(_HUGE), FormFactorRangeError,
+     "Si: q=inf beyond tabulated domain (max 0.68898 + 5% margin)"),
+    (lambda m, r: m.form_factor.f_at(-_HUGE), FormFactorRangeError,
+     "negative momentum transfer q=-inf"),
+    (lambda m, r: debye_waller(0.46, _HUGE), ValueError, "Q/4pi must lie in the float range"),
+    (lambda m, r: debye_waller_correct(_HUGE, 0.001, 0.46, 0.01, 0.5), ValueError, _DWC),
+    (lambda m, r: debye_waller_correct(3.8, _HUGE, 0.46, 0.01, 0.5), ValueError, _DWC),
+    (lambda m, r: debye_waller_correct(3.8, 0.001, 0.46, _HUGE, 0.5), ValueError, _DWC),
+    (lambda m, r: extract_bne_single(_HUGE, 0.001, 4.15, 0.001, 14, 0.5), ValueError, _EXTRACT),
+    (lambda m, r: extract_bne_single(3.8, _HUGE, 4.15, 0.001, 14, 0.5), ValueError, _EXTRACT),
+    (lambda m, r: extract_bne_single(3.8, 0.001, _HUGE, 0.001, 14, 0.5), ValueError, _EXTRACT),
+    (lambda m, r: extract_bne_single(3.8, 0.001, 4.15, 0.001, _HUGE, 0.5), ValueError, _EXTRACT),
+    (lambda m, r: extract_bne_single(3.8, 0.001, 4.15, 0.001, 14, -_HUGE), ValueError, _EXTRACT),
+    (lambda m, r: slope_uncertainty([0.1, _HUGE], [0.01, 0.01]), ValueError, _SLOPE),
+    (lambda m, r: slope_uncertainty([0.1, 0.2], [0.01, _HUGE]), ValueError, _SLOPE),
 ], ids=["error_budget", "synth", "synth-list", "monte_carlo", "Measurement-sigma",
-        "Measurement-b_meas"])
-def test_an_int_past_the_float_range_is_refused(si_model, new_eight, enter, message):
-    # Each entry point converts with float() and gives its own ValueError,
-    # not an OverflowError from the first arithmetic on the int.
-    with pytest.raises(ValueError, match=f"^{message} and finite$"):
+        "Measurement-b_meas", "f_at", "f_at-negative", "debye_waller-q", "correct-b_meas",
+        "correct-sigma", "correct-sigma_B", "extract-b_q", "extract-sigma", "extract-b_nuclear",
+        "extract-z", "extract-f", "slope-abscissa", "slope-sigma"])
+def test_an_int_past_the_float_range_is_refused(si_model, new_eight, enter, error, message):
+    # Each entry point converts with float(), or catches the OverflowError of
+    # the first arithmetic on the int, and refuses with its own error.
+    with pytest.raises(error) as refused:
         enter(si_model, new_eight)
+    assert str(refused.value) == message
 
 
 @settings(max_examples=25, deadline=None)

@@ -218,10 +218,24 @@ class TestDebyeWaller:
             return
         assert debye_waller(B, hi) < debye_waller(B, lo)
 
-    @pytest.mark.parametrize("B", [-0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("B", [-0.1, math.nan, math.inf, pytest.param(10**400, id="10**400"),
+                                   True, "0.4", None])
     def test_negative_or_non_finite_b_rejected(self, B):
         with pytest.raises(ValueError, match="^B must be non-negative and finite$"):
             debye_waller(B, 0.3)
+
+    @pytest.mark.parametrize("B, q", [(0.46, math.nan), (0.0, math.inf), (0.0, -math.inf)])
+    def test_undefined_factor_names_q(self, B, q):
+        # exp(nan) and exp(-0 * inf) are NaN; the factor is refused, not returned
+        with pytest.raises(ValueError, match=r"^Q/4pi = -?(nan|inf) 1/A leaves"):
+            debye_waller(B, q)
+
+    def test_infinite_q_at_positive_b_is_zero(self):
+        assert debye_waller(0.46, math.inf) == 0.0
+
+    def test_int_q_past_the_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="^Q/4pi must lie in the float range$"):
+            debye_waller(0.46, 10**400)
 
 
 class TestBMeas:
