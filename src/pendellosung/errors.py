@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and the two argument checks
-every module uses: _integer for integer arguments, _real for real ones."""
+"""Exception types shared across the toolkit, and the argument checks every
+module uses: _integer for integer arguments, _real for real ones and
+_real_array for real arrays."""
 
 import math
 import numbers
@@ -69,6 +70,15 @@ def _real(value, ok, message: str) -> float:
             return x
     except OverflowError:  # an int past the float range
         pass
+    raise ValueError(message)
+
+
+def _real_array(a, message: str):
+    """The numpy array a as float64 if its dtype is real, else
+    ValueError(message): bools, strings, bytes, complex numbers and objects
+    (None, an int past 64 bits) are refused; values are not checked."""
+    if a.dtype.kind in "iuf":
+        return a.astype(float, copy=False)
     raise ValueError(message)
 
 

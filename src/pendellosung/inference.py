@@ -44,7 +44,7 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .errors import (DegenerateDesign, InsufficientData, _integer, _non_negative, _positive,
-                     _real)
+                     _real, _real_array)
 from .formfactor import FormFactorTable
 from .lattice import (
     CrystalSpec,
@@ -169,8 +169,8 @@ def charge_radius_from_bne(constants: PhysicalConstants, b_ne: float,
 # --- shared reduction core ------------------------------------------------
 
 
-# A row error sy must give a weight 1/sy^2 within 1e-150..1e150, or the weight
-# sums that S Sxx - Sx^2 and the normal matrix multiply overflow or underflow.
+# A row error sy must give a weight 1/sy^2 within 1e-150..1e150, or the weighted
+# sums of the line and the normal matrix overflow or underflow.
 _SY_MIN, _SY_MAX = 1e-75, 1e75
 
 
@@ -323,33 +323,29 @@ def _normal_cov(a, w):
 
 def _line(x, sy, y=None, fixed_intercept=None):
     """(slope, its sigma) of the weighted line y = c + slope x, c free or
-    fixed_intercept, on rows the caller checked; the slope is None without y."""
+    fixed_intercept, on rows the caller checked; the slope is None without y.
+    A free c goes by centring x - x[0] and y on their weighted means (equal
+    abscissas centre to exactly 0), a fixed one by subtracting it from y."""
     w = 1.0 / sy**2
+    if fixed_intercept is None:
+        x, s = x - x[0], w.sum()
+        x = x - (w * x).sum() / s
+        y = None if y is None else y - (w * y).sum() / s
+    else:
+        y = y - fixed_intercept
     wx = w * x
-    if fixed_intercept is not None:
-        sxx = float((wx * x).sum())
-        if not 0 < sxx < math.inf:
-            raise DegenerateDesign("abscissas do not constrain a slope")
-        return (wx * (y - fixed_intercept)).sum() / sxx, math.sqrt(1.0 / sxx)
-    s, sx = float(w.sum()), float(wx.sum())
-    denom = s * float((wx * x).sum()) - sx * sx
-    if not 0 < denom < math.inf:
+    sxx = float((wx * x).sum())
+    if not 0 < sxx < math.inf:
         raise DegenerateDesign("abscissas do not constrain a slope")
-    slope = None if y is None else (s * (wx * y).sum() - sx * (w * y).sum()) / denom
-    return slope, math.sqrt(s / denom)
+    return None if y is None else (wx * y).sum() / sxx, math.sqrt(1.0 / sxx)
 
 
 def slope_uncertainty(xs, sigmas) -> float:
-    """One-sigma slope error of a free-intercept weighted line fit.
-
-    Standard textbook sums: with S = sum 1/s^2, Sx = sum x/s^2,
-    Sxx = sum x^2/s^2, the slope variance is S / (S Sxx - Sx^2). Only the
-    abscissas and the point errors, one per abscissa, enter.
-    """
-    try:
-        xs, sigmas = np.asarray(xs, dtype=float), np.asarray(sigmas, dtype=float)
-    except OverflowError:  # an int past the float range
-        raise ValueError("abscissas and sigmas must be finite") from None
+    """One-sigma slope error of a free-intercept weighted line fit,
+    1 / sqrt(sum (x - xbar)^2 / s^2) about the weighted mean xbar of the
+    abscissas; only they and the point errors, one per abscissa, enter."""
+    xs, sigmas = (_real_array(np.asarray(v), "abscissas and sigmas must be finite")
+                  for v in (xs, sigmas))
     if sigmas.shape != xs.shape:
         raise ValueError(f"need one sigma per abscissa, got {sigmas.size} for {xs.size}")
     if xs.size < 2:

@@ -80,13 +80,15 @@ class SpectrumWindow:
     two_theta_max: float = 110.0
 
     def __post_init__(self):
-        for name in ("lambda_max", "lambda_peak"):
-            object.__setattr__(self, name, _real(getattr(self, name), _positive,
-                               "lambda_peak and lambda_max must be positive and finite"))
-        if not 0 < self.lambda_min < self.lambda_max:
-            raise ValueError("need 0 < lambda_min < lambda_max")
-        if not 0 <= self.two_theta_min < self.two_theta_max <= 180:
-            raise ValueError("need 0 <= two_theta_min < two_theta_max <= 180")
+        peak, lam, angles = ("lambda_peak and lambda_max must be positive and finite",
+                             "need 0 < lambda_min < lambda_max",
+                             "need 0 <= two_theta_min < two_theta_max <= 180")
+        for name, ok, message in (
+                ("lambda_max", _positive, peak), ("lambda_peak", _positive, peak),
+                ("lambda_min", lambda v: 0 < v < self.lambda_max, lam),
+                ("two_theta_max", lambda v: v <= 180, angles),
+                ("two_theta_min", lambda v: 0 <= v < self.two_theta_max, angles)):
+            object.__setattr__(self, name, _real(getattr(self, name), ok, message))
         # sin(theta) at the detector limits, for _window; not fields, so
         # repr, ==, hash and replace see only the five above.
         object.__setattr__(self, "_sin_min", math.sin(math.radians(self.two_theta_min / 2.0)))

@@ -23,6 +23,10 @@ The cases:
 * f_at, synthetic amplitudes, error budgets, joint fits, fit_bne and
   fit_temperature_factor on seeded synthetic data;
 * slope_uncertainty on seeded abscissas and on each input it refuses;
+* the weighted line _line itself, free and fixed intercept, slope and sigma
+  or sigma alone, on seeded abscissas spaced from 1 down to 1e-3 of their
+  mean (cancellation factors S Sxx / (S Sxx - Sx^2) from 2.6 to 5.5e7), and on
+  equal abscissas with unequal weights;
 * the normal-equation inverse _normal_cov on 2- and 3-column designs with
   condition numbers from 1 to 1e17 at scales from 1e-160 to 1e160 (so the
   normal matrix runs from subnormal to overflowing), and on rank-deficient
@@ -194,7 +198,7 @@ def _build() -> None:
     )
     from pendellosung.constants import CODATA
     from pendellosung.fringes import _SWEEP_BLOCK
-    from pendellosung.inference import _MC_CHUNK, temperature_factor_sigmas
+    from pendellosung.inference import _MC_CHUNK, _line, temperature_factor_sigmas
 
     crystals = {"Si": SILICON, "Ge": GERMANIUM}
     models = {n: scattering_model(c, CODATA.b_ne_argonne_fm) for n, c in crystals.items()}
@@ -298,6 +302,20 @@ def _build() -> None:
     for what, (xs, sigmas) in refusals.items():
         CASES[f"slope_uncertainty refuses {what}"] = partial(slope_uncertainty, xs, sigmas)
 
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for k in range(4):
+            n = int(rng.integers(2, 10))
+            x = (1.0 + 10.0**-k * rng.uniform(-1.0, 1.0, n)) * rng.uniform(0.1, 1.0)
+            sy, y = 10.0 ** rng.uniform(-1, 0, n), rng.normal(size=n)
+            name = f"line spread=1e-{k} seed={seed} n={n}"
+            CASES[f"{name} free"] = partial(_line, x, sy, y)
+            CASES[f"{name} sigma only"] = partial(_line, x, sy)
+            CASES[f"{name} fixed"] = partial(_line, x, sy, y, 0.5)
+        n = int(rng.integers(2, 10))
+        x, sy = np.full(n, rng.uniform(-2.0, 2.0)), 10.0 ** rng.uniform(-4, 0, n)
+        CASES[f"line equal abscissas seed={seed} n={n}"] = partial(_line, x, sy, rng.normal(size=n))
+
     for p in (2, 3):
         for e in (-160, -80, -20, 0, 20, 80, 160):
             scale = 10.0 ** e
@@ -354,14 +372,17 @@ def _build() -> None:
     crystal_keys = ("a0", "b_nuclear", "sigma_b_nuclear", "B", "sigma_B")
     for form, conv, values in (
             ("int", int, dict(a0=6, b_nuclear=4, sigma_b_nuclear=1, B=1, sigma_B=0, b_ne=0,
-                              lambda_max=3, lambda_peak=2, t=2, sigma=1)),
+                              lambda_min=1, lambda_max=3, lambda_peak=2, two_theta_min=15,
+                              two_theta_max=110, t=2, sigma=1)),
             ("float64", np.float64, dict({k: getattr(SILICON, k) for k in crystal_keys},
-                                         b_ne=CODATA.b_ne_argonne_fm, lambda_max=2.5,
-                                         lambda_peak=1.2, t=1.0, sigma=0.0008))):
+                                         b_ne=CODATA.b_ne_argonne_fm, lambda_min=0.8,
+                                         lambda_max=2.5, lambda_peak=1.2, two_theta_min=15.0,
+                                         two_theta_max=110.0, t=1.0, sigma=0.0008))):
         v = {k: conv(x) for k, x in values.items()}
         crystal = replace(SILICON, **{k: v[k] for k in crystal_keys})
         m = ScatteringModel(b_ne=v["b_ne"], B=v["B"], form_factor=table)
-        w = SpectrumWindow(lambda_max=v["lambda_max"], lambda_peak=v["lambda_peak"])
+        w = SpectrumWindow(**{k: v[k] for k in ("lambda_min", "lambda_max", "lambda_peak",
+                                                "two_theta_min", "two_theta_max")})
         g = BladeGeometry(thickness_cm=v["t"])
         r = Reflection(7, 1, 1)
         CASES[f"real_args {form} survey"] = partial(_survey, crystal, w, False)

@@ -27,6 +27,11 @@ are frozen copies of the two per-reflection loops that synthetic amplitudes
 and the temperature-factor error model ran before both went through the
 fits' shared predicted rows and ``debye_waller_correct``.
 
+``line_exact`` is the weighted straight line of the fits, the error budget
+and ``slope_uncertainty`` in exact rational arithmetic on the float rows, by
+the textbook normal equations, with no centring: the reference against which
+the package's rounding is bounded.
+
 ``sweep_with_temporaries`` and ``profile_with_temporaries`` are frozen
 copies of the fringe profile's per-tile steps as they stood when the angle
 conversions went through ``np.degrees``/``np.radians`` and the J0 argument
@@ -41,6 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from decimal import Decimal, getcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -246,6 +252,30 @@ def normal_cov_with_cond(a, w):
     if not np.all(np.isfinite(cov)) or np.linalg.cond(awa) > 1e14:
         raise DegenerateDesign("collinear fit abscissas")
     return cov
+
+
+def _sqrt_exact(v: Fraction) -> Fraction:
+    """sqrt(v) of a positive Fraction to 2^-200 relative, from an integer square root."""
+    k = 200 + max(0, (v.denominator.bit_length() - v.numerator.bit_length()) // 2 + 1)
+    return Fraction(math.isqrt((v.numerator << 2 * k) // v.denominator), 1 << k)
+
+
+def line_exact(x, sy, y=None, fixed_intercept=None):
+    """(slope, sigma) as Fractions of the weighted line y = c + slope x, c free
+    or fixed_intercept, on float rows (x, y, sy) taken as exact, weights
+    1/sy^2; the slope is None without y. With S = sum w, Sx = sum w x and
+    Sxx = sum w x^2, a free c gives the slope variance S / (S Sxx - Sx^2), a
+    fixed one 1 / Sxx."""
+    x, w = [Fraction(v) for v in x], [1 / Fraction(v) ** 2 for v in sy]
+    sxx = sum(wi * xi * xi for wi, xi in zip(w, x))
+    y = None if y is None else [Fraction(v) - Fraction(fixed_intercept or 0) for v in y]
+    sxy = None if y is None else sum(wi * xi * yi for wi, xi, yi in zip(w, x, y))
+    if fixed_intercept is not None:
+        return sxy / sxx, _sqrt_exact(1 / sxx)
+    s, sx = sum(w), sum(wi * xi for wi, xi in zip(w, x))
+    det = s * sxx - sx * sx
+    slope = None if y is None else (s * sxy - sx * sum(wi * yi for wi, yi in zip(w, y))) / det
+    return slope, _sqrt_exact(s / det)
 
 
 def synth_amplitudes_per_reflection(model, crystal, reflections, sigma, seed):

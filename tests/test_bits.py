@@ -12,7 +12,8 @@ import bits
 KINDS = {"profile", "fringe_count", "pendellosung_argument", "bessel_j0", "monte_carlo",
          "survey", "plan_reflection", "f_at", "temperature_factor_sigmas", "error_budget",
          "synth", "joint_fit", "fit_temperature_factor", "fit_bne", "slope_uncertainty",
-         "normal_cov", "sigma_range", "reflection", "synth_sigma", "debye_waller", "real_args"}
+         "normal_cov", "sigma_range", "reflection", "synth_sigma", "debye_waller", "real_args",
+         "line"}
 
 
 def _first_of_each_kind():

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from pendellosung import (
     CODATA,
@@ -22,6 +22,7 @@ from pendellosung import (
     Reflection,
     ScatteringModel,
     SpectrumWindow,
+    bessel_j0,
     bragg_angle,
     charge_radius_from_bne,
     debye_waller,
@@ -35,6 +36,7 @@ from pendellosung import (
     pendellosung_argument,
     q_over_4pi,
     scattering_model,
+    slope_uncertainty,
     synth_measurements,
 )
 from pendellosung import fringes
@@ -521,6 +523,11 @@ _REAL_SITES = {
     **{f"SpectrumWindow {name}": (lambda model, v, name=name: SpectrumWindow(**{name: v}),
                                   "lambda_peak and lambda_max must be positive and finite")
        for name in ("lambda_max", "lambda_peak")},
+    "SpectrumWindow lambda_min": (lambda model, v: SpectrumWindow(lambda_min=v),
+                                  "need 0 < lambda_min < lambda_max"),
+    **{f"SpectrumWindow {name}": (lambda model, v, name=name: SpectrumWindow(**{name: v}),
+                                  "need 0 <= two_theta_min < two_theta_max <= 180")
+       for name in ("two_theta_min", "two_theta_max")},
     "bragg_angle lam": (lambda model, v: bragg_angle(SILICON, Reflection(4, 2, 2), v),
                         "wavelength must be positive and finite"),
     "BladeGeometry thickness_cm": (lambda model, v: BladeGeometry(v),
@@ -544,11 +551,29 @@ _REAL_SITES = {
         if isinstance(c, np.ndarray)], "sigma must be positive and finite"),
     "FormFactorTable sample": (lambda model, v: FormFactorTable("X", ((0.0, 1.0), (v, 0.5))),
                                "q and f samples must be finite"),
+    # Array arguments: one dtype check on the whole array, so a bool inside a
+    # list of floats would pass as 1.0; each site takes an array of v alone.
+    "bessel_j0 x": (lambda model, v: bessel_j0(v), "J0 arguments must be real numbers"),
+    "pendellosung_argument lam": (lambda model, v: pendellosung_argument(
+        SILICON, model, _TWO[0], BladeGeometry(), v), "wavelengths must be real numbers"),
+    "slope_uncertainty xs": (lambda model, v: slope_uncertainty([v, v], [0.01, 0.02]),
+                             "abscissas and sigmas must be finite"),
+    "slope_uncertainty sigmas": (lambda model, v: slope_uncertainty([0.0, 1.0], [v, v]),
+                                 "abscissas and sigmas must be finite"),
 }
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(site=st.sampled_from(sorted(_REAL_SITES)), value=_REAL_LIKE)
+# Each of these built a window, ran, or raised a bare TypeError or OverflowError.
+@example(site="SpectrumWindow lambda_min", value=True)
+@example(site="SpectrumWindow two_theta_min", value=True)
+@example(site="SpectrumWindow two_theta_min", value="1")
+@example(site="pendellosung_argument lam", value="1.2")
+@example(site="pendellosung_argument lam", value=10**400)
+@example(site="bessel_j0 x", value=10**400)
+@example(site="slope_uncertainty xs", value=False)
+@example(site="slope_uncertainty sigmas", value="0.5")
 def test_real_arguments_are_their_float_or_refused(si_model, site, value):
     """A real argument given as any value either runs exactly as float(value)
     would, stored as that float, or raises that argument's ValueError; bools
