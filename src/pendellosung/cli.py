@@ -311,21 +311,19 @@ def _block_formatter(n_cols):
     shape = (_BLOCK_ROWS, n_cols)
     slots = bytearray(_BLOCK_ROWS * n_cols * 16)
     scratch = (np.frombuffer(slots, u8).reshape(shape + (2,)),
-               *(np.empty(shape, bool) for _ in range(4)),
+               *(np.empty(shape, bool) for _ in range(3)),
                *(np.empty(shape) for _ in range(3)),
                *(np.empty(shape, np.intp) for _ in range(5)),
                *(np.empty(shape, u8) for _ in range(2)))
 
     def format_block(block):
-        # take() with mode="clip" writes straight into out=; every index
-        # here is in range, so the clip never acts.
-        words, ok, fast, up, flag, x, m, r, i, j, z, hi, lo, d, t = (
+        # take() with mode="clip" writes straight into out=, and keeps in
+        # range the indices of values off the fast path, whose slots % fills.
+        words, fast, up, flag, x, m, r, i, j, z, hi, lo, d, t = (
             s[:len(block)] for s in scratch)
         with np.errstate(all="ignore"):
-            np.greater_equal(block, 1e-4, out=ok)
-            ok &= np.less(block, 999999.5, out=flag)
-            x.fill(1.0)
-            np.copyto(x, block, where=ok)
+            # 1e-4 <= x <= 999999.5, nan out; 999999.5 goes to % as a tie.
+            np.equal(np.clip(block, 1e-4, 999999.5, out=x), block, out=fast)
             # e + 4; log10 is off by one only next to a power of ten, where
             # m leaves [1e5, 1e6) and the value goes to %.
             np.log10(x, out=m)
@@ -334,20 +332,14 @@ def _block_formatter(n_cols):
             np.take(scale, i, out=m, mode="clip")
             m *= x
             np.rint(m, out=r)
-            np.greater_equal(m, 1e5, out=fast)
-            fast &= ok
+            fast &= np.greater_equal(m, 1e5, out=flag)
             fast &= np.less(m, 1e6, out=flag)
             np.subtract(m, r, out=x)
             np.abs(x, out=x)
-            x -= 0.5
-            np.abs(x, out=x)
-            fast &= np.greater(x, 1e-9, out=flag)
-            np.equal(r, 1e6, out=up)  # rounds up to the next power of ten
-            up &= fast
+            fast &= np.less(x, 0.5 - 1e-9, out=flag)
+            # r = 10**6 rounds up to the next power of ten.
+            np.copyto(r, 1e5, where=np.equal(r, 1e6, out=up))
             i += up
-            np.invert(fast, out=flag)
-            flag |= up
-            np.copyto(r, 1e5, where=flag)
             np.divide(r, 1000.0, out=x)
             np.floor(x, out=x)
             np.multiply(x, 1000.0, out=m)
@@ -374,10 +366,10 @@ def _block_formatter(n_cols):
         np.right_shift(d, np.take(carry, j, out=t, mode="clip"), out=w1)
         w1 |= last
         if not fast.all():
-            rows, cols = np.invert(fast, out=flag).nonzero()
+            at = np.flatnonzero(np.invert(fast, out=flag))
             text = b"".join((_FMT % v).encode().ljust(15, b"\0") + seps[c] for v, c in
-                            zip(block[rows, cols].tolist(), cols.tolist()))
-            words[rows, cols] = np.frombuffer(text, u8).reshape(-1, 2)
+                            zip(block.take(at).tolist(), (at % n_cols).tolist()))
+            words.reshape(-1, 2)[at] = np.frombuffer(text, u8).reshape(-1, 2)
         scratch[0][len(block):] = 0
         return slots.translate(None, b"\0")
 

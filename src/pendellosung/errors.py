@@ -74,9 +74,18 @@ def _real(value, ok, message: str) -> float:
 
 
 def _real_array(a, message: str):
-    """The numpy array a as float64 if its dtype is real, else
-    ValueError(message): bools, strings, bytes, complex numbers and objects
-    (None, an int past 64 bits) are refused; values are not checked."""
+    """a as a float64 numpy array if it holds real numbers, else
+    ValueError(message); values are not range-checked. A numpy array is
+    judged by its dtype: bools, strings, bytes, complex numbers and objects
+    are refused. Anything else, a scalar, a list or a tuple, is checked entry
+    by entry as _real checks a scalar, before numpy could make a bool a
+    float or an int past 64 bits an object."""
+    import numpy as np  # local, so that errors itself does not need numpy
+
+    if not isinstance(a, np.ndarray):
+        entries = np.asarray(a, dtype=object)
+        return np.array([_real(v, lambda _: True, message) for v in entries.flat],
+                        dtype=float).reshape(entries.shape)
     if a.dtype.kind in "iuf":
         return a.astype(float, copy=False)
     raise ValueError(message)

@@ -136,7 +136,7 @@ def bessel_j0(x):
     Even in x, |J0| <= 1, absolute error well below 1e-9 over |x| <= 500.
     """
     scalar = np.isscalar(x)
-    x = _real_array(np.asarray(x), "J0 arguments must be real numbers")
+    x = _real_array(x, "J0 arguments must be real numbers")
     # Flat, so that a 0-d input gives arrays, not numpy scalars, to the
     # in-place steps.
     ax = np.abs(x.reshape(-1))
@@ -257,7 +257,7 @@ def pendellosung_argument(crystal: CrystalSpec, model: ScatteringModel,
     """
     require_observable(r)
     f_mag = structure_factor_magnitude(crystal, model, r)
-    lam = _real_array(np.asarray(lam), "wavelengths must be real numbers")
+    lam = _real_array(lam, "wavelengths must be real numbers")
     arg = _sweep(crystal, r, geom, f_mag, lam)[1]
     return float(arg) if np.ndim(arg) == 0 else arg
 

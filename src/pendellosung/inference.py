@@ -344,7 +344,7 @@ def slope_uncertainty(xs, sigmas) -> float:
     """One-sigma slope error of a free-intercept weighted line fit,
     1 / sqrt(sum (x - xbar)^2 / s^2) about the weighted mean xbar of the
     abscissas; only they and the point errors, one per abscissa, enter."""
-    xs, sigmas = (_real_array(np.asarray(v), "abscissas and sigmas must be finite")
+    xs, sigmas = (_real_array(v, "abscissas and sigmas must be finite")
                   for v in (xs, sigmas))
     if sigmas.shape != xs.shape:
         raise ValueError(f"need one sigma per abscissa, got {sigmas.size} for {xs.size}")
@@ -584,25 +584,15 @@ def temperature_factor_sigmas(model: ScatteringModel, crystal: CrystalSpec,
                      for bi, qi in zip(b, q)], dtype=float)
 
 
-# Monte-Carlo trials drawn per noise block: about 5 MB of noise for the
-# default nine observations, whatever the trial count.
+# Monte-Carlo trials per parameter block, whose sums are reduced together
+# (1.5 MiB of parameters), and at most per noise draw into it (288 KiB of
+# noise for the default nine observations), whatever the trial count.
 _MC_CHUNK = 1 << 16
+_MC_DRAW = 1 << 12
 # The largest trial count monte_carlo_validate takes: memory stays at one
 # block, but time grows with the count, about 4 minutes of CPU at the cap
 # at 0.25 s per 10^6 trials.
 MAX_MC_TRIALS = 10**9
-
-
-def _normal_chunks(seed: int, n_rows: int, n_cols: int):
-    """The first n_rows x n_cols standard normals of the seed's Philox
-    stream, in order, as successive views of one reused buffer of at most
-    _MC_CHUNK rows; concatenated, they equal a single n_rows-row draw."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    buf = np.empty((min(_MC_CHUNK, n_rows), n_cols))
-    for start in range(0, n_rows, _MC_CHUNK):
-        chunk = buf[:min(_MC_CHUNK, n_rows - start)]
-        rng.standard_normal(out=chunk)
-        yield chunk
 
 
 @dataclass(frozen=True)
@@ -628,9 +618,9 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     estimator matrix applied to the noise; the noise comes from the
     counter-based Philox generator keyed by the seed, making the result
     independent of any batching or scheduling of trials. Trials are drawn
-    in fixed chunks of that one stream, and only the parameter sums and
-    cross products are kept, so memory does not grow with n_trials; time
-    does, so n_trials is capped at MAX_MC_TRIALS. An
+    in small pieces of that one stream into fixed chunks, and only each
+    chunk's parameter sums and cross products are kept, so memory does not
+    grow with n_trials; time does, so n_trials is capped at MAX_MC_TRIALS. An
     empty set raises InsufficientData, an extinct reflection
     ForbiddenReflection, (000) DegenerateDesign, whatever sigma is.
     """
@@ -656,11 +646,22 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     scaled = (estimator * sy).T  # unit-normal noise -> parameter deviations
     total = np.zeros(len(names))
     cross = np.zeros((len(names), len(names)))
-    buf = np.empty((min(_MC_CHUNK, n_trials), len(names)))
-    for noise in _normal_chunks(seed, n_trials, len(sy)):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    noise = np.empty((min(_MC_DRAW, n_trials), len(sy)))
+    block = np.empty((min(_MC_CHUNK, n_trials), len(names)))
+    for start in range(0, n_trials, _MC_CHUNK):
         # Deviations from the noiseless solution, in one reused block; the
         # running sum, taken last, adds the rows in the order of sum(axis=0).
-        params = np.matmul(noise, scaled, out=buf[:len(noise)])
+        params = block[:min(_MC_CHUNK, n_trials - start)]
+        # Successive draws of one stream concatenate to one draw, and a row's
+        # parameters do not depend on the draw's size unless it is one row
+        # (numpy's vector path, other bits): near-equal draws of at most
+        # _MC_DRAW rows have one row only where the chunk has.
+        k = -(-len(params) // _MC_DRAW)
+        edges = [len(params) * i // k for i in range(k + 1)]
+        for a, b in zip(edges, edges[1:]):
+            draw = rng.standard_normal(out=noise[:b - a])
+            np.matmul(draw, scaled, out=params[a:b])
         cross += params.T @ params
         total += np.add.accumulate(params, axis=0, out=params)[-1]
     mean = total / n_trials

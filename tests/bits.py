@@ -16,13 +16,15 @@ The cases:
   maxwellian, at four thicknesses and at sample counts around the
   _SWEEP_BLOCK tile edges; fringe counts, pendellosung_argument values
   and a J0 sweep;
-* Monte-Carlo covariances at the _MC_CHUNK edges, two seeds, forward
-  datum in and out;
+* Monte-Carlo covariances at the _MC_CHUNK edges and the 4096-row noise
+  draw edges, two seeds, forward datum in and out; at the largest seed, and
+  at a trial count one past ten draws where a one-row draw moves a bit;
 * strict and amended surveys over a window grid and seeded random
   windows, and plans of off-candidate scans;
 * f_at, synthetic amplitudes, error budgets, joint fits, fit_bne and
   fit_temperature_factor on seeded synthetic data;
-* slope_uncertainty on seeded abscissas and on each input it refuses;
+* slope_uncertainty on seeded abscissas, on each input it refuses, and on
+  lists holding a bool and an int past 64 bits;
 * the weighted line _line itself, free and fixed intercept, slope and sigma
   or sigma alone, on seeded abscissas spaced from 1 down to 1e-3 of their
   mean (cancellation factors S Sxx / (S Sxx - Sx^2) from 2.6 to 5.5e7), and on
@@ -221,12 +223,13 @@ def _build() -> None:
     CASES["bessel_j0 sweep"] = partial(bessel_j0, np.concatenate([
         np.linspace(-40.0, 40.0, 40001), np.geomspace(1e-9, 1e4, 20001), [0.0, 5.0, 1e-5]]))
 
-    for n in (2, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1, 2 * _MC_CHUNK + 1):
-        for seed in (0, 11):
-            for fwd in (True, False):
-                CASES[f"monte_carlo n={n} seed={seed} forward={fwd}"] = partial(
-                    _monte_carlo, models["Si"], SILICON, si_pure[1:], n_trials=n, seed=seed,
-                    include_forward=fwd)
+    mc_cases = [(n, seed) for n in (2, 4095, 4097, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1,
+                                    2 * _MC_CHUNK + 1) for seed in (0, 11)]
+    for n, seed in mc_cases + [(_MC_CHUNK + 1, 2**128 - 1), (40961, 4)]:
+        for fwd in (True, False):
+            CASES[f"monte_carlo n={n} seed={seed} forward={fwd}"] = partial(
+                _monte_carlo, models["Si"], SILICON, si_pure[1:], n_trials=n, seed=seed,
+                include_forward=fwd)
 
     windows = [SpectrumWindow(lambda_min=a, lambda_max=b, two_theta_max=c)
                for a in (0.3, 0.5, 0.8, 1.0) for b in (1.6, 2.5, 4.0)
@@ -301,6 +304,9 @@ def _build() -> None:
     }
     for what, (xs, sigmas) in refusals.items():
         CASES[f"slope_uncertainty refuses {what}"] = partial(slope_uncertainty, xs, sigmas)
+    # A list is checked entry by entry: a bool is refused, a big int is its float.
+    CASES["slope_uncertainty bool abscissa"] = partial(slope_uncertainty, [0.0, True], [0.5, 0.5])
+    CASES["slope_uncertainty int past 64 bits"] = partial(slope_uncertainty, [0, 10**20], [1, 1])
 
     for seed in range(4):
         rng = np.random.default_rng(seed)

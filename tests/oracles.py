@@ -332,8 +332,9 @@ def profile_with_temporaries(spectrum, crystal, model, r, geom, n_samples):
 
 def monte_carlo_with_temporaries(model, crystal, reflections, sigma, n_trials, seed,
                                  include_forward):
-    """(analytic, empirical) covariances of monte_carlo_validate, a fresh
-    parameter block per noise chunk."""
+    """(analytic, empirical) covariances of monte_carlo_validate, the noise
+    of each 2**16-trial chunk in one Philox draw and a fresh parameter block
+    per chunk."""
     q, f, b_pred = inference._predicted_rows(model, crystal, list(reflections))
     x1, _, sy, x2 = inference._log_rows(q, b_pred, sigma,
                                         inference._forward(crystal, include_forward),
@@ -345,8 +346,9 @@ def monte_carlo_with_temporaries(model, crystal, reflections, sigma, n_trials, s
     scaled = ((analytic @ design.T) * w * sy).T
     total = np.zeros(3)
     cross = np.zeros((3, 3))
-    for noise in inference._normal_chunks(seed, n_trials, len(sy)):
-        params = noise @ scaled
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for start in range(0, n_trials, 1 << 16):
+        params = rng.standard_normal((min(1 << 16, n_trials - start), len(sy))) @ scaled
         total += params.sum(axis=0)
         cross += params.T @ params
     mean = total / n_trials

@@ -551,14 +551,17 @@ _REAL_SITES = {
         if isinstance(c, np.ndarray)], "sigma must be positive and finite"),
     "FormFactorTable sample": (lambda model, v: FormFactorTable("X", ((0.0, 1.0), (v, 0.5))),
                                "q and f samples must be finite"),
-    # Array arguments: one dtype check on the whole array, so a bool inside a
-    # list of floats would pass as 1.0; each site takes an array of v alone.
+    # Array arguments, alone or beside a float in a list: a list is checked
+    # entry by entry before numpy could make a bool a float.
     "bessel_j0 x": (lambda model, v: bessel_j0(v), "J0 arguments must be real numbers"),
+    "bessel_j0 list": (lambda model, v: bessel_j0([1.0, v]), "J0 arguments must be real numbers"),
     "pendellosung_argument lam": (lambda model, v: pendellosung_argument(
         SILICON, model, _TWO[0], BladeGeometry(), v), "wavelengths must be real numbers"),
-    "slope_uncertainty xs": (lambda model, v: slope_uncertainty([v, v], [0.01, 0.02]),
+    "pendellosung_argument list": (lambda model, v: pendellosung_argument(
+        SILICON, model, _TWO[0], BladeGeometry(), [1.2, v]), "wavelengths must be real numbers"),
+    "slope_uncertainty xs": (lambda model, v: slope_uncertainty([0.0, v], [0.01, 0.02]),
                              "abscissas and sigmas must be finite"),
-    "slope_uncertainty sigmas": (lambda model, v: slope_uncertainty([0.0, 1.0], [v, v]),
+    "slope_uncertainty sigmas": (lambda model, v: slope_uncertainty([0.0, 1.0], [0.5, v]),
                                  "abscissas and sigmas must be finite"),
 }
 
@@ -574,6 +577,12 @@ _REAL_SITES = {
 @example(site="bessel_j0 x", value=10**400)
 @example(site="slope_uncertainty xs", value=False)
 @example(site="slope_uncertainty sigmas", value="0.5")
+# A bool in a list of floats ran as 1.0, and an int past 64 bits was refused.
+@example(site="bessel_j0 list", value=True)
+@example(site="slope_uncertainty xs", value=True)
+@example(site="slope_uncertainty xs", value=10**20)
+@example(site="slope_uncertainty sigmas", value=np.bool_(True))
+@example(site="pendellosung_argument list", value=2**64)
 def test_real_arguments_are_their_float_or_refused(si_model, site, value):
     """A real argument given as any value either runs exactly as float(value)
     would, stored as that float, or raises that argument's ValueError; bools

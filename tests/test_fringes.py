@@ -69,6 +69,14 @@ class TestBesselJ0:
         for x, v in zip(xs, arr):
             assert bessel_j0(float(x)) == pytest.approx(float(v), abs=1e-15)
 
+    def test_a_list_runs_as_its_floats(self):
+        # Entries are checked as _real checks a scalar: an int, past 64 bits
+        # too, is its float and the shape is kept; a bool entry is refused.
+        got = bessel_j0([[0, 2.5], [10**20, 7]])
+        assert got.tobytes() == bessel_j0(np.array([[0.0, 2.5], [1e20, 7.0]])).tobytes()
+        with pytest.raises(ValueError, match="^J0 arguments must be real numbers$"):
+            bessel_j0([1.0, True])
+
 
 _RNG = np.random.default_rng(7)
 _J0_INPUTS = {

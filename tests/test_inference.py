@@ -893,10 +893,10 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("n_trials", [inference.MAX_MC_TRIALS + 1, 10**30])
     def test_trials_past_the_cap_refused_before_drawing(self, si_model, new_eight,
                                                           monkeypatch, n_trials):
-        def drawn(*args):
+        def drawn(*args, **kwargs):
             raise AssertionError("the noise loop started")
 
-        monkeypatch.setattr(inference, "_normal_chunks", drawn)
+        monkeypatch.setattr(np.random, "Philox", drawn)
         assert inference.MAX_MC_TRIALS == 10**9
         with pytest.raises(ValueError, match=r"^n_trials must be at most 1000000000$"):
             monte_carlo_validate(si_model, SILICON, new_eight, n_trials=n_trials)
@@ -947,22 +947,59 @@ class TestMonteCarlo:
             assert ratio == pytest.approx(1.0, abs=0.03)
 
 
+def record_draws(monkeypatch):
+    """The noise draws monte_carlo_validate makes, copied in order, with
+    np.random.Generator recording each standard_normal call."""
+    drawn = []
+
+    class Recording(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            out = super().standard_normal(*args, **kwargs)
+            drawn.append(out.copy())
+            return out
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    return drawn
+
+
 class TestChunkedMonteCarlo:
-    """The Monte Carlo draws its noise in fixed chunks of one Philox stream
-    and keeps only running sums, yet matches the single-block computation."""
+    """The Monte Carlo draws its noise in small pieces of one Philox stream,
+    reduces per fixed chunk and keeps only running sums, yet matches the
+    single-block computation."""
 
-    def test_chunks_concatenate_to_the_single_block_draw(self, monkeypatch):
-        monkeypatch.setattr(inference, "_MC_CHUNK", 7)
-        chunks = [c.copy() for c in inference._normal_chunks(5, 1000, 9)]
-        assert [len(c) for c in chunks] == [7] * 142 + [6]
+    def test_draws_concatenate_to_the_single_block_draw(self, monkeypatch, si_model,
+                                                        new_eight):
         single = np.random.Generator(np.random.Philox(key=5)).standard_normal((1000, 9))
-        assert np.array_equal(np.concatenate(chunks), single)
+        monkeypatch.setattr(inference, "_MC_CHUNK", 7)
+        monkeypatch.setattr(inference, "_MC_DRAW", 3)
+        drawn = record_draws(monkeypatch)
+        monte_carlo_validate(si_model, SILICON, new_eight, n_trials=1000, seed=5)
+        # No draw crosses a chunk boundary (1000 = 142 * 7 + 6), and none has
+        # one row: that one would be multiplied by numpy's vector path.
+        assert [len(d) for d in drawn] == [2, 2, 3] * 142 + [3, 3]
+        assert np.array_equal(np.concatenate(drawn), single)
 
-    def test_default_chunks_concatenate_to_the_single_block_draw(self):
+    def test_default_draws_concatenate_to_the_single_block_draw(self, monkeypatch, si_model,
+                                                                new_eight):
         n = 2 * inference._MC_CHUNK + 3
-        chunks = np.concatenate([c.copy() for c in inference._normal_chunks(3, n, 9)])
         single = np.random.Generator(np.random.Philox(key=3)).standard_normal((n, 9))
-        assert np.array_equal(chunks, single)
+        drawn = record_draws(monkeypatch)
+        monte_carlo_validate(si_model, SILICON, new_eight, n_trials=n, seed=3)
+        per_chunk = inference._MC_CHUNK // inference._MC_DRAW
+        assert [len(d) for d in drawn] == [inference._MC_DRAW] * (2 * per_chunk) + [3]
+        assert np.array_equal(np.concatenate(drawn), single)
+
+    @pytest.mark.parametrize("draw", [3, 4, 6, 4096])
+    @pytest.mark.parametrize("n_trials", [1000, 1001, 995, 1002])
+    def test_draw_size_moves_no_bit(self, monkeypatch, si_model, new_eight, draw, n_trials):
+        # One draw per chunk is the frozen loop; 995 and 1002 end on a
+        # chunk of one trial, the one place where a draw may have one row.
+        monkeypatch.setattr(inference, "_MC_CHUNK", 7)
+        monkeypatch.setattr(inference, "_MC_DRAW", 7)
+        whole = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=n_trials, seed=6)
+        monkeypatch.setattr(inference, "_MC_DRAW", draw)
+        drawn = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=n_trials, seed=6)
+        assert drawn.empirical_cov.tobytes() == whole.empirical_cov.tobytes()
 
     @pytest.mark.parametrize("forward", [True, False], ids=["forward", "no-forward"])
     def test_covariance_equals_np_cov_of_one_block(self, monkeypatch, si_model,
@@ -995,15 +1032,17 @@ class TestChunkedMonteCarlo:
 
 
 class TestMonteCarloInPlace:
-    """One parameter block per call, reduced in place: the covariance bits of
-    the frozen loop that took a fresh block and sum(axis=0) per chunk."""
+    """One parameter block per call, filled draw by draw and reduced in
+    place: the covariance bits of the frozen loop that drew each chunk's
+    noise at once and took a fresh block and sum(axis=0) per chunk."""
 
-    C = inference._MC_CHUNK
+    C, D = inference._MC_CHUNK, inference._MC_DRAW
 
     @pytest.mark.parametrize("forward", [True, False], ids=["forward", "no-forward"])
-    @pytest.mark.parametrize("n_trials", [2, 3, 1000, C - 1, C, C + 1, 2 * C + 1])
+    @pytest.mark.parametrize("n_trials", [2, 3, 1000, D - 1, D, D + 1, C - 1, C, C + 1,
+                                          2 * C + 1])
     def test_covariance_bits(self, si_model, new_eight, n_trials, forward):
-        for seed in (0, 7):
+        for seed in (0, 7, 2**128 - 1):
             res = monte_carlo_validate(si_model, SILICON, new_eight, sigma=0.0008,
                                        n_trials=n_trials, seed=seed, include_forward=forward)
             analytic, empirical = monte_carlo_with_temporaries(
@@ -1011,21 +1050,32 @@ class TestMonteCarloInPlace:
             assert res.analytic_cov.tobytes() == analytic.tobytes()
             assert res.empirical_cov.tobytes() == empirical.tobytes()
 
+    def test_no_one_row_draw_after_full_draws(self, si_model, new_eight):
+        # 10 * 4096 + 1 trials: fixed 4096-row draws would end on a draw of
+        # one row, which numpy multiplies by gemv; that moved the last bit of
+        # this covariance.
+        n = 10 * self.D + 1
+        res = monte_carlo_validate(si_model, SILICON, new_eight, sigma=0.0008, n_trials=n,
+                                   seed=4, include_forward=False)
+        _, empirical = monte_carlo_with_temporaries(si_model, SILICON, new_eight, 0.0008, n,
+                                                    4, False)
+        assert res.empirical_cov.tobytes() == empirical.tobytes()
+
     @pytest.mark.parametrize("forward", [True, False], ids=["forward", "no-forward"])
-    def test_memory_is_the_noise_block_plus_one_parameter_block(self, si_model, new_eight,
-                                                                 forward):
+    def test_memory_is_one_parameter_block_and_one_draw(self, si_model, new_eight, forward):
         n_obs = len(new_eight) + forward
-        noise, block = self.C * n_obs * 8, self.C * 3 * 8
+        draw, block = self.D * n_obs * 8, self.C * 3 * 8
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            monte_carlo_validate(si_model, SILICON, new_eight, n_trials=2 * self.C + 1,
+            monte_carlo_validate(si_model, SILICON, new_eight, n_trials=2 * self.C + 3,
                                  include_forward=forward)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # A fresh block per chunk holds two at once: noise + 2 blocks.
-        assert peak < noise + 1.5 * block
+        # A whole chunk of noise (4.5 MiB at nine observations) or a second
+        # parameter block would not fit.
+        assert peak < block + 2 * draw
 
     @pytest.mark.parametrize("n_trials", [1e5, 2.5, "100", None, 1, -5])
     def test_n_trials_must_be_an_integer_of_two_or_more(self, si_model, new_eight, n_trials):
