@@ -275,44 +275,22 @@ def _joint_design(x1, x2, scale, free_intercept: bool):
     return a
 
 
-def _well_conditioned(m) -> bool:
-    """True when the 2x2 or 3x3 matrix m (nested lists of floats) certainly
-    has a 2-norm condition number s_max / s_min of at most about 1e8.
-
-    |det m| <= s_min s_max^(n-1) and s_max <= ||m||_F, so ||m||_F^n / |det m|
-    bounds s_max / s_min. For 1e-90 <= ||m||_F^2 <= 1e90 nothing overflows,
-    and underflow and the cofactor determinant's rounding stay below
-    1e-14 ||m||_F^n, so a bound of 1e8 leaves the true condition number six
-    decades under _normal_cov's cap. Any other m (NaN, inf, a zero
-    determinant, another size) gives False.
-    """
-    if len(m) == 2:
-        (a, b), (c, d) = m
-        fro2 = a * a + b * b + c * c + d * d
-        det = a * d - b * c
-    elif len(m) == 3:
-        (a, b, c), (d, e, f), (g, h, i) = m
-        fro2 = a * a + b * b + c * c + d * d + e * e + f * f + g * g + h * h + i * i
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    else:
-        return False
-    return 1e-90 <= fro2 <= 1e90 and math.sqrt(fro2) ** len(m) <= 1e8 * abs(det)
-
-
 def _normal_cov(a, w):
-    """(A^T W A)^-1 of a weighted fit with design a and weights w or w[:, None].
+    """(A^T W A)^-1 of a weighted fit with design a and weights w.
 
     A singular or non-finite inverse, or a 2-norm condition number
-    s_max / s_min above 1e14 (np.linalg.cond's value), is refused. The
-    singular values are taken only where _well_conditioned cannot decide.
+    s_max / s_min above 1e14 (np.linalg.cond's value), is refused. As
+    s_max / s_min <= ||M||_F ||M^-1||_F, an inverse whose norm product is at
+    most 1e8 is returned at once, six decades under the cap (NaN or inf fails
+    the test); the singular values are taken only for the other designs.
     """
-    awa = a.T @ ((w if w.ndim == 2 else w[:, None]) * a)
+    awa = a.T @ (w[:, None] * a)
     try:
         cov = np.linalg.inv(awa)
     except np.linalg.LinAlgError as exc:
         raise DegenerateDesign("collinear fit abscissas") from exc
-    if _well_conditioned(awa.tolist()):
-        return cov  # finite: s_min >= ||awa||_F / 1e8 >= 1e-53
+    if float(np.vdot(awa, awa)) * float(np.vdot(cov, cov)) <= 1e16:
+        return cov
     if np.isfinite(cov).all():
         s = np.linalg.svd(awa, compute_uv=False)
         s_max, s_min = float(s[0]), float(s[-1])
@@ -423,11 +401,10 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
     names = ("B", "b_ne") + (("ln_b_nuclear",) if free_intercept else ())
     design = _joint_design(x1, x2, crystal.Z / crystal.b_nuclear, free_intercept)
     w = 1.0 / sy**2
-    w_col = w[:, None]
     offset = 0.0 if free_intercept else math.log(crystal.b_nuclear)
 
     def solve_normal(a, resid):
-        cov = _normal_cov(a, w_col)
+        cov = _normal_cov(a, w)
         return cov @ (a.T @ (w * resid)), cov
 
     theta, cov = solve_normal(design, y - offset)

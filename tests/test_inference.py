@@ -1147,11 +1147,12 @@ class TestConditionGuardMatchesFrozenCond:
 
 
 class TestConditionGuardProperty:
-    """_normal_cov decides most designs from a determinant bound and takes the
-    singular values only where the bound cannot; over 2- and 3-column designs
-    with condition numbers on both sides of 1e8 and 1e14, at scales whose
-    normal matrix is subnormal or overflows, it matches the frozen
-    np.linalg.cond guard byte for byte and verdict for verdict."""
+    """_normal_cov decides most designs from the Frobenius bound
+    ||M||_F ||M^-1||_F on the inverse it computed and takes the singular values
+    only where the bound cannot; over 2- and 3-column designs with condition
+    numbers on both sides of 1e8 and 1e14, at scales whose normal matrix is
+    subnormal or overflows, it matches the frozen np.linalg.cond guard byte
+    for byte and verdict for verdict."""
 
     @settings(max_examples=400, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([2, 3]),
@@ -1161,6 +1162,21 @@ class TestConditionGuardProperty:
     @example(seed=1, p=2, log_kappa=14.0, log_scale=-160.0, rank_deficient=False)
     @example(seed=2, p=3, log_kappa=1.0, log_scale=160.0, rank_deficient=False)
     @example(seed=3, p=3, log_kappa=0.0, log_scale=-80.0, rank_deficient=True)
+    # Condition numbers 1e7 to 3e8 straddle the bound's cut: the first four
+    # designs pass it, the next two take the singular values.
+    @example(seed=4, p=3, log_kappa=7.0, log_scale=0.0, rank_deficient=False)
+    @example(seed=9, p=3, log_kappa=math.log10(3e7), log_scale=0.0, rank_deficient=False)
+    @example(seed=6, p=3, log_kappa=8.0, log_scale=0.0, rank_deficient=False)
+    @example(seed=7, p=2, log_kappa=math.log10(3e8), log_scale=40.0, rank_deficient=False)
+    @example(seed=10, p=3, log_kappa=8.0, log_scale=0.0, rank_deficient=False)
+    @example(seed=11, p=3, log_kappa=math.log10(3e8), log_scale=0.0, rank_deficient=False)
+    # One squared norm overflows while the other is subnormal, or ||M||_F^2 is
+    # 0; the last passes the bound with ||M||_F^2 just above the subnormal range.
+    @example(seed=12, p=2, log_kappa=0.0, log_scale=78.0, rank_deficient=False)
+    @example(seed=15, p=3, log_kappa=0.0, log_scale=77.0, rank_deficient=False)
+    @example(seed=13, p=3, log_kappa=0.0, log_scale=-78.0, rank_deficient=False)
+    @example(seed=14, p=2, log_kappa=1.0, log_scale=-82.0, rank_deficient=False)
+    @example(seed=16, p=2, log_kappa=0.0, log_scale=-77.0, rank_deficient=False)
     def test_matches_frozen_cond(self, seed, p, log_kappa, log_scale, rank_deficient):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(p, 10))
