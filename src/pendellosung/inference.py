@@ -302,11 +302,12 @@ def _normal_cov(a, w):
 def _line(x, sy, y=None, fixed_intercept=None):
     """(slope, its sigma) of the weighted line y = c + slope x, c free or
     fixed_intercept, on rows the caller checked; the slope is None without y.
-    A free c goes by centring x - x[0] and y on their weighted means (equal
-    abscissas centre to exactly 0), a fixed one by subtracting it from y."""
+    A free c goes by centring x - x[k], k the heaviest row, and y on their
+    weighted means (equal abscissas centre to exactly 0), a fixed one by
+    subtracting it from y."""
     w = 1.0 / sy**2
     if fixed_intercept is None:
-        x, s = x - x[0], w.sum()
+        x, s = x - x[w.argmax()], w.sum()
         x = x - (w * x).sum() / s
         y = None if y is None else y - (w * y).sum() / s
     else:
