@@ -390,6 +390,8 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
     exact model b_meas = (b_nuclear - b_ne Z (1-f)) exp(-B q^2) until the
     step stalls (at most four; noiseless data recover parameters to
     ~1e-12 relative). Covariance comes from the final normal equations.
+    refine=False keeps the linear solution: its covariance is the one
+    monte_carlo_validate samples, bit for bit on noiseless data.
     """
     if len(ms) < 2:
         raise InsufficientData("joint fit needs at least two reflections")

@@ -3,12 +3,17 @@
 Each case calls the library on fixed inputs and hashes the raw IEEE bytes
 of every float it returns (or the type and message of the error it
 raises). numpy's SIMD transcendentals may differ in the last bit between
-CPUs, so a record holds only for the machine and numpy it was made on;
-the workflow is to record with the parent tree and check the change on
-the same machine:
+CPUs, and the BLAS kernel moves the last bits of every product and
+inverse, so a record holds only for the machine, numpy and kernel it was
+made on; the workflow is to record with the parent tree and check the
+change on the same machine:
 
     python tests/bits.py --record FILE   # in a checkout of the parent
     python tests/bits.py --check FILE    # in the change; names each case that differs
+
+A record stores the kernel (numpy's BLAS and OPENBLAS_CORETYPE, which picks
+a DYNAMIC_ARCH OpenBLAS's kernel per process), and --check refuses a record
+made under another one instead of naming hundreds of differing cases.
 
 The cases:
 
@@ -54,6 +59,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import random
 import struct
@@ -440,6 +446,15 @@ def machine() -> dict:
             "numpy": np.__version__}
 
 
+def kernel() -> dict:
+    """numpy's BLAS (name, version, build configuration) and OPENBLAS_CORETYPE."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {**{k: blas.get(k) for k in ("name", "version", "openblas configuration")},
+            "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE")}
+
+
 def run(names) -> dict:
     return {name: digest(CASES[name]) for name in names}
 
@@ -450,14 +465,24 @@ def main(argv=None) -> int:
     mode.add_argument("--record", metavar="FILE", help="write every case's digest to FILE")
     mode.add_argument("--check", metavar="FILE", help="compare every case with FILE")
     args = parser.parse_args(argv)
+    if args.check:
+        recorded = json.loads(Path(args.check).read_text())
+        # A record from before kernels were stored is checked case by case.
+        now = kernel()
+        was = recorded.get("kernel", now)
+        if was != now:
+            diff = "; ".join(f"{k} {was.get(k)!r}, here {now.get(k)!r}"
+                             for k in sorted(set(was) | set(now)) if was.get(k) != now.get(k))
+            print(f"refused: {args.check} was recorded under another BLAS kernel ({diff})")
+            return 2
     _build()
     got = run(CASES)
     if args.record:
-        Path(args.record).write_text(json.dumps({"machine": machine(), "cases": got},
-                                                indent=1, sort_keys=True) + "\n")
+        Path(args.record).write_text(json.dumps(
+            {"machine": machine(), "kernel": kernel(), "cases": got}, indent=1, sort_keys=True)
+            + "\n")
         print(f"recorded {len(got)} cases in {args.record}")
         return 0
-    recorded = json.loads(Path(args.check).read_text())
     if recorded["machine"] != machine():
         print(f"note: recorded on {recorded['machine']}, checked on {machine()}")
     want = recorded["cases"]

@@ -71,3 +71,24 @@ def test_check_names_each_differing_case(tmp_path, monkeypatch, capsys):
     values["b"] = math.nextafter(2.0, 3.0)
     assert bits.main(["--check", str(record)]) == 1
     assert capsys.readouterr().out.splitlines() == ["DIFFERS b", "1 case(s) differ of 2"]
+
+
+def test_check_refuses_a_record_of_another_kernel(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bits, "_build", lambda: None)
+    monkeypatch.setattr(bits, "CASES", {"a": lambda: 1.0})
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    record = tmp_path / "bits.json"
+    assert bits.main(["--record", str(record)]) == 0
+    assert json.loads(record.read_text())["kernel"] == bits.kernel()
+    capsys.readouterr()
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Prescott")
+    assert bits.main(["--check", str(record)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"refused: {record} was recorded under another BLAS kernel "
+        "(OPENBLAS_CORETYPE None, here 'Prescott')"]
+    # A record made before kernels were stored is checked case by case.
+    data = json.loads(record.read_text())
+    del data["kernel"]
+    record.write_text(json.dumps(data))
+    assert bits.main(["--check", str(record)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1 of 1 cases identical"

@@ -725,9 +725,9 @@ class TestLineIsExact:
         self._near(-value, sigma, line_exact(x, sy, y, math.log(SILICON.b_nuclear)))
 
     def test_light_outlier_first(self):
-        # A light first row far from two heavy rows a ~ 7e-5 apart: centring on
-        # the first row's abscissa rounded each heavy row by eps/2 of its
-        # distance to it and missed the exact sigma by up to 2900 eps.
+        # A light first row far from two heavy rows a ~ 7e-5 apart: a shift by
+        # the light row's abscissa would round each heavy row by eps/2 of its
+        # distance to it, and miss the exact sigma by up to 2900 eps.
         rng = np.random.default_rng(0)
         for u, a in zip(rng.uniform(-0.05, 0.05, 3000), 7e-5 * rng.uniform(0.5, 1.5, 3000)):
             x, sy = [0.3 + u, 1 - a, 1 + a], [1e4, 1.0, 1.0]
