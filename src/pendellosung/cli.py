@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -258,10 +259,12 @@ def _block_formatter(n_cols):
     digits unless m lies within 1e-9 of a half-integer. Each field is a
     16-byte slot of two little-endian uint64 words: the text (at most 11
     characters, built from a table of three-digit ASCII groups), zero
-    bytes, and the separator in the last byte. Every other value (not
-    positive, not finite, out of range, or at or near a rounding tie) is
-    formatted by _FMT % x into its slot, so % stays the one
-    specification. The zero bytes are dropped last.
+    bytes, and the separator in the last byte, written once. r is split
+    in integers; each word (of the second, the low half) is built in
+    contiguous scratch and stored once. Every other value (not positive,
+    not finite, out of range, or at or near a rounding tie) is formatted
+    by _FMT % x into its slot, so % stays the one specification. The
+    zero bytes are dropped last, from the bytes the call wrote only.
 
     The working arrays, slots included, are allocated here once for
     _BLOCK_ROWS rows; each call fills the first n rows of each in place.
@@ -282,11 +285,12 @@ def _block_formatter(n_cols):
     # Tables by j = 6 (e + 4) + z, z the trailing zeros of r. Stripped are
     # cut = min(z, 5 - e) digits: never the e + 1 before the point, which
     # is dropped too when no digit follows it. For e < 0 the digits follow
-    # "0.000" cut to 1 - e characters and run into the second word. `frac`
-    # marks the digit bytes after the point, moved up one byte to make room.
+    # "0.000" cut to 1 - e characters, their top `shift` bits running into
+    # the second word (numpy shifts by 64 to 0). `frac` marks the digit
+    # bytes after the point, moved up one byte to make room.
     exps = range(-4, 6)
     scale = np.array([10.0 ** (5 - e) for e in exps])
-    head, strip, shift, carry, frac = ([] for _ in range(5))
+    head, strip, shift, frac = ([] for _ in range(4))
     for e in exps:
         for z in range(6):
             cut = min(z, 5 - e)
@@ -294,32 +298,32 @@ def _block_formatter(n_cols):
             if e >= 0:
                 head.append(ord(".") << 8 * (e + 1) if cut < 5 - e else 0)
                 shift.append(0)
-                carry.append(56)  # digits < 2**48: nothing carries
                 frac.append(low(6) & ~low(e + 1))
             else:
                 head.append(int.from_bytes(b"0.000"[:1 - e], "little"))
                 shift.append(8 * (1 - e))
-                carry.append(64 - 8 * (1 - e))
                 frac.append(0)
-    head, strip, shift, carry, frac = (np.array(t, u8) for t in (head, strip, shift, carry, frac))
+    head, strip, shift, frac = (np.array(t, u8) for t in (head, strip, shift, frac))
 
     seps = [b","] * (n_cols - 1) + [b"\n"]
-    last = np.array([c[0] << 56 for c in seps], u8)
 
-    # The slots live in a bytearray, so that dropping their zero bytes reads
-    # them in place; slots past a short block are zeroed, which drops them.
+    # The slots live in a bytearray, so that dropping the zero bytes of a
+    # full block reads them in place. The numpy path writes the first 12
+    # bytes of a slot and % all 16, so the separators are written here once.
     shape = (_BLOCK_ROWS, n_cols)
     slots = bytearray(_BLOCK_ROWS * n_cols * 16)
-    scratch = (np.frombuffer(slots, u8).reshape(shape + (2,)),
+    words = np.frombuffer(slots, u8).reshape(shape + (2,))
+    words[..., 1] = [c[0] << 56 for c in seps]
+    scratch = (words, words.view("<u4")[..., 2],
                *(np.empty(shape, bool) for _ in range(3)),
-               *(np.empty(shape) for _ in range(3)),
-               *(np.empty(shape, np.intp) for _ in range(5)),
+               *(np.empty(shape) for _ in range(2)),
+               *(np.empty(shape, np.intp) for _ in range(4)),
                *(np.empty(shape, u8) for _ in range(2)))
 
     def format_block(block):
         # take() with mode="clip" writes straight into out=, and keeps in
         # range the indices of values off the fast path, whose slots % fills.
-        words, fast, up, flag, x, m, r, i, j, z, hi, lo, d, t = (
+        words, ends, fast, up, flag, x, m, i, j, hi, lo, d, t = (
             s[:len(block)] for s in scratch)
         with np.errstate(all="ignore"):
             # 1e-4 <= x <= 999999.5, nan out; 999999.5 goes to % as a tie.
@@ -331,21 +335,20 @@ def _block_formatter(n_cols):
             np.copyto(i, m, casting="unsafe")
             np.take(scale, i, out=m, mode="clip")
             m *= x
-            np.rint(m, out=r)
+            np.rint(m, out=x)  # r
+            np.copyto(lo, x, casting="unsafe")
             fast &= np.greater_equal(m, 1e5, out=flag)
             fast &= np.less(m, 1e6, out=flag)
-            np.subtract(m, r, out=x)
+            np.subtract(x, m, out=x)
             np.abs(x, out=x)
             fast &= np.less(x, 0.5 - 1e-9, out=flag)
-            # r = 10**6 rounds up to the next power of ten.
-            np.copyto(r, 1e5, where=np.equal(r, 1e6, out=up))
-            i += up
-            np.divide(r, 1000.0, out=x)
-            np.floor(x, out=x)
-            np.multiply(x, 1000.0, out=m)
-            np.subtract(r, m, out=m)
-            np.copyto(lo, m, casting="unsafe")
-            np.copyto(hi, x, casting="unsafe")
+        # r = 10**6 rounds up to the next power of ten.
+        np.copyto(lo, 100000, where=np.equal(lo, 1000000, out=up))
+        np.add(i, 1, out=i, where=up)
+        np.floor_divide(lo, 1000, out=hi)
+        np.multiply(hi, 1000, out=j)
+        lo -= j
+        z, w = m.view(np.intp), x.view(u8)  # both free after the tie test
         np.take(zeros3, lo, out=j, mode="clip")
         np.take(zeros3, hi, out=z, mode="clip")
         z += 3
@@ -356,22 +359,22 @@ def _block_formatter(n_cols):
         d <<= np.uint64(24)
         d |= np.take(digits3, hi, out=t, mode="clip")
         d &= np.take(strip, j, out=t, mode="clip")
-        w0, w1 = words[..., 0], words[..., 1]
-        np.left_shift(d, np.take(shift, j, out=t, mode="clip"), out=w0)
+        np.left_shift(d, np.take(shift, j, out=t, mode="clip"), out=w)
+        np.right_shift(d, np.subtract(np.uint64(64), t, out=t), out=t)
+        ends[...] = t
         np.take(frac, j, out=t, mode="clip")
         t &= d
         t *= np.uint64(255)
-        w0 += t
-        w0 |= np.take(head, j, out=t, mode="clip")
-        np.right_shift(d, np.take(carry, j, out=t, mode="clip"), out=w1)
-        w1 |= last
+        w += t
+        w |= np.take(head, j, out=t, mode="clip")
+        words[..., 0] = w
         if not fast.all():
             at = np.flatnonzero(np.invert(fast, out=flag))
             text = b"".join((_FMT % v).encode().ljust(15, b"\0") + seps[c] for v, c in
                             zip(block.take(at).tolist(), (at % n_cols).tolist()))
             words.reshape(-1, 2)[at] = np.frombuffer(text, u8).reshape(-1, 2)
-        scratch[0][len(block):] = 0
-        return slots.translate(None, b"\0")
+        n_bytes = words.nbytes
+        return (slots if n_bytes == len(slots) else slots[:n_bytes]).translate(None, b"\0")
 
     return format_block
 
@@ -382,9 +385,9 @@ def _write_columns(path: Path, header, columns):
     fixed notation from numpy arrays where the digits are provably those
     of %, by % itself otherwise. The writer's memory stays at one block
     whatever the column length, and is allocated once per file: each
-    block's columns are copied into the same float array. A .6g number
-    never holds a comma, a quote or a newline, so no field needs the
-    quoting of the csv module."""
+    block's columns are copied into the same float array, and a short
+    last block compacts only the slots it wrote. A .6g number never holds
+    a comma, a quote or a newline, so no field needs csv quoting."""
     import numpy as np  # local, so that cli itself does not need numpy
 
     format_block = _block_formatter(len(columns))
@@ -616,7 +619,9 @@ def cmd_mc(cfg: RunConfig, args) -> int:
 # --- argument parsing ----------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process and shared; parsing changes none of its state."""
     # Global flags are accepted both before and after the subcommand.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS, help="INI config file")

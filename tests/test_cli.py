@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import pendellosung
 from pendellosung.cli import (
-    _BLOCK_ROWS, _block_formatter, _write_columns, main, read_measurements_csv,
+    _BLOCK_ROWS, _block_formatter, _write_columns, build_parser, main, read_measurements_csv,
 )
 from pendellosung.lattice import SILICON_TABLE
 
@@ -465,6 +465,32 @@ class TestRadius:
         out = capsys.readouterr().out
         assert "-0.113106" in out
         assert "theory" in out and "argonne" in out and "dubna" in out
+
+
+class TestSharedParser:
+    """One parser serves every main call in a process; no call may leave
+    anything in it that a later call reads."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_suppressed_seed_does_not_leak(self, tmp_path):
+        seeded, later, default = tmp_path / "seeded", tmp_path / "later", tmp_path / "default"
+        assert run("--seed", "5", "synth", "--out", str(seeded)) == 0
+        assert run("synth", "--out", str(later)) == 0
+        assert run("--seed", "0", "synth", "--out", str(default)) == 0
+        written = [(d / "measurements.csv").read_bytes() for d in (seeded, later, default)]
+        assert written[1] == written[2] != written[0]
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert run("radius", "--", "-0.00131") == 0
+        usual = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            run("radius", "--sigma", "-1", "--", "-0.00131")
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert run("radius", "--", "-0.00131") == 0
+        assert capsys.readouterr().out == usual
 
 
 class TestMonteCarlo:

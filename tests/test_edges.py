@@ -379,7 +379,10 @@ def _concat(*parts):
 
 _COMMAND_ARGS = {
     "plan": _concat(_switch("--all"), _switch("--strict")),
-    "simulate": _concat(_HKL.map(lambda h: [h]), _flag("--samples", _COUNTS),
+    # Sample counts past numpy's array limit, which np.empty refuses before
+    # it allocates anything; a size malloc might grant would run the work.
+    "simulate": _concat(_HKL.map(lambda h: [h]),
+                        _flag("--samples", _COUNTS | st.sampled_from([str(2**62), str(10**20)])),
                         _flag("--spectrum", st.sampled_from(["flat", "maxwellian", "hot"]))),
     "fit": _concat(st.just(["{measurements}"]),
                    _flag("--mode", st.sampled_from(["auto", "joint", "bne", "B"]))),
