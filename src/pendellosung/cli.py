@@ -257,14 +257,13 @@ def _block_formatter(n_cols):
     double for every e in [-4, 5], so m is one correctly rounded product,
     within 1.2e-10 of the exact one, and rint gives the correctly rounded
     digits unless m lies within 1e-9 of a half-integer. Each field is a
-    16-byte slot of two little-endian uint64 words: the text (at most 11
-    characters, built from a table of three-digit ASCII groups), zero
-    bytes, and the separator in the last byte, written once. r is split
-    in integers; each word (of the second, the low half) is built in
-    contiguous scratch and stored once. Every other value (not positive,
-    not finite, out of range, or at or near a rounding tie) is formatted
-    by _FMT % x into its slot, so % stays the one specification. The
-    zero bytes are dropped last, from the bytes the call wrote only.
+    16-byte slot: the text, zero bytes, and the separator in byte 15, set
+    at allocation. The numpy path builds bytes 0-11 (at most 11 characters
+    from three-digit ASCII groups, r split in integers) in contiguous
+    scratch and stores them once. Every other value (not positive, not
+    finite, out of range, or at or near a rounding tie) is formatted by
+    _FMT % x into all 16, so % stays the one specification; its bytes 8-15
+    go back to zeros and the separator once the block is compacted.
 
     The working arrays, slots included, are allocated here once for
     _BLOCK_ROWS rows; each call fills the first n rows of each in place.
@@ -285,9 +284,8 @@ def _block_formatter(n_cols):
     # Tables by j = 6 (e + 4) + z, z the trailing zeros of r. Stripped are
     # cut = min(z, 5 - e) digits: never the e + 1 before the point, which
     # is dropped too when no digit follows it. For e < 0 the digits follow
-    # "0.000" cut to 1 - e characters, their top `shift` bits running into
-    # the second word (numpy shifts by 64 to 0). `frac` marks the digit
-    # bytes after the point, moved up one byte to make room.
+    # "0.000" cut to 1 - e characters; the top `shift` bits go to the second word
+    # (numpy shifts by 64 to 0). `frac` marks the digits after the point, moved up a byte.
     exps = range(-4, 6)
     scale = np.array([10.0 ** (5 - e) for e in exps])
     head, strip, shift, frac = ([] for _ in range(4))
@@ -306,19 +304,21 @@ def _block_formatter(n_cols):
     head, strip, shift, frac = (np.array(t, u8) for t in (head, strip, shift, frac))
 
     seps = [b","] * (n_cols - 1) + [b"\n"]
+    last = np.array([c[0] << 56 for c in seps], u8)
 
-    # The slots live in a bytearray, so that dropping the zero bytes of a
-    # full block reads them in place. The numpy path writes the first 12
-    # bytes of a slot and % all 16, so the separators are written here once.
+    # A bytearray, so that dropping the zero bytes of a full block reads it in place.
     shape = (_BLOCK_ROWS, n_cols)
     slots = bytearray(_BLOCK_ROWS * n_cols * 16)
     words = np.frombuffer(slots, u8).reshape(shape + (2,))
-    words[..., 1] = [c[0] << 56 for c in seps]
+    words[..., 1] = last
     scratch = (words, words.view("<u4")[..., 2],
                *(np.empty(shape, bool) for _ in range(3)),
                *(np.empty(shape) for _ in range(2)),
                *(np.empty(shape, np.intp) for _ in range(4)),
                *(np.empty(shape, u8) for _ in range(2)))
+
+    def compact(n_bytes):
+        return (slots if n_bytes == len(slots) else slots[:n_bytes]).translate(None, b"\0")
 
     def format_block(block):
         # take() with mode="clip" writes straight into out=, and keeps in
@@ -368,13 +368,16 @@ def _block_formatter(n_cols):
         w += t
         w |= np.take(head, j, out=t, mode="clip")
         words[..., 0] = w
-        if not fast.all():
-            at = np.flatnonzero(np.invert(fast, out=flag))
-            text = b"".join((_FMT % v).encode().ljust(15, b"\0") + seps[c] for v, c in
-                            zip(block.take(at).tolist(), (at % n_cols).tolist()))
-            words.reshape(-1, 2)[at] = np.frombuffer(text, u8).reshape(-1, 2)
-        n_bytes = words.nbytes
-        return (slots if n_bytes == len(slots) else slots[:n_bytes]).translate(None, b"\0")
+        if fast.all():
+            return compact(words.nbytes)
+        at = np.flatnonzero(np.invert(fast, out=flag))
+        cols, pairs = at % n_cols, words.reshape(-1, 2)
+        text = b"".join((_FMT % v).encode().ljust(15, b"\0") + seps[c]
+                        for v, c in zip(block.take(at).tolist(), cols.tolist()))
+        pairs[at] = np.frombuffer(text, u8).reshape(-1, 2)
+        out = compact(words.nbytes)
+        pairs[at, 1] = last[cols]  # a 13-character % text reaches byte 12
+        return out
 
     return format_block
 

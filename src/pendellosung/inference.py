@@ -82,13 +82,12 @@ class FitResult:
     with "ln_b_nuclear" appended when the intercept is free. n_iter counts
     the Gauss-Newton steps on the exact model (at most four; a step below
     1e-13 ends them). converged is True when the last step stalled below
-    1e-13 or moved every parameter by less than 1e-8 of its sigma in the
-    final covariance, False when the final parameters give a non-positive
-    b(Q) or neither holds, and True for a fit without refinement.
-    last_step is the largest parameter change of the last step (None when
-    no step was taken); p_value is the chi-square survival at dof (None at
-    dof 0); condition is the 2-norm condition number of the final normal
-    equations.
+    1e-13 or moved every parameter by less than 1e-8 of its final sigma,
+    False when the final b(Q) is not positive or neither holds, and True
+    for a fit without refinement. last_step is the largest parameter change
+    of the last step (None when no step was taken); p_value is the
+    chi-square survival at dof (None at dof 0); condition is the 2-norm
+    condition number of the final normal equations.
     """
 
     param_names: tuple
@@ -450,8 +449,7 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
         model_exact, _ = exact_model(theta.tolist())
         if model_exact is not None:
             model = model_exact
-            # Or the last step is negligible on each parameter's own scale;
-            # one was taken, as an exit before the first leaves no model.
+            # Or the last step (one was taken) is negligible on each sigma.
             converged = converged or all(
                 c > 0 and v < 1e-8 * math.sqrt(c) for v, c in zip(steps, cov.diagonal().tolist()))
         else:

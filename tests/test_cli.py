@@ -263,6 +263,30 @@ class TestWriterReusesScratch:
         assert fmt(full[:1]) == percent_rows(full[:1])
 
 
+class TestOneFormatterManyBlocks:
+    """A formatter keeps its slots from call to call; no byte of an earlier
+    call may show through a later one, whatever the two values."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n_cols: st.lists(
+        st.lists(st.lists(_ANY_FLOAT, min_size=n_cols, max_size=n_cols), min_size=1, max_size=8),
+        min_size=2, max_size=4)))
+    def test_matches_percent(self, blocks):
+        fmt = _block_formatter(len(blocks[0][0]))
+        for rows in blocks:
+            block = np.array(rows, dtype=float)
+            assert fmt(block) == percent_rows(block)
+
+    @pytest.mark.parametrize("value", [-1.23457e-100, -1.23457e+100, -2.22507e-308])
+    def test_longest_percent_text_then_numpy_path(self, tmp_path, value):
+        # A 13-character .6g text, the longest, reaches byte 12 of its slot,
+        # which the numpy path does not write.
+        col = np.ones(_BLOCK_ROWS + 1)
+        col[0] = value
+        _write_columns(tmp_path / "x.csv", ["a"], [col])
+        assert (tmp_path / "x.csv").read_bytes() == b"a\n" + percent_rows(col[:, None])
+
+
 def _is_linux_glibc():
     return sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
 

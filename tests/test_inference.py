@@ -474,6 +474,18 @@ class TestFitDiagnostics:
         assert type(fit.last_step) is float and 1e-13 <= fit.last_step < 1e-9
         assert fit.last_step < 1e-8 * min(fit.sigma(p) for p in fit.param_names)
 
+    def test_four_steps_still_moving(self, si_model, new_eight):
+        # Noise of 0.02 fm starts the refinement far enough out that its
+        # fourth step is still 3e-7: above the stall, and above 1e-8 of
+        # every sigma, so of the largest component's own. b(Q) stays positive.
+        ms = synth_measurements(si_model, SILICON, new_eight, sigma=0.02, seed=2)
+        fit = joint_fit(ms, SILICON, si_model.form_factor, include_forward=False)
+        assert (fit.n_iter, fit.converged) == (4, False)
+        assert fit.last_step > 1e-8 * max(fit.sigma(p) for p in fit.param_names)
+        b_ne, ln_b = fit.value("b_ne"), fit.value("ln_b_nuclear")
+        f = [si_model.form_factor.f_at(q_over_4pi(SILICON, r)) for r in new_eight]
+        assert min(math.exp(ln_b) - b_ne * SILICON.Z * (1.0 - fi) for fi in f) > 0.0
+
     def test_non_positive_exact_model(self, si_model, new_eight):
         # Noise of 1 fm drives the linear solution to a b_ne for which
         # b(Q) = b_nuclear - b_ne Z (1 - f) is not positive at every row.
