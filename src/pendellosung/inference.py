@@ -80,12 +80,14 @@ class FitResult:
 
     Parameter order is fixed: ("B", "b_ne") for the two-parameter fit,
     with "ln_b_nuclear" appended when the intercept is free. n_iter counts
-    the Gauss-Newton steps on the exact model (at most four; a step below
-    1e-13 ends them). converged is True when the last step stalled below
-    1e-13 or moved every parameter by less than 1e-8 of its final sigma,
-    False when the final b(Q) is not positive or neither holds, and True
-    for a fit without refinement. last_step is the largest parameter change
-    of the last step (None when no step was taken); p_value is the
+    the Gauss-Newton steps taken on the exact model (at most four; a step
+    below 1e-13 ends them); a step to a b(Q) that is not positive at some
+    row is not taken, and the fit keeps the last good parameters, their
+    covariance and their model's chi2. converged is True when the last step
+    stalled below 1e-13 or moved every parameter by less than 1e-8 of its
+    final sigma, False after a step not taken or when neither holds, and
+    True for a fit without refinement. last_step is the largest parameter
+    change of the last step taken (None when none was); p_value is the
     chi-square survival at dof (None at dof 0); condition is the 2-norm
     condition number of the final normal equations.
     """
@@ -420,7 +422,7 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
         return np.log(bq) - t[0] * x1, bq
 
     model = design @ theta + offset
-    # Gauss-Newton steps taken, and whether the last one stalled below 1e-13
+    # Gauss-Newton steps accepted, and whether the last one stalled below 1e-13
     # (refine=False keeps the linear solution, which needs no steps).
     n_iter, converged, last_step = 0, not refine, None
     if refine:
@@ -429,31 +431,28 @@ def joint_fit(ms, crystal: CrystalSpec, table: FormFactorTable, *,
         jac = np.empty_like(design)
         np.negative(x1, out=jac[:, 0])
         z_x2 = -crystal.Z * x2
-        for _ in range(4):
-            t = theta.tolist()
-            model_exact, bq = exact_model(t)
-            if model_exact is None:
-                break
+        t = theta.tolist()
+        model_exact, bq = exact_model(t)
+        while model_exact is not None and n_iter < 4 and not converged:
             model = model_exact
             np.divide(z_x2, bq, out=jac[:, 1])
             if free_intercept:
                 np.divide(math.exp(t[2]), bq, out=jac[:, 2])
-            step, cov = solve_normal(jac, y - model)
-            theta = theta + step
-            n_iter += 1
-            steps = [abs(v) for v in step.tolist()]
-            last_step = max(steps) if sum(steps) >= 0 else math.nan  # NaN as np.max
-            if last_step < 1e-13:
-                converged = True
-                break
-        model_exact, _ = exact_model(theta.tolist())
+            step, step_cov = solve_normal(jac, y - model)
+            trial = theta + step
+            t = trial.tolist()
+            model_exact, bq = exact_model(t)
+            if model_exact is not None:  # else not taken: theta keeps model and covariance
+                theta, cov = trial, step_cov
+                n_iter += 1
+                steps = [abs(v) for v in step.tolist()]
+                last_step = max(steps) if sum(steps) >= 0 else math.nan  # NaN as np.max
+                converged = last_step < 1e-13
         if model_exact is not None:
             model = model_exact
             # Or the last step (one was taken) is negligible on each sigma.
             converged = converged or all(
                 c > 0 and v < 1e-8 * math.sqrt(c) for v, c in zip(steps, cov.diagonal().tolist()))
-        else:
-            converged = False
 
     chi2 = float((w * (y - model) ** 2).sum())
     dof = len(y) - len(theta)
@@ -568,13 +567,12 @@ def temperature_factor_sigmas(model: ScatteringModel, crystal: CrystalSpec,
                      for bi, qi in zip(b, q)], dtype=float)
 
 
-# Monte-Carlo trials per parameter block, whose sums are reduced together
-# (1.5 MiB of parameters), and at most per noise draw into it (288 KiB of
-# noise for the default nine observations), whatever the trial count.
-_MC_CHUNK = 1 << 16
+# Monte-Carlo trials per noise draw, which sets both the working memory (288
+# KiB of noise for the default nine observations and a 96 KiB parameter
+# scratch) and how the running sums are grouped, whatever the trial count.
 _MC_DRAW = 1 << 12
 # The largest trial count monte_carlo_validate takes: memory stays at one
-# block, but time grows with the count, about 4 minutes of CPU at the cap
+# draw, but time grows with the count, about 4 minutes of CPU at the cap
 # at 0.25 s per 10^6 trials.
 MAX_MC_TRIALS = 10**9
 
@@ -602,8 +600,8 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     estimator matrix applied to the noise; the noise comes from the
     counter-based Philox generator keyed by the seed, making the result
     independent of any batching or scheduling of trials. Trials are drawn
-    in small pieces of that one stream into fixed chunks, and only each
-    chunk's parameter sums and cross products are kept, so memory does not
+    _MC_DRAW at a time from that one stream, and each draw's parameters are
+    added straight into running sums and cross products, so memory does not
     grow with n_trials; time does, so n_trials is capped at MAX_MC_TRIALS. An
     empty set raises InsufficientData, an extinct reflection
     ForbiddenReflection, (000) DegenerateDesign, whatever sigma is.
@@ -632,22 +630,13 @@ def monte_carlo_validate(model: ScatteringModel, crystal: CrystalSpec,
     cross = np.zeros((len(names), len(names)))
     rng = np.random.Generator(np.random.Philox(key=seed))
     noise = np.empty((min(_MC_DRAW, n_trials), len(sy)))
-    block = np.empty((min(_MC_CHUNK, n_trials), len(names)))
-    for start in range(0, n_trials, _MC_CHUNK):
-        # Deviations from the noiseless solution, in one reused block; the
-        # running sum, taken last, adds the rows in the order of sum(axis=0).
-        params = block[:min(_MC_CHUNK, n_trials - start)]
-        # Successive draws of one stream concatenate to one draw, and a row's
-        # parameters do not depend on the draw's size unless it is one row
-        # (numpy's vector path, other bits): near-equal draws of at most
-        # _MC_DRAW rows have one row only where the chunk has.
-        k = -(-len(params) // _MC_DRAW)
-        edges = [len(params) * i // k for i in range(k + 1)]
-        for a, b in zip(edges, edges[1:]):
-            draw = rng.standard_normal(out=noise[:b - a])
-            np.matmul(draw, scaled, out=params[a:b])
-        cross += params.T @ params
-        total += np.add.accumulate(params, axis=0, out=params)[-1]
+    params = np.empty((len(noise), len(names)))
+    ones = np.ones(len(noise))  # the row sum as one product: axis-0 sum is slower
+    for start in range(0, n_trials, _MC_DRAW):
+        k = min(_MC_DRAW, n_trials - start)
+        p = np.matmul(rng.standard_normal(out=noise[:k]), scaled, out=params[:k])
+        cross += p.T @ p
+        total += ones[:k] @ p
     mean = total / n_trials
     empirical = (cross - n_trials * np.outer(mean, mean)) / (n_trials - 1)
     return MonteCarloResult(param_names=names, analytic_cov=analytic,

@@ -21,9 +21,9 @@ The cases:
   maxwellian, at four thicknesses and at sample counts around the
   _SWEEP_BLOCK tile edges; fringe counts, pendellosung_argument values
   and a J0 sweep;
-* Monte-Carlo covariances at the _MC_CHUNK edges and the 4096-row noise
-  draw edges, two seeds, forward datum in and out; at the largest seed, and
-  at a trial count one past ten draws where a one-row draw moves a bit;
+* Monte-Carlo covariances at the _MC_DRAW edges, where the running sums
+  take one more draw, and one past sixteen draws, two seeds, forward datum
+  in and out; and at the largest seed;
 * strict and amended surveys over a window grid and seeded random
   windows, and plans of off-candidate scans;
 * f_at, synthetic amplitudes, error budgets, joint fits, fit_bne and
@@ -206,7 +206,7 @@ def _build() -> None:
     )
     from pendellosung.constants import CODATA
     from pendellosung.fringes import _SWEEP_BLOCK
-    from pendellosung.inference import _MC_CHUNK, _line, temperature_factor_sigmas
+    from pendellosung.inference import _MC_DRAW, _line, temperature_factor_sigmas
 
     crystals = {"Si": SILICON, "Ge": GERMANIUM}
     models = {n: scattering_model(c, CODATA.b_ne_argonne_fm) for n, c in crystals.items()}
@@ -229,9 +229,9 @@ def _build() -> None:
     CASES["bessel_j0 sweep"] = partial(bessel_j0, np.concatenate([
         np.linspace(-40.0, 40.0, 40001), np.geomspace(1e-9, 1e4, 20001), [0.0, 5.0, 1e-5]]))
 
-    mc_cases = [(n, seed) for n in (2, 4095, 4097, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1,
-                                    2 * _MC_CHUNK + 1) for seed in (0, 11)]
-    for n, seed in mc_cases + [(_MC_CHUNK + 1, 2**128 - 1), (40961, 4)]:
+    mc_cases = [(n, seed) for n in (2, _MC_DRAW - 1, _MC_DRAW, _MC_DRAW + 1, 2 * _MC_DRAW + 1,
+                                    16 * _MC_DRAW + 1) for seed in (0, 11)]
+    for n, seed in mc_cases + [(_MC_DRAW + 1, 2**128 - 1)]:
         for fwd in (True, False):
             CASES[f"monte_carlo n={n} seed={seed} forward={fwd}"] = partial(
                 _monte_carlo, models["Si"], SILICON, si_pure[1:], n_trials=n, seed=seed,

@@ -35,10 +35,8 @@ the package's rounding is bounded.
 ``sweep_with_temporaries`` and ``profile_with_temporaries`` are frozen
 copies of the fringe profile's per-tile steps as they stood when the angle
 conversions went through ``np.degrees``/``np.radians`` and the J0 argument
-and the intensity were built in temporaries; ``monte_carlo_with_temporaries``
-is the Monte Carlo as it stood when every noise chunk gave a fresh
-parameter block reduced by ``sum(axis=0)``. They pin the in-place rewrites
-of those loops bit for bit.
+and the intensity were built in temporaries. They pin the in-place rewrites
+of those steps bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from pendellosung import inference
 from pendellosung.constants import ANGSTROM_PER_CM, ANGSTROM_PER_FM
 from pendellosung.fringes import (
     _DR1, _DR2, _PIO4, _PP, _PQ, _QP, _QQ, _RP, _RQ, _SQ2OPI, _SWEEP_BLOCK,
@@ -328,28 +325,3 @@ def profile_with_temporaries(spectrum, crystal, model, r, geom, n_samples):
     if peak > 0:
         raw /= peak
     return lam, two_theta, arg, raw
-
-
-def monte_carlo_with_temporaries(model, crystal, reflections, sigma, n_trials, seed,
-                                 include_forward):
-    """(analytic, empirical) covariances of monte_carlo_validate, the noise
-    of each 2**16-trial chunk in one Philox draw and a fresh parameter block
-    per chunk."""
-    q, f, b_pred = inference._predicted_rows(model, crystal, list(reflections))
-    x1, _, sy, x2 = inference._log_rows(q, b_pred, sigma,
-                                        inference._forward(crystal, include_forward),
-                                        [1.0 - v for v in f])
-    design = inference._joint_design(x1, x2, crystal.Z / crystal.b_nuclear,
-                                     free_intercept=True)
-    w = 1.0 / sy**2
-    analytic = inference._normal_cov(design, w)
-    scaled = ((analytic @ design.T) * w * sy).T
-    total = np.zeros(3)
-    cross = np.zeros((3, 3))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    for start in range(0, n_trials, 1 << 16):
-        params = rng.standard_normal((min(1 << 16, n_trials - start), len(sy))) @ scaled
-        total += params.sum(axis=0)
-        cross += params.T @ params
-    mean = total / n_trials
-    return analytic, (cross - n_trials * np.outer(mean, mean)) / (n_trials - 1)

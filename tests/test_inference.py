@@ -45,7 +45,6 @@ from pendellosung.lattice import ReflectionClass
 
 from oracles import (
     line_exact,
-    monte_carlo_with_temporaries,
     normal_cov_with_cond,
     synth_amplitudes_per_reflection,
     temperature_factor_sigmas_per_reflection,
@@ -495,14 +494,25 @@ class TestFitDiagnostics:
 
     def test_non_positive_exact_model_after_a_step(self, si_model, new_eight):
         # Noise of 0.1 fm lets the linear solution through, but its first
-        # step leaves b(Q) non-positive at some row. The refinement stops
-        # there, with a step and a covariance the sigma rule could read.
+        # step would leave b(Q) non-positive at some row. The step is not
+        # taken: the fit reports the linear solution with its covariance,
+        # and the chi-square of its exact model.
         ms = synth_measurements(si_model, SILICON, new_eight, sigma=0.1, seed=3)
         fit = joint_fit(ms, SILICON, si_model.form_factor, include_forward=False)
-        assert (fit.n_iter, fit.converged) == (1, False)
-        b_ne, ln_b = fit.value("b_ne"), fit.value("ln_b_nuclear")
-        f = [si_model.form_factor.f_at(q_over_4pi(SILICON, r)) for r in new_eight]
-        assert min(math.exp(ln_b) - b_ne * SILICON.Z * (1.0 - fi) for fi in f) <= 0.0
+        assert (fit.n_iter, fit.converged, fit.last_step) == (0, False, None)
+        linear = joint_fit(ms, SILICON, si_model.form_factor, include_forward=False,
+                           refine=False)
+        assert fit.values.tobytes() == linear.values.tobytes()
+        assert fit.covariance.tobytes() == linear.covariance.tobytes()
+        B, b_ne, ln_b = fit.values.tolist()
+        q = [q_over_4pi(SILICON, m.reflection) for m in ms]
+        bq = [math.exp(ln_b) - b_ne * SILICON.Z * (1.0 - si_model.form_factor.f_at(qi))
+              for qi in q]
+        assert min(bq) > 0.0
+        model = [math.log(v) - B * qi * qi for v, qi in zip(bq, q)]
+        chi2 = sum(((math.log(m.b_meas) - mi) * m.b_meas / m.sigma) ** 2
+                   for m, mi in zip(ms, model))
+        assert fit.chi2 == pytest.approx(chi2, rel=1e-12)
 
     def test_without_refinement(self, si_model, new_eight):
         ms = synth_measurements(si_model, SILICON, new_eight, sigma=0.0008, seed=14)
@@ -999,52 +1009,36 @@ def record_draws(monkeypatch):
 
 
 class TestChunkedMonteCarlo:
-    """The Monte Carlo draws its noise in small pieces of one Philox stream,
-    reduces per fixed chunk and keeps only running sums, yet matches the
+    """The Monte Carlo draws its noise in pieces of at most _MC_DRAW rows of
+    one Philox stream and keeps only running sums, yet matches the
     single-block computation."""
+
+    D = inference._MC_DRAW
 
     def test_draws_concatenate_to_the_single_block_draw(self, monkeypatch, si_model,
                                                         new_eight):
         single = np.random.Generator(np.random.Philox(key=5)).standard_normal((1000, 9))
-        monkeypatch.setattr(inference, "_MC_CHUNK", 7)
         monkeypatch.setattr(inference, "_MC_DRAW", 3)
         drawn = record_draws(monkeypatch)
         monte_carlo_validate(si_model, SILICON, new_eight, n_trials=1000, seed=5)
-        # No draw crosses a chunk boundary (1000 = 142 * 7 + 6), and none has
-        # one row: that one would be multiplied by numpy's vector path.
-        assert [len(d) for d in drawn] == [2, 2, 3] * 142 + [3, 3]
+        assert [len(d) for d in drawn] == [3] * 333 + [1]
         assert np.array_equal(np.concatenate(drawn), single)
 
     def test_default_draws_concatenate_to_the_single_block_draw(self, monkeypatch, si_model,
                                                                 new_eight):
-        n = 2 * inference._MC_CHUNK + 3
+        n = 2 * (1 << 16) + 3
         single = np.random.Generator(np.random.Philox(key=3)).standard_normal((n, 9))
         drawn = record_draws(monkeypatch)
         monte_carlo_validate(si_model, SILICON, new_eight, n_trials=n, seed=3)
-        per_chunk = inference._MC_CHUNK // inference._MC_DRAW
-        assert [len(d) for d in drawn] == [inference._MC_DRAW] * (2 * per_chunk) + [3]
+        assert [len(d) for d in drawn] == [self.D] * (n // self.D) + [3]
         assert np.array_equal(np.concatenate(drawn), single)
 
-    @pytest.mark.parametrize("draw", [3, 4, 6, 4096])
-    @pytest.mark.parametrize("n_trials", [1000, 1001, 995, 1002])
-    def test_draw_size_moves_no_bit(self, monkeypatch, si_model, new_eight, draw, n_trials):
-        # One draw per chunk is the frozen loop; 995 and 1002 end on a
-        # chunk of one trial, the one place where a draw may have one row.
-        monkeypatch.setattr(inference, "_MC_CHUNK", 7)
-        monkeypatch.setattr(inference, "_MC_DRAW", 7)
-        whole = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=n_trials, seed=6)
-        monkeypatch.setattr(inference, "_MC_DRAW", draw)
-        drawn = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=n_trials, seed=6)
-        assert drawn.empirical_cov.tobytes() == whole.empirical_cov.tobytes()
-
     @pytest.mark.parametrize("forward", [True, False], ids=["forward", "no-forward"])
-    def test_covariance_equals_np_cov_of_one_block(self, monkeypatch, si_model,
-                                                   new_eight, forward):
-        monkeypatch.setattr(inference, "_MC_CHUNK", 7)
-        n_trials, seed, sigma = 1000, 4, 0.0008
-        res = monte_carlo_validate(si_model, SILICON, new_eight, sigma=sigma,
-                                   n_trials=n_trials, seed=seed,
-                                   include_forward=forward)
+    @pytest.mark.parametrize("n_trials", [2, 3, 1000, D - 1, D, D + 1, (1 << 16) - 1, 1 << 16,
+                                          (1 << 16) + 1, 2 * (1 << 16) + 1, 10 * D + 1])
+    def test_covariance_equals_np_cov_of_one_block(self, si_model, new_eight, n_trials,
+                                                   forward):
+        sigma = 0.0008
         # The single-block reference: every trial's parameters at once.
         q, f, b_pred = inference._predicted_rows(si_model, SILICON, new_eight)
         anchor = (SILICON.b_nuclear, SILICON.sigma_b_nuclear) if forward else None
@@ -1052,66 +1046,47 @@ class TestChunkedMonteCarlo:
                                             [1.0 - v for v in f])
         design = inference._joint_design(x1, x2, SILICON.Z / SILICON.b_nuclear, True)
         w = 1.0 / sy**2
-        estimator = inference._normal_cov(design, w) @ design.T @ np.diag(w)
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        params = (rng.standard_normal((n_trials, len(sy))) * sy) @ estimator.T
-        np.testing.assert_allclose(res.empirical_cov, np.cov(params, rowvar=False),
-                                   rtol=1e-12, atol=0)
+        analytic = inference._normal_cov(design, w)
+        estimator = analytic @ design.T @ np.diag(w)
+        for seed in (0, 7, 2**128 - 1):
+            res = monte_carlo_validate(si_model, SILICON, new_eight, sigma=sigma,
+                                       n_trials=n_trials, seed=seed,
+                                       include_forward=forward)
+            assert res.analytic_cov.tobytes() == analytic.tobytes()
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            params = (rng.standard_normal((n_trials, len(sy))) * sy) @ estimator.T
+            np.testing.assert_allclose(res.empirical_cov, np.cov(params, rowvar=False),
+                                       rtol=1e-12, atol=0)
 
-    def test_covariance_does_not_depend_on_the_chunk_size(self, monkeypatch,
-                                                          si_model, new_eight):
-        whole = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=1000, seed=8)
-        monkeypatch.setattr(inference, "_MC_CHUNK", 7)
-        chunked = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=1000, seed=8)
-        np.testing.assert_allclose(chunked.empirical_cov, whole.empirical_cov,
+    @pytest.mark.parametrize("draw", [1, 3, 4, 6, 4096])
+    @pytest.mark.parametrize("n_trials", [1000, 1001, 995, 1002])
+    def test_covariance_does_not_depend_on_the_draw_size(self, monkeypatch, si_model,
+                                                         new_eight, draw, n_trials):
+        # The draw size groups the sums, so it may move the last bits only.
+        whole = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=n_trials, seed=6)
+        monkeypatch.setattr(inference, "_MC_DRAW", draw)
+        drawn = monte_carlo_validate(si_model, SILICON, new_eight, n_trials=n_trials, seed=6)
+        np.testing.assert_allclose(drawn.empirical_cov, whole.empirical_cov,
                                    rtol=1e-12, atol=0)
 
 
 class TestMonteCarloInPlace:
-    """One parameter block per call, filled draw by draw and reduced in
-    place: the covariance bits of the frozen loop that drew each chunk's
-    noise at once and took a fresh block and sum(axis=0) per chunk."""
-
-    C, D = inference._MC_CHUNK, inference._MC_DRAW
+    """One noise draw and its parameters per call, reused draw by draw."""
 
     @pytest.mark.parametrize("forward", [True, False], ids=["forward", "no-forward"])
-    @pytest.mark.parametrize("n_trials", [2, 3, 1000, D - 1, D, D + 1, C - 1, C, C + 1,
-                                          2 * C + 1])
-    def test_covariance_bits(self, si_model, new_eight, n_trials, forward):
-        for seed in (0, 7, 2**128 - 1):
-            res = monte_carlo_validate(si_model, SILICON, new_eight, sigma=0.0008,
-                                       n_trials=n_trials, seed=seed, include_forward=forward)
-            analytic, empirical = monte_carlo_with_temporaries(
-                si_model, SILICON, new_eight, 0.0008, n_trials, seed, forward)
-            assert res.analytic_cov.tobytes() == analytic.tobytes()
-            assert res.empirical_cov.tobytes() == empirical.tobytes()
-
-    def test_no_one_row_draw_after_full_draws(self, si_model, new_eight):
-        # 10 * 4096 + 1 trials: fixed 4096-row draws would end on a draw of
-        # one row, which numpy multiplies by gemv; that moved the last bit of
-        # this covariance.
-        n = 10 * self.D + 1
-        res = monte_carlo_validate(si_model, SILICON, new_eight, sigma=0.0008, n_trials=n,
-                                   seed=4, include_forward=False)
-        _, empirical = monte_carlo_with_temporaries(si_model, SILICON, new_eight, 0.0008, n,
-                                                    4, False)
-        assert res.empirical_cov.tobytes() == empirical.tobytes()
-
-    @pytest.mark.parametrize("forward", [True, False], ids=["forward", "no-forward"])
-    def test_memory_is_one_parameter_block_and_one_draw(self, si_model, new_eight, forward):
-        n_obs = len(new_eight) + forward
-        draw, block = self.D * n_obs * 8, self.C * 3 * 8
+    def test_memory_is_one_draw(self, si_model, new_eight, forward):
+        draw = inference._MC_DRAW * (len(new_eight) + forward) * 8
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            monte_carlo_validate(si_model, SILICON, new_eight, n_trials=2 * self.C + 3,
+            monte_carlo_validate(si_model, SILICON, new_eight, n_trials=2 * (1 << 16) + 3,
                                  include_forward=forward)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # A whole chunk of noise (4.5 MiB at nine observations) or a second
-        # parameter block would not fit.
-        assert peak < block + 2 * draw
+        # A second draw, or a block of 2**16 trials' parameters (1.5 MiB),
+        # would not fit.
+        assert peak < 2 * draw
 
     @pytest.mark.parametrize("n_trials", [1e5, 2.5, "100", None, 1, -5])
     def test_n_trials_must_be_an_integer_of_two_or_more(self, si_model, new_eight, n_trials):
