@@ -15,12 +15,18 @@ A record stores the kernel (numpy's BLAS and OPENBLAS_CORETYPE, which picks
 a DYNAMIC_ARCH OpenBLAS's kernel per process), and --check refuses a record
 made under another one instead of naming hundreds of differing cases.
 
+This is the one tool that pins a rewrite's bits: the tests keep no frozen
+copy of replaced code, only independent references (oracles.py).
+
 The cases:
 
 * profiles of the silicon survey reflections and Ge (111), flat and
-  maxwellian, at four thicknesses and at sample counts around the
-  _SWEEP_BLOCK tile edges; fringe counts, pendellosung_argument values
-  and a J0 sweep;
+  maxwellian, at five thicknesses from 0.03125 cm and at sample counts
+  around the _SWEEP_BLOCK tile edges; fringe counts and
+  pendellosung_argument values;
+* J0 on a sweep, and on arrays of large arguments up to 900, of negative
+  ones, of tiny ones with a NaN, 0-d, empty and strided 2-D, and on eight
+  Python floats up to 1e300;
 * Monte-Carlo covariances at the _MC_DRAW edges, where the running sums
   take one more draw, and one past sixteen draws, two seeds, forward datum
   in and out; and at the largest seed;
@@ -43,6 +49,9 @@ The cases:
   ends, and a Reflection of bool indices;
 * synthetic amplitudes with one sigma given as a float, an int, an
   np.float64, a 0-d array, a list and a tuple, and a list of the wrong length;
+  and on the pure reflections of each window of the grid, at sigma 0.0008,
+  0 and one per reflection, seeds 0 and 1 (a window whose set runs past the
+  f(Q) table records its refusal);
 * the Debye-Waller correction, the fits, the budget and the
   temperature-factor sigmas at temperature factors up to 1e6 A^2, where the
   factor underflows;
@@ -155,6 +164,19 @@ def _synth(*args, **kwargs):
     return [(m.b_meas, m.sigma) for m in synth_measurements(*args, **kwargs)]
 
 
+def _synth_window(model, w, sigma, seed):
+    """Synthetic Si amplitudes of w's pure reflections; a sigma of
+    "per-reflection" runs from 1e-4 to 1e-3 fm along the set."""
+    import numpy as np
+
+    from pendellosung import SILICON, survey
+
+    refls = [p.reflection for p in survey(SILICON, w).pure]
+    if sigma == "per-reflection":
+        sigma = np.linspace(1e-4, 1e-3, len(refls))
+    return _synth(model, SILICON, refls, sigma=sigma, seed=seed)
+
+
 def _joint_fit(ms, *args, **kwargs):
     """The fields every tree's FitResult has."""
     from pendellosung import joint_fit
@@ -215,7 +237,8 @@ def _build() -> None:
 
     for name, r in [("Si", r) for r in si_pure] + [("Ge", Reflection(1, 1, 1))]:
         c, m = crystals[name], models[name]
-        for t in (0.5, 1.0, 2.0, 3.7):
+        # The thinnest blade puts J0's small-argument branch in the low orders.
+        for t in (0.03125, 0.5, 1.0, 2.0, 3.7):
             g = BladeGeometry(thickness_cm=t)
             for shape in ("flat", "maxwellian"):
                 for n in (2, _SWEEP_BLOCK - 1, _SWEEP_BLOCK, _SWEEP_BLOCK + 1,
@@ -228,6 +251,22 @@ def _build() -> None:
                     pendellosung_argument, c, m, r, g, lam)
     CASES["bessel_j0 sweep"] = partial(bessel_j0, np.concatenate([
         np.linspace(-40.0, 40.0, 40001), np.geomspace(1e-9, 1e4, 20001), [0.0, 5.0, 1e-5]]))
+    rng = np.random.default_rng(7)
+    j0_inputs = {
+        "large": rng.uniform(5.0 + 1e-9, 900.0, 5001),
+        "negative": -rng.uniform(0.0, 900.0, 3001),
+        "tiny and nan": np.concatenate([
+            rng.uniform(0.0, 1e-5, 17), [0.0, 1e-5, 5.0, np.nextafter(5.0, 6.0), np.nan],
+            rng.uniform(0.0, 12.0, 1000), rng.uniform(50.0, 900.0, 1000)]),
+        "0-d large": np.array(57.3),
+        "0-d small": np.array(-2.5),
+        "empty": np.empty(0),
+        "strided 2-d": rng.uniform(-900.0, 900.0, (40, 60))[::2, ::3],
+    }
+    for what, x in j0_inputs.items():
+        CASES[f"bessel_j0 {what}"] = partial(bessel_j0, x)
+    for x in (0.0, 3e-6, 4.99, 5.0, 5.5, 123.4, -870.25, 1e300):
+        CASES[f"bessel_j0 float {x!r}"] = partial(bessel_j0, x)
 
     mc_cases = [(n, seed) for n in (2, _MC_DRAW - 1, _MC_DRAW, _MC_DRAW + 1, 2 * _MC_DRAW + 1,
                                     16 * _MC_DRAW + 1) for seed in (0, 11)]
@@ -262,6 +301,11 @@ def _build() -> None:
 
     model = models["Si"]
     table = model.form_factor
+    for w in windows[:60]:  # the grid
+        for sigma in (0.0008, 0.0, "per-reflection"):
+            for seed in (0, 1):
+                CASES[f"synth window {w} sigma={sigma} seed={seed}"] = partial(
+                    _synth_window, model, w, sigma, seed)
     subsets = {"nine": si_pure, "eight": si_pure[1:], "strong": si_pure[1::4],
                "pair": si_pure[3:5]}
     for label, refls in subsets.items():

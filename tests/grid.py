@@ -179,6 +179,7 @@ _add("zero_sigma_forward", [["budget"], ["mc", "--trials", "100"], ["fit", "si_m
 _add("tiny_sigma_forward", [["budget"], ["mc", "--trials", "100"], ["fit", "si_meas.csv"]])
 _add("huge_b", [["fit", "si_meas.csv", "--mode", "bne"]])
 
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

@@ -1,4 +1,9 @@
-"""Independent reference implementations used only by the tests.
+"""Independent references used only by the tests.
+
+Each stays because it computes its result another way than the package,
+so it checks the package's answer, not only that a rewrite left the bits
+alone; tests/bits.py alone pins a rewrite's bits, against a record of the
+parent tree.
 
 The J0 oracle deliberately shares no code or coefficients with the
 package: below x = 30 it sums the ascending power series in decimal
@@ -6,37 +11,23 @@ arithmetic with enough guard digits to absorb the cancellation; above it
 uses the Hankel asymptotic expansion truncated at its smallest term,
 whose remainder is far below double precision there.
 
-``bessel_j0_out_of_place`` is different in kind: a frozen copy of the
-package's J0 as it stood before its large-argument branch was made to
-work in place, on the package's own coefficients. It pins that rewrite
-bit for bit, not the accuracy of the approximation.
+``candidates_per_triple`` and ``contamination_per_order`` are the planner's
+survey as it stood when it built and classified a ``Reflection`` for every
+(h, k, l) triple and every harmonic order it looked at. They reach each
+result by another walk than the integer one that replaced them, so they
+check it result for result, on the package's own window helpers.
 
-``candidates_per_triple`` and ``contamination_per_order`` are frozen
-copies of the planner's survey as it stood when it built and classified
-a ``Reflection`` for every (h, k, l) triple and every harmonic order it
-looked at. They pin the integer walk that replaced them, result for
-result, on the package's own window helpers.
-
-``normal_cov_with_cond`` is a frozen copy of the fits' normal-equation
-inverse as it stood when its condition guard called ``np.linalg.cond``.
-It pins the guard that computes the singular values itself, verdict for
-verdict and bit for bit.
-
-``synth_amplitudes_per_reflection`` and ``temperature_factor_sigmas_per_reflection``
-are frozen copies of the two per-reflection loops that synthetic amplitudes
-and the temperature-factor error model ran before both went through the
-fits' shared predicted rows and ``debye_waller_correct``.
+``normal_cov_with_cond`` is the fits' normal-equation inverse as it stood
+when its condition guard called ``np.linalg.cond``. It states
+``_normal_cov``'s documented refusal rule (a 2-norm condition number above
+1e14) through numpy's own condition number, so it checks the guard that
+computes the singular values itself verdict for verdict, which no bits case
+does.
 
 ``line_exact`` is the weighted straight line of the fits, the error budget
 and ``slope_uncertainty`` in exact rational arithmetic on the float rows, by
 the textbook normal equations, with no centring: the reference against which
 the package's rounding is bounded.
-
-``sweep_with_temporaries`` and ``profile_with_temporaries`` are frozen
-copies of the fringe profile's per-tile steps as they stood when the angle
-conversions went through ``np.degrees``/``np.radians`` and the J0 argument
-and the intensity were built in temporaries. They pin the in-place rewrites
-of those steps bit for bit.
 """
 
 from __future__ import annotations
@@ -48,17 +39,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from pendellosung.constants import ANGSTROM_PER_CM, ANGSTROM_PER_FM
-from pendellosung.fringes import (
-    _DR1, _DR2, _PIO4, _PP, _PQ, _QP, _QQ, _RP, _RQ, _SQ2OPI, _SWEEP_BLOCK,
-)
 from pendellosung.errors import DegenerateDesign
-from pendellosung.lattice import (
-    Reflection, b_meas, classify, debye_waller, q_over_4pi, structure_factor_magnitude,
-)
-from pendellosung.planner import (
-    PEAK_SLACK_DEG, Contaminant, _two_theta, _window, bragg_angle, reflection_window,
-)
+from pendellosung.lattice import Reflection, classify, q_over_4pi
+from pendellosung.planner import PEAK_SLACK_DEG, Contaminant, _two_theta, _window, bragg_angle
 
 _SERIES_CUT = 30.0
 
@@ -153,41 +136,6 @@ def j0_zeros_between(a: float, b: float):
     return out
 
 
-def _polevl_out_of_place(x, coef):
-    ans = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def bessel_j0_out_of_place(x):
-    """The package's J0 with one new temporary per operation, as it was
-    before the in-place rewrite."""
-    scalar = np.isscalar(x)
-    ax = np.abs(np.asarray(x, dtype=float))
-    out = np.empty_like(ax)
-
-    small = ax <= 5.0
-    if np.any(small):
-        z = ax[small] ** 2
-        p = ((z - _DR1) * (z - _DR2) * _polevl_out_of_place(z, _RP)
-             / _polevl_out_of_place(z, _RQ))
-        tiny = ax[small] < 1e-5
-        if np.any(tiny):
-            p[tiny] = 1.0 - z[tiny] / 4.0
-        out[small] = p
-    large = ~small
-    if np.any(large):
-        xl = ax[large]
-        w = 5.0 / xl
-        z = w * w
-        p = _polevl_out_of_place(z, _PP) / _polevl_out_of_place(z, _PQ)
-        q = _polevl_out_of_place(z, _QP) / _polevl_out_of_place(z, _QQ)
-        xn = xl - _PIO4
-        out[large] = _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(xl)
-    return float(out) if scalar else out
-
-
 def contamination_per_order(crystal, r, w):
     """The planner's contamination with a Reflection built and classified
     for every order it looks at."""
@@ -273,55 +221,3 @@ def line_exact(x, sy, y=None, fixed_intercept=None):
     det = s * sxx - sx * sx
     slope = None if y is None else (s * sxy - sx * sum(wi * yi for wi, yi in zip(w, y))) / det
     return slope, _sqrt_exact(s / det)
-
-
-def synth_amplitudes_per_reflection(model, crystal, reflections, sigma, seed):
-    """synth_measurements' noisy amplitudes, b_meas(crystal, model, q) + s n, one
-    reflection at a time."""
-    refls = [r.canonical() for r in reflections]
-    sig = np.broadcast_to(np.asarray(sigma, dtype=float), (len(refls),))
-    noise = np.random.default_rng(seed).standard_normal(len(refls))
-    return [b_meas(crystal, model, q_over_4pi(crystal, r)) + s * n
-            for r, s, n in zip(refls, sig, noise)]
-
-
-def temperature_factor_sigmas_per_reflection(model, crystal, reflections):
-    """b(Q) (Q/4pi)^2 sigma_B with b(Q) undone from b_meas, per reflection."""
-    out = []
-    for r in reflections:
-        q = q_over_4pi(crystal, r.canonical())
-        b_q = b_meas(crystal, model, q) / debye_waller(model.B, q)
-        out.append(b_q * q * q * crystal.sigma_B)
-    return np.array(out)
-
-
-def sweep_with_temporaries(crystal, r, geom, f_mag, lam):
-    """theta (radians) and the J0 argument at each wavelength of lam, one
-    temporary per step (the range and overflow checks left out)."""
-    s = lam * q_over_4pi(crystal, r)
-    theta = np.radians(np.degrees(np.arcsin(s)))
-    scale = geom.thickness_cm * ANGSTROM_PER_CM * f_mag * ANGSTROM_PER_FM
-    den = crystal.a0**3 * np.cos(theta)
-    return theta, scale * lam / den
-
-
-def profile_with_temporaries(spectrum, crystal, model, r, geom, n_samples):
-    """(lam, two_theta_deg, argument, intensity) of the fringe profile, tile
-    by tile of _SWEEP_BLOCK samples, each step into a fresh array."""
-    (lam_lo, lam_hi), _ = reflection_window(crystal, r, spectrum.window)
-    lam, two_theta, arg, raw = np.empty((4, n_samples))
-    step = (lam_hi - lam_lo) / (n_samples - 1)
-    lam[:] = np.arange(n_samples) * step + lam_lo
-    lam[-1] = lam_hi
-    f_mag = structure_factor_magnitude(crystal, model, r)
-    for a in range(0, n_samples, _SWEEP_BLOCK):
-        tile = slice(a, a + _SWEEP_BLOCK)
-        lt = lam[tile]
-        theta, arg[tile] = sweep_with_temporaries(crystal, r, geom, f_mag, lt)
-        two_theta[tile] = np.degrees(2.0 * theta)
-        raw[tile] = (spectrum.intensity(lt) * lt**2 * f_mag**2
-                     * bessel_j0_out_of_place(arg[tile]) ** 2)
-    peak = raw.max()
-    if peak > 0:
-        raw /= peak
-    return lam, two_theta, arg, raw

@@ -42,7 +42,13 @@ def test_subset_digests_repeat():
               "sigma_range fit_bne sigma=1e+300", "sigma_range fit_temperature_factor sigma=1e-300",
               "sigma_range joint_fit one row sigma=1e+76", "reflection bool index label",
               "synth_sigma wrong length", "debye_waller fit_bne B=100000 forward=True",
-              "real_args int joint_fit", "real_args float32 bragg_angle"]
+              "real_args int joint_fit", "real_args float32 bragg_angle",
+              "bessel_j0 tiny and nan", "bessel_j0 float 1e+300",
+              "profile Si 111 maxwellian t=0.03125 n=16385",
+              "synth window SpectrumWindow(lambda_min=0.3, lambda_max=4.0, lambda_peak=1.2, "
+              "two_theta_min=15.0, two_theta_max=110.0) sigma=per-reflection seed=1",
+              "synth window SpectrumWindow(lambda_min=0.5, lambda_max=1.6, lambda_peak=1.2, "
+              "two_theta_min=15.0, two_theta_max=150.0) sigma=0.0008 seed=0"]
     assert bits.run(names) == bits.run(names)
 
 

@@ -35,7 +35,6 @@ from pendellosung import (
     monte_carlo_validate,
     pendellosung_argument,
     q_over_4pi,
-    scattering_model,
     slope_uncertainty,
     synth_measurements,
 )

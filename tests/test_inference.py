@@ -43,12 +43,7 @@ from pendellosung import inference
 from pendellosung.inference import temperature_factor_sigmas
 from pendellosung.lattice import ReflectionClass
 
-from oracles import (
-    line_exact,
-    normal_cov_with_cond,
-    synth_amplitudes_per_reflection,
-    temperature_factor_sigmas_per_reflection,
-)
+from oracles import line_exact, normal_cov_with_cond
 
 
 @pytest.fixture(scope="module")
@@ -854,6 +849,14 @@ class TestSynthMeasurements:
         assert a == b
         c = synth_measurements(si_model, SILICON, new_eight, sigma=0.0008, seed=12)
         assert a != c
+        # Each amplitude is b_meas(crystal, model, q) + sigma n, n from
+        # default_rng(seed); on the default window, one sigma per reflection.
+        refls = [p.reflection for p in survey(SILICON).pure]
+        sigma = np.linspace(1e-4, 1e-3, len(refls))
+        noise = np.random.default_rng(11).standard_normal(len(refls))
+        got = synth_measurements(si_model, SILICON, refls, sigma=sigma, seed=11)
+        assert [m.b_meas for m in got] == [b_meas(SILICON, si_model, q_over_4pi(SILICON, r))
+                                           + s * n for r, s, n in zip(refls, sigma, noise)]
 
     def test_temperature_factor_error_model(self, si_model, new_eight):
         sig = temperature_factor_sigmas(si_model, SILICON, new_eight)
@@ -879,36 +882,20 @@ def _outcome(fn, *args, **kwargs):
 @pytest.mark.parametrize("window", _WINDOWS, ids=lambda w: "{}-{}-{}".format(
     w.lambda_min, w.lambda_max, w.two_theta_max))
 class TestSharedPredictedRows:
-    """Synthetic amplitudes and the temperature-factor error model come
-    from the fits' predicted rows and debye_waller_correct; the frozen
-    per-reflection loops they replaced pin the result."""
-
-    def test_synth_equals_per_reflection_loop(self, si_model, window):
-        refls = [p.reflection for p in survey(SILICON, window).pure]
-        for sigma in (0.0008, 0.0, np.linspace(1e-4, 1e-3, len(refls))):
-            for seed in range(5):
-                got = _outcome(synth_measurements, si_model, SILICON, refls,
-                               sigma=sigma, seed=seed)
-                want = _outcome(synth_amplitudes_per_reflection, si_model, SILICON, refls,
-                                sigma, seed)
-                if isinstance(want, tuple):  # a reflection past the f(Q) table
-                    assert got == want
-                else:
-                    assert [m.b_meas for m in got] == want
+    """The temperature-factor error model comes from the fits' predicted
+    rows and debye_waller_correct; tests/bits.py pins synthetic amplitudes
+    on a window grid that holds these windows."""
 
     def test_temperature_factor_sigmas_is_the_corrected_error(self, si_model, window):
         refls = [p.reflection for p in survey(SILICON, window).pure]
         got = _outcome(temperature_factor_sigmas, si_model, SILICON, refls)
-        want = _outcome(temperature_factor_sigmas_per_reflection, si_model, SILICON, refls)
-        if isinstance(want, tuple):
+        want = _outcome(lambda: [debye_waller_correct(b_meas(SILICON, si_model, q), 0.0,
+                                                      si_model.B, SILICON.sigma_B, q)[1]
+                                 for q in (q_over_4pi(SILICON, r) for r in refls)])
+        if isinstance(want, tuple):  # a reflection past the f(Q) table
             assert got == want
-            return
-        for r, s in zip(refls, got):
-            q = q_over_4pi(SILICON, r)
-            assert s == debye_waller_correct(b_meas(SILICON, si_model, q), 0.0, si_model.B,
-                                             SILICON.sigma_B, q)[1]
-        # One rounding order for the convention: at most 1 ulp from the loop.
-        assert (np.abs(got - want) <= np.spacing(want)).all()
+        else:
+            assert got.tolist() == want
 
 
 class TestSeedChecks:
@@ -1008,7 +995,7 @@ def record_draws(monkeypatch):
     return drawn
 
 
-class TestChunkedMonteCarlo:
+class TestMonteCarloDraws:
     """The Monte Carlo draws its noise in pieces of at most _MC_DRAW rows of
     one Philox stream and keeps only running sums, yet matches the
     single-block computation."""
