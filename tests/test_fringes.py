@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pendellosung import (
+    GERMANIUM,
     SILICON,
     BeamSpectrum,
     BladeGeometry,
@@ -21,7 +22,9 @@ from pendellosung import (
     q_over_4pi,
     scattering_model,
     structure_factor_magnitude,
+    survey,
 )
+from pendellosung.constants import ANGSTROM_PER_CM, ANGSTROM_PER_FM
 from pendellosung.planner import reflection_window
 
 from oracles import j0_oracle, j0_zero, j0_zeros_between
@@ -368,6 +371,42 @@ class TestAngleConversionPremise:
         with np.errstate(all="ignore"):
             assert np.degrees(x).tobytes() == (x * (180.0 / math.pi)).tobytes()
             assert np.radians(x).tobytes() == (x * (math.pi / 180.0)).tobytes()
+
+
+_SI_PURE = [p.reflection for p in survey(SILICON).pure]
+
+
+class TestProfileMatchesOracle:
+    """Each sample of the profile is theta = asin(lambda Q/4pi), the argument
+    t |F| lambda / (a0^3 cos theta) and I0 lambda^2 |F|^2 J0(arg)^2 over the
+    peak, built a sample at a time with math's functions and the J0 oracle;
+    tests/bits.py pins the bits."""
+
+    @pytest.mark.parametrize("shape", ["flat", "maxwellian"])
+    @pytest.mark.parametrize("crystal,r", [(SILICON, r) for r in _SI_PURE]
+                             + [(GERMANIUM, Reflection(1, 1, 1))],
+                             ids=[f"Si{r.label()}" for r in _SI_PURE] + ["Ge111"])
+    def test_profiles(self, crystal, r, shape):
+        model = scattering_model(crystal, -1.31e-3)
+        spectrum = BeamSpectrum(shape=shape)
+        f_mag = structure_factor_magnitude(crystal, model, r)
+        q = q_over_4pi(crystal, r)
+        (lo, hi), _ = reflection_window(crystal, r, spectrum.window)
+        lam = np.linspace(lo, hi, 301)
+        theta = [math.asin(x * q) for x in lam.tolist()]
+        # The thinnest blade puts J0's small-argument branch in the low orders.
+        for t in (0.03125, 2.0):
+            prof = intensity_profile(spectrum, crystal, model, r, BladeGeometry(t),
+                                     n_samples=lam.size)
+            scale = t * ANGSTROM_PER_CM * f_mag * ANGSTROM_PER_FM / crystal.a0**3
+            arg = np.array([scale * x / math.cos(th) for x, th in zip(lam.tolist(), theta)])
+            raw = (spectrum.intensity(lam) * lam**2 * f_mag**2
+                   * np.array([j0_oracle(a) ** 2 for a in arg.tolist()]))
+            assert np.array_equal(prof.lam, lam)
+            np.testing.assert_allclose(prof.two_theta_deg, np.degrees(2.0 * np.array(theta)),
+                                       rtol=4e-15, atol=0)
+            np.testing.assert_allclose(prof.argument, arg, rtol=4e-15, atol=0)
+            np.testing.assert_allclose(prof.intensity, raw / raw.max(), rtol=0, atol=1e-12)
 
 
 class TestFringeSensitivity:

@@ -882,9 +882,35 @@ def _outcome(fn, *args, **kwargs):
 @pytest.mark.parametrize("window", _WINDOWS, ids=lambda w: "{}-{}-{}".format(
     w.lambda_min, w.lambda_max, w.two_theta_max))
 class TestSharedPredictedRows:
-    """The temperature-factor error model comes from the fits' predicted
-    rows and debye_waller_correct; tests/bits.py pins synthetic amplitudes
+    """Synthetic amplitudes and the temperature-factor error model come from
+    the fits' predicted rows and debye_waller_correct, and keep the contract
+    of the per-reflection rule on every window; tests/bits.py pins their bits
     on a window grid that holds these windows."""
+
+    def test_synth_is_b_meas_plus_sigma_noise(self, si_model, window):
+        # b_meas(crystal, model, q) + sigma n, n from default_rng(seed), to a
+        # few ulps; sigma 0 gives b_meas itself and quotes the default error.
+        # A set past the f(Q) table is refused as b_meas refuses it.
+        refls = [p.reflection for p in survey(SILICON, window).pure]
+        exact = _outcome(lambda: np.array([b_meas(SILICON, si_model, q_over_4pi(SILICON, r))
+                                           for r in refls]))
+        for sigma in (0.0008, 0.0, np.linspace(1e-4, 1e-3, len(refls))):
+            for seed in (0, 1):
+                got = _outcome(synth_measurements, si_model, SILICON, refls,
+                               sigma=sigma, seed=seed)
+                if isinstance(exact, tuple):
+                    assert got == exact
+                    continue
+                s = np.broadcast_to(sigma, exact.shape)
+                assert [m.reflection for m in got] == [r.canonical() for r in refls]
+                assert [m.sigma for m in got] == [x if x > 0 else inference.DEFAULT_SIGMA_B_MEAS
+                                                  for x in s.tolist()]
+                b = np.array([m.b_meas for m in got])
+                if not s.any():
+                    assert b.tolist() == exact.tolist()
+                    continue
+                want = exact + s * np.random.default_rng(seed).standard_normal(len(refls))
+                assert np.all(np.abs(b - want) <= 4 * np.spacing(np.abs(want)))
 
     def test_temperature_factor_sigmas_is_the_corrected_error(self, si_model, window):
         refls = [p.reflection for p in survey(SILICON, window).pure]
