@@ -130,8 +130,8 @@ _SCHEMA = {
     "crystal": {"name": str, "a0": float, "z": int, "b_nuclear": float,
                 "sigma_b_nuclear": float, "b": float, "sigma_b": float,
                 "form_factor_csv": str},
-    # [spectrum] keys are the SpectrumWindow field names.
-    "spectrum": {f.name: float for f in fields(planner.SpectrumWindow)},
+    # [spectrum] keys are the SpectrumWindow constructor's field names.
+    "spectrum": {f.name: float for f in fields(planner.SpectrumWindow) if f.init},
     "blade": {"thickness_cm": float},
     "model": {"reference": str, "b_ne": _FINITE, "b": _NON_NEGATIVE},
     "fit": {"include_forward": _boolean, "free_intercept": _boolean},
@@ -145,7 +145,7 @@ def load_config(path: str | None) -> RunConfig:
         try:
             with open(path) as fh:
                 cp.read_file(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except configparser.Error as exc:  # its message spans lines; keep one
             detail = " ".join(part.strip() for part in str(exc).splitlines())
@@ -424,7 +424,7 @@ def read_measurements_csv(path) -> list:
                     reflection=Reflection(int(row[0]), int(row[1]), int(row[2])),
                     b_meas=float(row[3]), sigma=float(row[4]),
                 ))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PendellosungError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise PendellosungError(f"{path}: bad measurement row: {exc}") from exc

@@ -215,14 +215,13 @@ class FringeCount:
 
 
 def _sweep(crystal: CrystalSpec, r: Reflection, geom: BladeGeometry, f_mag: float,
-           lam: np.ndarray, tile=Ellipsis, out=None):
+           lam: np.ndarray, out=None):
     """Bragg angle theta (radians) and the J0 argument, for |F| = f_mag (fm),
-    at each wavelength of lam[tile] (angstrom), the argument written into
-    out if given; NoReflection, quoting the NaN count and the range of the
-    rest of lam, unless 0 < sin(theta) <= 1, and PendellosungError if the
-    argument overflows to infinity."""
-    lt = lam[tile]
-    s = lt * q_over_4pi(crystal, r)
+    at each wavelength of lam (angstrom), the argument written into out if
+    given; NoReflection, quoting the NaN count and the range of the rest of
+    lam, unless 0 < sin(theta) <= 1, and PendellosungError if the argument
+    overflows to infinity."""
+    s = lam * q_over_4pi(crystal, r)
     # The largest sin(theta) has the largest |argument|. min and argmax pick
     # a NaN if any entry is one, and NaN fails both comparisons.
     top = s.argmax() if s.size else None
@@ -241,10 +240,10 @@ def _sweep(crystal: CrystalSpec, r: Reflection, geom: BladeGeometry, f_mag: floa
     den = np.cos(theta)
     den *= crystal.a0**3
     # The same IEEE steps on Python floats, which overflow without a warning.
-    if top is not None and math.isinf(scale * float(lt.flat[top]) / float(den.flat[top])):
+    if top is not None and math.isinf(scale * float(lam.flat[top]) / float(den.flat[top])):
         raise PendellosungError(f"({r.label()}): J0 argument overflows at lambda = "
-                                f"{lt.flat[top]:.4g} A (t = {geom.thickness_cm:.4g} cm)")
-    arg = np.multiply(lt, scale, out=out)
+                                f"{lam.flat[top]:.4g} A (t = {geom.thickness_cm:.4g} cm)")
+    arg = np.multiply(lam, scale, out=out)
     arg /= den
     return theta, arg
 
@@ -267,35 +266,34 @@ def intensity_profile(spectrum: BeamSpectrum, crystal: CrystalSpec,
                       geom: BladeGeometry, n_samples: int = 2000) -> FringeProfile:
     """Sample the center-of-pattern intensity over the usable window.
 
-    Every step is elementwise, so the sweep runs in tiles of _SWEEP_BLOCK
-    samples that stay in cache, writing into the result arrays; the bits
-    equal a whole-array evaluation. The four result arrays are the rows
-    of one (4, n) block: one allocation per profile, 32 bytes a sample.
+    Every step is elementwise, so the sweep is one pass over tiles of
+    _SWEEP_BLOCK samples that stay in cache, each writing its wavelengths
+    and then the rest into the result arrays; the bits equal a whole-array
+    evaluation. The four result arrays are the rows of one (4, n) block:
+    one allocation per profile, 32 bytes a sample.
     """
     n_samples = _integer(n_samples, lambda n: n >= 2, "n_samples must be an integer >= 2")
     require_observable(r)
     (lam_lo, lam_hi), _ = reflection_window(crystal, r, spectrum.window)
     lam, two_theta, arg, raw = np.empty((4, n_samples))
-    # np.linspace's steps, i * step + lo with the end set to hi, a tile at a
-    # time; the whole of lam is written first, since a failing tile quotes it.
-    # (linspace differs only where a nonzero width gives a step that
-    # underflows to zero.)
-    step = (lam_hi - lam_lo) / (n_samples - 1)
-    tiles = [slice(a, a + _SWEEP_BLOCK) for a in range(0, n_samples, _SWEEP_BLOCK)]
-    for tile in tiles:
-        lt = lam[tile]
-        np.multiply(np.arange(tile.start, tile.start + lt.size), step, out=lt)
-        lt += lam_lo
-    lam[-1] = lam_hi
     f_mag = structure_factor_magnitude(crystal, model, r)
-    for tile in tiles:
-        theta, arg_tile = _sweep(crystal, r, geom, f_mag, lam, tile, out=arg[tile])
+    # Each tile's lam is np.linspace's steps, i * step + lo, with the end set
+    # to hi before the last tile is swept. (linspace differs only where a
+    # nonzero width gives a step that underflows to zero.)
+    step = (lam_hi - lam_lo) / (n_samples - 1)
+    for start in range(0, n_samples, _SWEEP_BLOCK):
+        tile = slice(start, start + _SWEEP_BLOCK)
+        lt = lam[tile]
+        np.multiply(np.arange(start, start + lt.size), step, out=lt)
+        lt += lam_lo
+        if tile.stop >= n_samples:
+            lt[-1] = lam_hi
+        theta, arg_tile = _sweep(crystal, r, geom, f_mag, lt, out=arg[tile])
         tt = np.multiply(theta, 2.0, out=two_theta[tile])
         tt *= 180.0 / math.pi  # np.degrees
         # (I0 lambda^2) |F|^2, then J0^2, in place.
         j = bessel_j0(arg_tile)
         j *= j
-        lt = lam[tile]
         i0 = spectrum.intensity(lt)
         i0 *= lt * lt
         i0 *= f_mag**2

@@ -161,11 +161,16 @@ def charge_radius_from_bne(constants: PhysicalConstants, b_ne: float,
     """Mean-square charge radius <r_n^2> = 3 hbar c b_ne / (alpha m_n c^2).
 
     Input in fm, output in fm^2; exactly linear, sigma scales alike.
+    ValueError for an input whose quotient is past the float range.
     """
     message = "b_ne must be finite, sigma_b_ne non-negative and finite"
     b_ne = _real(b_ne, math.isfinite, message)
     sigma_b_ne = _real(sigma_b_ne, _non_negative, message)
     factor = constants.radius_factor_per_fm()
+    for name, value in (("<r_n^2>", b_ne), ("sigma(<r_n^2>)", sigma_b_ne)):
+        if math.isinf(value / factor):
+            raise ValueError(f"{name} = {value:.6g} fm / {factor:.6g} fm^-1 "
+                             "is past the float range")
     return b_ne / factor, sigma_b_ne / factor
 
 

@@ -1,7 +1,8 @@
 """Diamond-structure crystal math.
 
-Momentum transfer, reflection classification, structure factors, the
-Debye-Waller correction, and the Q-dependent scattering length
+Momentum transfer, reflection classes with their |F| / b amplitudes,
+structure factors, the Debye-Waller correction, and the Q-dependent
+scattering length
 
     b(Q) = b_nuclear - b_ne * Z * [1 - f(Q)]
 
@@ -27,17 +28,20 @@ class ReflectionClass(enum.Enum):
 
     Mixed parity is extinct for any fcc lattice; for all-even or all-odd
     indices the two-atom basis gives |1 + i^(h+k+l)| = 0, sqrt(2) or 2.
+    Each member carries its amplitude |F| / b_meas = 4 |1 + i^(h+k+l)|,
+    zero for the extinct classes.
     """
 
-    DISALLOWED = ("disallowed", True)  # mixed parity (fcc extinction)
-    FORBIDDEN = ("forbidden", True)    # h+k+l = 2 mod 4 (basis interference)
-    WEAK = ("weak", False)             # h+k+l odd
-    STRONG = ("strong", False)         # h+k+l = 0 mod 4
+    DISALLOWED = ("disallowed", 0.0)       # mixed parity (fcc extinction)
+    FORBIDDEN = ("forbidden", 0.0)         # h+k+l = 2 mod 4 (basis interference)
+    WEAK = ("weak", 4.0 * math.sqrt(2.0))  # h+k+l odd
+    STRONG = ("strong", 8.0)               # h+k+l = 0 mod 4
 
-    def __new__(cls, value: str, extinct: bool):
+    def __new__(cls, value: str, amplitude: float):
         member = object.__new__(cls)
         member._value_ = value
-        member.extinct = extinct  # |F| = 0 whatever the crystal
+        member.amplitude = amplitude
+        member.extinct = amplitude == 0.0  # |F| = 0 whatever the crystal
         return member
 
     def __str__(self):
@@ -46,13 +50,6 @@ class ReflectionClass(enum.Enum):
 
 # The members as module names, which _class_of reads faster than the class's.
 _DISALLOWED, _FORBIDDEN, _WEAK, _STRONG = ReflectionClass
-
-
-# |F| = UNIT_CELL_ATOMS * |1 + i^(h+k+l)| * b_meas for the observable classes
-_CLASS_AMPLITUDE = {
-    ReflectionClass.WEAK: 4.0 * math.sqrt(2.0),
-    ReflectionClass.STRONG: 8.0,
-}
 
 
 @dataclass(frozen=True, order=True)
@@ -224,7 +221,7 @@ def structure_factor_magnitude(crystal: CrystalSpec, m: ScatteringModel, r: Refl
     if cls.extinct:
         return 0.0
     b = _positive_amplitude(m, r, b_meas(crystal, m, q_over_4pi(crystal, r)))
-    return _CLASS_AMPLITUDE[cls] * b
+    return cls.amplitude * b
 
 
 def require_observable(r: Reflection) -> ReflectionClass:

@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 from .errors import EmptyWindow, NoReflection, SurveyTooLarge, _positive, _real
 from .lattice import (
@@ -78,6 +78,9 @@ class SpectrumWindow:
     lambda_peak: float = 1.2
     two_theta_min: float = 15.0
     two_theta_max: float = 110.0
+    # sin(theta) at the detector limits, for _window, set from the angles
+    _sin_min: float = field(init=False, repr=False, compare=False)
+    _sin_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         peak, lam, angles = ("lambda_peak and lambda_max must be positive and finite",
@@ -89,19 +92,8 @@ class SpectrumWindow:
                 ("two_theta_max", lambda v: v <= 180, angles),
                 ("two_theta_min", lambda v: 0 <= v < self.two_theta_max, angles)):
             object.__setattr__(self, name, _real(getattr(self, name), ok, message))
-        # sin(theta) at the detector limits, for _window; not fields, so
-        # repr, ==, hash and replace see only the five above.
         object.__setattr__(self, "_sin_min", math.sin(math.radians(self.two_theta_min / 2.0)))
         object.__setattr__(self, "_sin_max", math.sin(math.radians(self.two_theta_max / 2.0)))
-
-    def __getstate__(self):
-        """Pickle the fields only; loading rebuilds the sines."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-        self.__post_init__()
 
 
 DEFAULT_WINDOW = SpectrumWindow()

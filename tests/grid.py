@@ -77,13 +77,16 @@ FILES = {
     "extinct_meas.csv": "h,k,l,b_meas_fm,sigma_fm\n1,0,0,4.1,0.0008\n4,2,2,3.78,0.0008\n",
     # Errors whose row weights (b/sigma)^2 leave the float range.
     "tiny_sigma_meas.csv": _SI_MEASUREMENTS.replace(",0.0008", ",1e-300"),
+    # A byte that is not UTF-8 in a row.
+    "latin1_meas.csv": _SI_MEASUREMENTS.encode().replace(b"3.78769", b"3.78\xb0"),
 }
 
 _INLINE = ("[crystal]\nname = Si28\na0 = 5.43072\nZ = 14\nb_nuclear = 4.1507\n"
            "sigma_b_nuclear = 0.0002\nB = 0.4613\nsigma_B = 0.0027\n"
            "form_factor_csv = si_ff.csv\n[model]\nreference = dubna\n")
 
-# Config name -> the text of cfg.ini (None: no --config).
+# Config name -> the text of cfg.ini (None: no --config); a file's text
+# here or in FILES is written as UTF-8 unless it is given as bytes.
 CONFIGS = {
     "si": None,
     "ge": "[crystal]\nname = Ge\n",
@@ -115,6 +118,8 @@ CONFIGS = {
     "tiny_sigma_forward": _INLINE.replace("sigma_b_nuclear = 0.0002", "sigma_b_nuclear = 1e-300"),
     # The crystal's Debye-Waller factor underflows to 0 at every reflection.
     "huge_b": _INLINE.replace("B = 0.4613", "B = 100000"),
+    # A UTF-16 byte-order mark, which is not UTF-8.
+    "not_utf8": b"\xff\xfe[crystal]\nname = Si\n",
 }
 
 _FIT_MODES = [["fit", "si_meas.csv", "--mode", m] for m in ("auto", "joint", "bne", "B")]
@@ -155,6 +160,8 @@ _add("si", _FULL + [
     ["mc", "--trials", "100", "--sigma", "1e-300"], ["mc", "--trials", "100", "--sigma", "1e300"],
     ["fit", "tiny_sigma_meas.csv"], ["fit", "tiny_sigma_meas.csv", "--mode", "B"],
     ["plan", "--out", "si_meas.csv"],  # an existing file as the output directory
+    ["radius", "--", "1e308"], ["radius", "--sigma", "1e308", "--", "1"],
+    ["fit", "latin1_meas.csv"],
 ])
 _add("ge", [["plan"], ["plan", "--all", "--strict"], ["simulate", "111"], ["simulate", "711"],
             ["budget"], ["synth"], ["mc"]])
@@ -168,7 +175,8 @@ _add("narrow", [["plan"], ["plan", "--all", "--strict"], ["budget"], ["synth"],
 _add("blade", [["plan"], ["simulate", "711"], ["simulate", "531", "--spectrum", "maxwellian"],
                ["synth"], ["mc", "--trials", "500"]])
 for _config in ("malformed", "unknown_crystal", "inline_no_table", "bad_reference",
-                "unknown_key", "missing_table", "short_table", "nan_blade", "bad_seed"):
+                "unknown_key", "missing_table", "short_table", "nan_blade", "bad_seed",
+                "not_utf8"):
     _add(_config, [["plan"]])
 _add("nan_table", _ERRORS)
 _add("deep_peak", [["plan"]])
@@ -190,11 +198,12 @@ def run_case(name: str, workdir: Path) -> dict:
     from pendellosung.cli import main
 
     config, argv = CASES[name]
-    for file, text in FILES.items():
-        (workdir / file).write_text(text)
+    files = {**FILES, "cfg.ini": CONFIGS[config]}
+    for file, text in files.items():
+        if text is not None:
+            (workdir / file).write_bytes(text if isinstance(text, bytes) else text.encode())
     head = ["--out", "out"]
     if CONFIGS[config] is not None:
-        (workdir / "cfg.ini").write_text(CONFIGS[config])
         head += ["--config", "cfg.ini"]
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()

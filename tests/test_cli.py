@@ -111,6 +111,22 @@ class TestPlan:
         cfg.write_text("[crystal]\nlattice = 5.43\n")
         assert run("--config", str(cfg), "plan", "--out", str(tmp_path)) == 2
 
+    def test_derived_window_fields_are_not_keys(self, tmp_path, capsys):
+        # SpectrumWindow's stored sines are fields, but not constructor ones.
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[spectrum]\n_sin_min = 0.3\n")
+        assert run("--config", str(cfg), "plan", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown key '_sin_min' in section [spectrum]\n")
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(b"\xff\xfe[crystal]\nname = Si\n")
+        assert run("--config", str(cfg), "plan", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n")
+
     def test_missing_config_file(self, tmp_path):
         assert run("--config", str(tmp_path / "nope.ini"), "plan") == 2
 
@@ -185,14 +201,6 @@ class TestBlockFormatter:
     """_block_formatter builds fixed notation in numpy and leaves every
     value it cannot prove to %; its bytes must equal % everywhere."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 4).flatmap(
-        lambda n_cols: st.lists(st.lists(_ANY_FLOAT, min_size=n_cols, max_size=n_cols),
-                                min_size=1, max_size=32)))
-    def test_matches_percent(self, rows):
-        block = np.array(rows, dtype=float)
-        assert _block_formatter(block.shape[1])(block) == percent_rows(block)
-
     def test_ties_and_edges(self):
         powers = [10.0**k for k in range(-5, 7)]
         values = [12345.25, 100000.5, 999999.5, 99999.95, 1e-4, 9.999995e-05, 0.00015, 2.5]
@@ -264,12 +272,13 @@ class TestWriterReusesScratch:
 
 
 class TestOneFormatterManyBlocks:
-    """A formatter keeps its slots from call to call; no byte of an earlier
-    call may show through a later one, whatever the two values."""
+    """A formatter keeps its slots from call to call; its first call and
+    every later one must equal %, and no byte of an earlier call may show
+    through a later one, whatever the values."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 3).flatmap(lambda n_cols: st.lists(
-        st.lists(st.lists(_ANY_FLOAT, min_size=n_cols, max_size=n_cols), min_size=1, max_size=8),
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n_cols: st.lists(
+        st.lists(st.lists(_ANY_FLOAT, min_size=n_cols, max_size=n_cols), min_size=1, max_size=32),
         min_size=2, max_size=4)))
     def test_matches_percent(self, blocks):
         fmt = _block_formatter(len(blocks[0][0]))
@@ -386,6 +395,14 @@ class TestSynthFitRoundTrip:
         path.write_text("a,b,c\n1,2,3\n")
         assert run("fit", str(path), "--out", str(tmp_path)) == 3
 
+    def test_measurements_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"h,k,l,b_meas_fm,sigma_fm\n4,2,2,3.78\xb0,0.0008\n")
+        assert run("fit", str(path), "--out", str(tmp_path)) == 3
+        assert capsys.readouterr().err == (
+            f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xb0 "
+            "in position 35: invalid start byte\n")
+
     def test_synth_seeded_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("synth", "--seed", "42", "--out", str(a)) == 0
@@ -489,6 +506,16 @@ class TestRadius:
         out = capsys.readouterr().out
         assert "-0.113106" in out
         assert "theory" in out and "argonne" in out and "dubna" in out
+
+    @pytest.mark.parametrize("argv,name", [
+        (["--", "1e308"], "<r_n^2> = 1e+308 fm"),
+        (["--sigma", "1e308", "--", "1"], "sigma(<r_n^2>) = 1e+308 fm"),
+    ])
+    def test_past_the_float_range_is_a_data_error(self, capsys, argv, name):
+        assert run("radius", *argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} / 0.011582 fm^-1 is past the float range\n"
 
 
 class TestSharedParser:

@@ -607,6 +607,36 @@ def test_real_arguments_are_their_float_or_refused(si_model, site, value):
         assert got == (ValueError, message)
 
 
+# numpy arrays whose dtype is not an integer or a float, two entries each.
+_NON_REAL_ARRAYS = {
+    "bool": np.array([True, False]),
+    "str": np.array(["1.2", "1.3"]),
+    "bytes": np.array([b"1.2", b"1.3"]),
+    "complex": np.array([1.2 + 0j, 1.3 + 0j]),
+    "object": np.array([1.2, 1.3], dtype=object),
+    "datetime64": np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"),
+}
+
+
+@pytest.mark.parametrize("dtype", sorted(_NON_REAL_ARRAYS))
+@pytest.mark.parametrize("site", ["bessel_j0 x", "pendellosung_argument lam",
+                                  "slope_uncertainty xs", "slope_uncertainty sigmas"])
+def test_arrays_of_other_dtypes_are_refused(si_model, site, dtype):
+    """An array argument is judged by its dtype: a numpy array of bools,
+    strings, bytes, complex numbers, objects or dates is refused with the
+    site's message, whatever its entries."""
+    calls = {
+        "bessel_j0 x": bessel_j0,
+        "pendellosung_argument lam": lambda a: pendellosung_argument(
+            SILICON, si_model, _TWO[0], BladeGeometry(), a),
+        "slope_uncertainty xs": lambda a: slope_uncertainty(a, [0.01, 0.02]),
+        "slope_uncertainty sigmas": lambda a: slope_uncertainty([0.0, 1.0], a),
+    }
+    with pytest.raises(ValueError) as info:
+        calls[site](_NON_REAL_ARRAYS[dtype])
+    assert str(info.value) == _REAL_SITES[site][1]
+
+
 class TestFiniteValues:
     @pytest.mark.parametrize("field", ["a0", "b_nuclear", "sigma_b_nuclear", "B", "sigma_B"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -313,12 +313,14 @@ class TestTiledProfile:
         assert np.array_equal(prof.argument, arg)
         assert np.array_equal(prof.intensity, raw / raw.max())
 
-    def test_no_reflection_quotes_whole_sweep(self, monkeypatch, si_model, blade):
-        # Past lambda = 2d no Bragg angle exists; the failing tile is not
-        # the first, yet the message quotes the whole sweep.
+    def test_no_reflection_quotes_the_failing_tile(self, monkeypatch, si_model, blade):
+        # A window forced past lambda = 2d = 6.27 A, where no Bragg angle
+        # exists: the sweep stops at the first tile it cannot sweep, the
+        # third of 7-sample tiles, and quotes that tile's wavelengths.
         monkeypatch.setattr(fringes, "_SWEEP_BLOCK", 7)
         monkeypatch.setattr(fringes, "reflection_window", lambda *a: ((1.0, 7.0), (0.0, 0.0)))
-        with pytest.raises(NoReflection, match=r"\(111\): no Bragg angle for lambda in \[1, 7\] A"):
+        with pytest.raises(NoReflection,
+                           match=r"^\(111\): no Bragg angle for lambda in \[6\.25, 7\] A$"):
             intensity_profile(BeamSpectrum(), SILICON, si_model, Reflection(1, 1, 1), blade,
                               n_samples=17)
 

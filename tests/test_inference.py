@@ -135,6 +135,16 @@ class TestChargeRadius:
         with pytest.raises(ValueError, match="^b_ne must be finite, sigma_b_ne non-negative"):
             charge_radius_from_bne(CODATA, bne, sigma)
 
+    @pytest.mark.parametrize("bne, sigma, name", [
+        (1e308, 0.0, "<r_n^2>"), (-1e308, 0.0, "<r_n^2>"), (1.0, 1e308, "sigma(<r_n^2>)"),
+    ])
+    def test_results_past_the_float_range_rejected(self, bne, sigma, name):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} = .* is past the float range$"):
+            charge_radius_from_bne(CODATA, bne, sigma)
+        # Inputs a hundred times smaller have finite quotients and convert.
+        r2, sigma_r2 = charge_radius_from_bne(CODATA, bne / 100, sigma / 100)
+        assert math.isfinite(r2) and math.isfinite(sigma_r2)
+
 
 class TestSlopeUncertainty:
     def test_two_equal_points(self):

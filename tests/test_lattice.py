@@ -104,14 +104,23 @@ class TestClassify:
 
 
 class TestReflectionClassMembers:
-    """Each member carries its extinct flag as data; its value, str, lookup
-    by value and pickling are those of a plain string-valued enum."""
+    """Each member carries its amplitude |F| / b_meas and extinct flag as
+    data; its value, str, lookup by value and pickling are those of a plain
+    string-valued enum."""
 
     def test_extinct_truth_table(self):
         assert {c: c.extinct for c in ReflectionClass} == {
             ReflectionClass.DISALLOWED: True, ReflectionClass.FORBIDDEN: True,
             ReflectionClass.WEAK: False, ReflectionClass.STRONG: False}
         assert all(type(c.extinct) is bool for c in ReflectionClass)
+
+    def test_amplitude_table(self):
+        # 4 |1 + i^(h+k+l)|: 0, 4 sqrt(2) and 8, as floats.
+        assert {c: c.amplitude for c in ReflectionClass} == {
+            ReflectionClass.DISALLOWED: 0.0, ReflectionClass.FORBIDDEN: 0.0,
+            ReflectionClass.WEAK: 4.0 * math.sqrt(2.0), ReflectionClass.STRONG: 8.0}
+        assert all(type(c.amplitude) is float for c in ReflectionClass)
+        assert all(c.extinct == (c.amplitude == 0.0) for c in ReflectionClass)
 
     @pytest.mark.parametrize("member,value", [
         (ReflectionClass.DISALLOWED, "disallowed"), (ReflectionClass.FORBIDDEN, "forbidden"),
@@ -122,8 +131,9 @@ class TestReflectionClassMembers:
         assert str(member) == value
         assert repr(member) == f"<ReflectionClass.{member.name}: {value!r}>"
         assert ReflectionClass(value) is member
-        with pytest.raises(ValueError):
-            ReflectionClass((value, member.extinct))
+        for data in ((value, member.amplitude), (value, member.extinct)):
+            with pytest.raises(ValueError):
+                ReflectionClass(data)
 
     @pytest.mark.parametrize("member", list(ReflectionClass))
     def test_pickle_round_trip_is_the_member(self, member):

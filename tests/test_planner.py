@@ -1,7 +1,7 @@
 import hashlib
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -99,21 +99,27 @@ class TestReflectionWindow:
         with pytest.raises(EmptyWindow, match=r"^\(000\) cannot be scanned$"):
             reflection_window(SILICON, Reflection(0, 0, 0), SpectrumWindow())
 
-    def test_stored_sines_are_not_fields(self):
-        # The detector sines _window divides by q are stored on the window
-        # but stay out of repr, ==, hash, replace and pickle.
+    def test_stored_sines_are_derived_fields(self):
+        # The detector sines _window divides by q are init=False fields,
+        # set from the angles: out of repr, ==, hash and replace, carried
+        # by pickle.
         w = SpectrumWindow(lambda_min=0.5, lambda_max=2.0, two_theta_max=90.0)
         assert repr(w) == ("SpectrumWindow(lambda_min=0.5, lambda_max=2.0, lambda_peak=1.2, "
                            "two_theta_min=15.0, two_theta_max=90.0)")
         twin = SpectrumWindow(0.5, 2.0, 1.2, 15.0, 90.0)
         assert w == twin and hash(w) == hash(twin)
-        assert w.__getstate__() == {"lambda_min": 0.5, "lambda_max": 2.0, "lambda_peak": 1.2,
-                                    "two_theta_min": 15.0, "two_theta_max": 90.0}
         back = pickle.loads(pickle.dumps(w))
         assert back == w and vars(back) == vars(w)
+        assert [f.name for f in fields(SpectrumWindow) if not f.init] == ["_sin_min", "_sin_max"]
+        assert (w._sin_min, w._sin_max) == (math.sin(math.radians(7.5)),
+                                            math.sin(math.radians(45.0)))
+        with pytest.raises(TypeError):
+            SpectrumWindow(_sin_min=0.3)
+        five = {"lambda_min": 0.5, "lambda_max": 2.0, "lambda_peak": 1.2,
+                "two_theta_min": 15.0, "two_theta_max": 90.0}
         for changes in ({}, {"two_theta_min": 30.0}, {"two_theta_max": 180.0},
                         {"two_theta_min": 0.0, "lambda_peak": 0.9}):
-            moved, fresh = replace(w, **changes), SpectrumWindow(**{**w.__getstate__(), **changes})
+            moved, fresh = replace(w, **changes), SpectrumWindow(**{**five, **changes})
             assert moved == fresh and vars(moved) == vars(fresh)
             for q in (0.05, 0.16, 0.45, 0.69, 1.3):
                 assert _window(q, moved) == _window(q, fresh)
