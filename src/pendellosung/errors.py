@@ -91,6 +91,10 @@ def _real_array(a, message: str):
     raise ValueError(message)
 
 
+def _any(v: float) -> bool:
+    return True
+
+
 def _positive(v: float) -> bool:
     return 0 < v < math.inf
 

@@ -21,8 +21,8 @@ forward datum in column 0, and only the reductions read that block.
 Inputs are checked once, where they enter: the public functions refuse what
 they cannot reduce, and each row set is checked as it is built, before any
 weight is formed (_require_weighable). The private reductions, _line (the
-one weighted straight line of both single-parameter fits, the error budget
-and slope_uncertainty), _normal_cov and the Gauss-Newton steps, trust them.
+one weighted straight line of both single-parameter fits and the error
+budget), _normal_cov and the Gauss-Newton steps, trust them.
 
 Error conventions: one standard deviation, Gaussian, uncorrelated inputs.
 Removing the Debye-Waller attenuation inflates the error linearly,
@@ -31,8 +31,8 @@ Removing the Debye-Waller attenuation inflates the error linearly,
 
 i.e. the temperature-factor term adds linearly, not in quadrature, which
 reproduces the standard corrected (111) error budget (README notes).
-debye_waller_correct alone writes it; the temperature-factor error model
-is it with sigma_b_meas = 0.
+_corrected (debye_waller_correct's core) alone writes it; the
+temperature-factor error model is it with sigma_b_meas = 0.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants
-from .errors import (DegenerateDesign, InsufficientData, _integer, _non_negative, _positive,
-                     _real, _real_array)
+from .errors import (DegenerateDesign, InsufficientData, _any, _integer, _non_negative,
+                     _positive, _real)
 from .formfactor import FormFactorTable
 from .lattice import (
     CrystalSpec,
@@ -126,17 +126,28 @@ def debye_waller_correct(b_meas_value: float, sigma_b_meas: float,
 
     Values round-trip exactly against the forward attenuation; the error
     combines the scaled measurement error and the temperature-factor term
-    linearly (module docstring). ValueError when b(Q) is not finite.
+    linearly (module docstring). ValueError when b(Q) is not finite, and
+    for an argument that is not a real number or out of its range.
     """
-    dw = debye_waller(B, q_over_4pi)
-    try:
-        b_q = b_meas_value / dw if dw else math.inf
-        if abs(b_q) < math.inf:  # else dw underflowed to 0, or b(Q) overflowed or is NaN
-            return b_q, sigma_b_meas / dw + b_q * q_over_4pi**2 * sigma_B
-    except OverflowError:  # an int argument past the float range
-        raise ValueError("b_meas, sigma_b_meas and sigma_B must lie in the float range") from None
+    return _corrected(
+        _real(b_meas_value, _any, "b_meas must be a real number in the float range"),
+        _real(sigma_b_meas, _non_negative, "sigma_b_meas must be non-negative and finite"),
+        _real(B, _non_negative, "B must be non-negative and finite"),
+        _real(sigma_B, _non_negative, "sigma_B must be non-negative and finite"),
+        _real(q_over_4pi, _any, "Q/4pi must be a real number in the float range"))
+
+
+def _corrected(b_meas_value, sigma_b_meas, B, sigma_B, q):
+    """debye_waller_correct on floats that the caller checked."""
+    dw = debye_waller(B, q)
+    b_q = b_meas_value / dw if dw else math.inf
+    if abs(b_q) < math.inf:  # else dw underflowed to 0, or b(Q) overflowed or is NaN
+        try:
+            return b_q, sigma_b_meas / dw + b_q * q**2 * sigma_B
+        except OverflowError:  # q**2, at a B small enough to leave dw nonzero
+            raise ValueError(f"Q/4pi = {q:.6g} 1/A squares past the float range") from None
     raise ValueError(f"Debye-Waller factor exp(-B (Q/4pi)^2) = {dw:.6g} at B = {B:.6g} A^2, "
-                     f"Q/4pi = {q_over_4pi:.6g} 1/A leaves b(Q) = {b_q:.6g} fm not finite")
+                     f"Q/4pi = {q:.6g} 1/A leaves b(Q) = {b_q:.6g} fm not finite")
 
 
 def extract_bne_single(b_q: float, sigma_b_q: float,
@@ -145,15 +156,23 @@ def extract_bne_single(b_q: float, sigma_b_q: float,
     """b_ne from a single corrected amplitude and the forward value.
 
     b_ne = (b_nuclear - b(Q)) / (Z (1 - f)); the two input errors combine
-    in quadrature and scale by the same geometric factor.
+    in quadrature and scale by the same geometric factor. ValueError for an
+    argument that is not a real number (Z: an integer) or out of its range.
     """
+    b_q = _real(b_q, math.isfinite, "b_q must be finite")
+    sigma_b_q = _real(sigma_b_q, _non_negative, "sigma_b_q must be non-negative and finite")
+    b_nuclear = _real(b_nuclear, math.isfinite, "b_nuclear must be finite")
+    sigma_b_nuclear = _real(sigma_b_nuclear, _non_negative,
+                            "sigma_b_nuclear must be non-negative and finite")
+    z = _integer(z, lambda n: n >= 1, "Z must be an integer >= 1")
+    f = _real(f, math.isfinite, "f must be finite")
     if f >= 1.0:
         raise DegenerateDesign("f(Q) = 1 carries no b_ne signal")
     try:
         denom = z * (1.0 - f)
-        return (b_nuclear - b_q) / denom, math.hypot(sigma_b_q, sigma_b_nuclear) / denom
-    except OverflowError:  # an int argument past the float range
-        raise ValueError("amplitudes, errors, Z and f must lie in the float range") from None
+    except OverflowError:  # an int Z past the float range
+        raise ValueError("Z must lie in the float range") from None
+    return (b_nuclear - b_q) / denom, math.hypot(sigma_b_q, sigma_b_nuclear) / denom
 
 
 def charge_radius_from_bne(constants: PhysicalConstants, b_ne: float,
@@ -232,10 +251,10 @@ def _log_rows(q, b, sigma, forward=None, *extra):
 
 def _corrected_rows(q, f, b, sigma, B, sigma_B, forward=None):
     """Rows of b(Q) = b_nuclear - b_ne Z (1 - f): (x = 1 - f, y = b(Q), sy), b(Q)
-    and sy from debye_waller_correct, sy checked; sigma is a scalar or a list;
+    and sy from _corrected, sy checked; sigma is a scalar or a list;
     forward leads with the x = 0 datum."""
     sl = sigma if isinstance(sigma, list) else [sigma] * len(q)
-    b_q, sy = zip(*[debye_waller_correct(bi, si, B, sigma_B, qi) for bi, si, qi in zip(b, sl, q)])
+    b_q, sy = zip(*[_corrected(bi, si, B, sigma_B, qi) for bi, si, qi in zip(b, sl, q)])
     _require_weighable(sy, sl)
     return _block(forward and (0.0, *forward), [1.0 - v for v in f], b_q, sy)
 
@@ -325,25 +344,6 @@ def _line(x, sy, y=None, fixed_intercept=None):
     if not 0 < sxx < math.inf:
         raise DegenerateDesign("abscissas do not constrain a slope")
     return None if y is None else (wx * y).sum() / sxx, math.sqrt(1.0 / sxx)
-
-
-def slope_uncertainty(xs, sigmas) -> float:
-    """One-sigma slope error of a free-intercept weighted line fit,
-    1 / sqrt(sum (x - xbar)^2 / s^2) about the weighted mean xbar of the
-    abscissas; only they and the point errors, one per abscissa, enter."""
-    xs, sigmas = (_real_array(v, "abscissas and sigmas must be finite")
-                  for v in (xs, sigmas))
-    if sigmas.shape != xs.shape:
-        raise ValueError(f"need one sigma per abscissa, got {sigmas.size} for {xs.size}")
-    if xs.size < 2:
-        raise InsufficientData("need at least two points for a slope")
-    if not np.isfinite(xs).all():
-        raise ValueError("abscissas must be finite")
-    if not ((sigmas > 0) & (sigmas < math.inf)).all():
-        raise ValueError("sigmas must be positive and finite")
-    _require_weighable(sigmas.tolist(), sigmas.tolist())
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowing sums are degenerate
-        return _line(xs, sigmas)[1]
 
 
 # --- single-parameter fits ----------------------------------------------
@@ -568,7 +568,7 @@ def temperature_factor_sigmas(model: ScatteringModel, crystal: CrystalSpec,
     reflection raises ForbiddenReflection, (000) DegenerateDesign.
     """
     q, _, b = _predicted_rows(model, crystal, list(reflections))
-    return np.array([debye_waller_correct(bi, 0.0, model.B, crystal.sigma_B, qi)[1]
+    return np.array([_corrected(bi, 0.0, model.B, crystal.sigma_B, qi)[1]
                      for bi, qi in zip(b, q)], dtype=float)
 
 

@@ -19,7 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ForbiddenReflection, NoReflection, _integer, _non_negative, _real
+from .errors import ForbiddenReflection, NoReflection, _any, _integer, _non_negative, _real
 from .formfactor import FormFactorTable
 
 
@@ -175,15 +175,15 @@ def q_over_4pi(crystal: CrystalSpec, r: Reflection) -> float:
 
 def debye_waller(B: float, q_over_4pi: float) -> float:
     """Thermal attenuation exp[-B (Q/4pi)^2]; 1 at Q=0 or B=0. ValueError
-    for a Q/4pi that leaves it undefined (NaN, or infinite at B = 0) or is
-    an int past the float range."""
+    for a Q/4pi that is not a real number in the float range or leaves it
+    undefined (NaN, or infinite at B = 0)."""
     B = _real(B, _non_negative, "B must be non-negative and finite")
-    try:
-        dw = math.exp(-B * q_over_4pi * q_over_4pi)
-    except OverflowError:  # an int Q/4pi past the float range
-        raise ValueError("Q/4pi must lie in the float range") from None
+    q = q_over_4pi
+    if type(q) is not float:  # an exact float, the common case, skips the helper's call
+        q = _real(q, _any, "Q/4pi must be a real number in the float range")
+    dw = math.exp(-B * q * q)  # B >= 0: no overflow
     if dw != dw:
-        raise ValueError(f"Q/4pi = {q_over_4pi:.6g} 1/A leaves exp(-B (Q/4pi)^2) undefined "
+        raise ValueError(f"Q/4pi = {q:.6g} 1/A leaves exp(-B (Q/4pi)^2) undefined "
                          f"at B = {B:.6g} A^2")
     return dw
 

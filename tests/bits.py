@@ -34,8 +34,6 @@ The cases:
   windows, and plans of off-candidate scans;
 * f_at, synthetic amplitudes, error budgets, joint fits, fit_bne and
   fit_temperature_factor on seeded synthetic data;
-* slope_uncertainty on seeded abscissas, on each input it refuses, and on
-  lists holding a bool and an int past 64 bits;
 * the weighted line _line itself, free and fixed intercept, slope and sigma
   or sigma alone, on seeded abscissas spaced from 1 down to 1e-3 of their
   mean (cancellation factors S Sxx / (S Sxx - Sx^2) from 2.6 to 5.5e7), and on
@@ -223,8 +221,7 @@ def _build() -> None:
         GERMANIUM, SILICON, BeamSpectrum, BladeGeometry, FormFactorTable, Measurement, Reflection,
         ScatteringModel, SpectrumWindow, bessel_j0, bragg_angle, charge_radius_from_bne,
         debye_waller, debye_waller_correct, fit_bne, fit_temperature_factor, intensity_profile,
-        pendellosung_argument, plan_reflection, scattering_model, slope_uncertainty,
-        synth_measurements,
+        pendellosung_argument, plan_reflection, scattering_model, synth_measurements,
     )
     from pendellosung.constants import CODATA
     from pendellosung.fringes import _SWEEP_BLOCK
@@ -334,29 +331,6 @@ def _build() -> None:
                                                     include_forward=fwd, free_intercept=free)
                 CASES[f"fit_bne {label} seed={seed} forward={fwd}"] = partial(
                     fit_bne, ms, SILICON, table, include_forward=fwd)
-    for seed in range(24):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 12))
-        xs = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-3, 3)
-        sigmas = 10.0 ** rng.uniform(-4, 0, n)
-        CASES[f"slope_uncertainty seed={seed} n={n}"] = partial(slope_uncertainty, xs, sigmas)
-    refusals = {
-        "lengths": ([0.1, 0.2, 0.3], [0.01, 0.01]),
-        "one point": ([0.1], [0.01]),
-        "nan abscissa": ([0.1, float("nan")], [0.01, 0.01]),
-        "inf abscissa": ([0.1, float("inf")], [0.01, 0.01]),
-        "zero sigma": ([0.1, 0.2], [0.01, 0.0]),
-        "negative sigma": ([0.1, 0.2], [-0.01, 0.01]),
-        "inf sigma": ([0.1, 0.2], [0.01, float("inf")]),
-        "nan sigma": ([0.1, 0.2], [float("nan"), 0.01]),
-        "one abscissa": ([0.3, 0.3, 0.3], [0.01, 0.02, 0.03]),
-        "overflowing sums": ([1e200, -1e200], [1.0, 1.0]),
-    }
-    for what, (xs, sigmas) in refusals.items():
-        CASES[f"slope_uncertainty refuses {what}"] = partial(slope_uncertainty, xs, sigmas)
-    # A list is checked entry by entry: a bool is refused, a big int is its float.
-    CASES["slope_uncertainty bool abscissa"] = partial(slope_uncertainty, [0.0, True], [0.5, 0.5])
-    CASES["slope_uncertainty int past 64 bits"] = partial(slope_uncertainty, [0, 10**20], [1, 1])
 
     for seed in range(4):
         rng = np.random.default_rng(seed)

@@ -24,8 +24,8 @@ when its condition guard called ``np.linalg.cond``. It states
 computes the singular values itself verdict for verdict, which no bits case
 does.
 
-``line_exact`` is the weighted straight line of the fits, the error budget
-and ``slope_uncertainty`` in exact rational arithmetic on the float rows, by
+``line_exact`` is the weighted straight line of the fits and the error budget
+in exact rational arithmetic on the float rows, by
 the textbook normal equations, with no centring: the reference against which
 the package's rounding is bounded.
 """

@@ -127,6 +127,16 @@ class TestPlan:
             f"config error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff "
             "in position 0: invalid start byte\n")
 
+    def test_form_factor_table_not_utf8(self, tmp_path, capsys):
+        table = tmp_path / "ff.csv"
+        table.write_bytes(b"q_over_4pi_A_inv,f\n0,1\n0.2,0.8\xb0\n")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[crystal]\nform_factor_csv = {table}\n")
+        assert run("--config", str(cfg), "plan", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"config error: form-factor table: {table}: 'utf-8' codec can't decode byte 0xb0 "
+            "in position 30: invalid start byte\n")
+
     def test_missing_config_file(self, tmp_path):
         assert run("--config", str(tmp_path / "nope.ini"), "plan") == 2
 

@@ -26,7 +26,9 @@ from pendellosung import (
     bragg_angle,
     charge_radius_from_bne,
     debye_waller,
+    debye_waller_correct,
     error_budget,
+    extract_bne_single,
     fit_bne,
     fit_temperature_factor,
     fringe_count,
@@ -35,7 +37,6 @@ from pendellosung import (
     monte_carlo_validate,
     pendellosung_argument,
     q_over_4pi,
-    slope_uncertainty,
     synth_measurements,
 )
 from pendellosung import fringes
@@ -464,11 +465,16 @@ def _mc(model, n):
     return res.n_trials, res.empirical_cov.tolist(), res.analytic_cov.tolist()
 
 
+_EXTRACT_ARGS = (4.1538, 0.0011, 4.1507, 0.0002, 14, 0.7526)  # extract_bne_single's six
+
+
 # (entry point, the ValueError message it refuses with) per integer argument.
 _INTEGER_SITES = {
     "Miller index": (lambda model, blade, v: Reflection(v, 1, 1),
                      "Miller indices must be integers"),
     "Z": (lambda model, blade, v: replace(SILICON, Z=v), "Z must be an integer >= 1"),
+    "extract_bne_single Z": (lambda model, blade, v: extract_bne_single(
+        *_EXTRACT_ARGS[:4], v, _EXTRACT_ARGS[5]), "Z must be an integer >= 1"),
     "n_samples": (_profile, "n_samples must be an integer >= 2"),
     "n_trials": (lambda model, blade, v: _mc(model, v), "n_trials must be an integer >= 2"),
     "seed": (lambda model, blade, v: synth_measurements(model, SILICON, [Reflection(4, 2, 2)],
@@ -510,6 +516,8 @@ _REAL_LIKE = st.one_of(
 )
 _TWO = [Reflection(4, 2, 2), Reflection(6, 2, 0)]
 _RADIUS = "b_ne must be finite, sigma_b_ne non-negative and finite"
+_FLOAT_Q = "Q/4pi must be a real number in the float range"
+_DWC_ARGS = (3.8, 0.001, 0.46, 0.003, 0.5)  # debye_waller_correct's five reals
 
 
 # (entry point, the ValueError message it refuses with) per real argument.
@@ -522,6 +530,24 @@ _REAL_SITES = {
     "ScatteringModel B": (lambda model, v: ScatteringModel(0.0, v, SILICON_TABLE),
                           "B must be non-negative and finite"),
     "debye_waller B": (lambda model, v: debye_waller(v, 0.5), "B must be non-negative and finite"),
+    "debye_waller q_over_4pi": (lambda model, v: debye_waller(0.5, v), _FLOAT_Q),
+    **{f"debye_waller_correct {name}": (
+        lambda model, v, i=i: debye_waller_correct(*_DWC_ARGS[:i], v, *_DWC_ARGS[i + 1:]), message)
+       for i, (name, message) in enumerate([
+           ("b_meas_value", "b_meas must be a real number in the float range"),
+           ("sigma_b_meas", "sigma_b_meas must be non-negative and finite"),
+           ("B", "B must be non-negative and finite"),
+           ("sigma_B", "sigma_B must be non-negative and finite"),
+           ("q_over_4pi", _FLOAT_Q)])},
+    **{f"extract_bne_single {name}": (
+        lambda model, v, i=i: extract_bne_single(*_EXTRACT_ARGS[:i], v, *_EXTRACT_ARGS[i + 1:]),
+        message)
+       for i, name, message in [
+           (0, "b_q", "b_q must be finite"),
+           (1, "sigma_b_q", "sigma_b_q must be non-negative and finite"),
+           (2, "b_nuclear", "b_nuclear must be finite"),
+           (3, "sigma_b_nuclear", "sigma_b_nuclear must be non-negative and finite"),
+           (5, "f", "f must be finite")]},  # Z, at 4, is an integer site
     **{f"SpectrumWindow {name}": (lambda model, v, name=name: SpectrumWindow(**{name: v}),
                                   "lambda_peak and lambda_max must be positive and finite")
        for name in ("lambda_max", "lambda_peak")},
@@ -561,14 +587,10 @@ _REAL_SITES = {
         SILICON, model, _TWO[0], BladeGeometry(), v), "wavelengths must be real numbers"),
     "pendellosung_argument list": (lambda model, v: pendellosung_argument(
         SILICON, model, _TWO[0], BladeGeometry(), [1.2, v]), "wavelengths must be real numbers"),
-    "slope_uncertainty xs": (lambda model, v: slope_uncertainty([0.0, v], [0.01, 0.02]),
-                             "abscissas and sigmas must be finite"),
-    "slope_uncertainty sigmas": (lambda model, v: slope_uncertainty([0.0, 1.0], [0.5, v]),
-                                 "abscissas and sigmas must be finite"),
 }
 
 
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=520, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(site=st.sampled_from(sorted(_REAL_SITES)), value=_REAL_LIKE)
 # Each of these built a window, ran, or raised a bare TypeError or OverflowError.
 @example(site="SpectrumWindow lambda_min", value=True)
@@ -577,13 +599,14 @@ _REAL_SITES = {
 @example(site="pendellosung_argument lam", value="1.2")
 @example(site="pendellosung_argument lam", value=10**400)
 @example(site="bessel_j0 x", value=10**400)
-@example(site="slope_uncertainty xs", value=False)
-@example(site="slope_uncertainty sigmas", value="0.5")
+@example(site="debye_waller q_over_4pi", value=True)
+@example(site="debye_waller q_over_4pi", value="0.5")
+@example(site="debye_waller_correct q_over_4pi", value=True)
+@example(site="extract_bne_single f", value="0.5")
 # A bool in a list of floats ran as 1.0, and an int past 64 bits was refused.
 @example(site="bessel_j0 list", value=True)
-@example(site="slope_uncertainty xs", value=True)
-@example(site="slope_uncertainty xs", value=10**20)
-@example(site="slope_uncertainty sigmas", value=np.bool_(True))
+@example(site="bessel_j0 list", value=10**20)
+@example(site="pendellosung_argument list", value=np.bool_(True))
 @example(site="pendellosung_argument list", value=2**64)
 def test_real_arguments_are_their_float_or_refused(si_model, site, value):
     """A real argument given as any value either runs exactly as float(value)
@@ -619,8 +642,7 @@ _NON_REAL_ARRAYS = {
 
 
 @pytest.mark.parametrize("dtype", sorted(_NON_REAL_ARRAYS))
-@pytest.mark.parametrize("site", ["bessel_j0 x", "pendellosung_argument lam",
-                                  "slope_uncertainty xs", "slope_uncertainty sigmas"])
+@pytest.mark.parametrize("site", ["bessel_j0 x", "pendellosung_argument lam"])
 def test_arrays_of_other_dtypes_are_refused(si_model, site, dtype):
     """An array argument is judged by its dtype: a numpy array of bools,
     strings, bytes, complex numbers, objects or dates is refused with the
@@ -629,8 +651,6 @@ def test_arrays_of_other_dtypes_are_refused(si_model, site, dtype):
         "bessel_j0 x": bessel_j0,
         "pendellosung_argument lam": lambda a: pendellosung_argument(
             SILICON, si_model, _TWO[0], BladeGeometry(), a),
-        "slope_uncertainty xs": lambda a: slope_uncertainty(a, [0.01, 0.02]),
-        "slope_uncertainty sigmas": lambda a: slope_uncertainty([0.0, 1.0], a),
     }
     with pytest.raises(ValueError) as info:
         calls[site](_NON_REAL_ARRAYS[dtype])

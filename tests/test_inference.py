@@ -34,7 +34,6 @@ from pendellosung import (
     monte_carlo_validate,
     q_over_4pi,
     scattering_model,
-    slope_uncertainty,
     structure_factor_magnitude,
     survey,
     synth_measurements,
@@ -83,6 +82,12 @@ class TestDebyeWallerCorrect:
         with pytest.raises(ValueError, match=re.escape(
                 f"at B = {big_b:.6g} A^2, Q/4pi = {q:.6g} 1/A leaves b(Q) = ")):
             debye_waller_correct(b, 0.001, big_b, 0.01, q)
+
+
+    def test_q_squared_past_the_float_range_is_refused(self):
+        # At the smallest B, exp(-B q^2) stays near 1 while q^2 overflows.
+        with pytest.raises(ValueError, match=r"^Q/4pi = 1e\+155 1/A squares past the float range$"):
+            debye_waller_correct(1.0, 0.001, 5e-324, 0.01, 1e155)
 
 
 class TestExtractBneSingle:
@@ -146,63 +151,37 @@ class TestChargeRadius:
         assert math.isfinite(r2) and math.isfinite(sigma_r2)
 
 
-class TestSlopeUncertainty:
+class TestLine:
+    """The weighted straight line of both fits and both error_budget stages,
+    inference._line, on rows given to it directly."""
+
+    @staticmethod
+    def _sigma(xs, sigmas):
+        with np.errstate(over="ignore", invalid="ignore"):  # as its callers run it
+            return inference._line(np.array(xs, float), np.array(sigmas, float))[1]
+
     def test_two_equal_points(self):
-        s = slope_uncertainty([0.0, 1.0], [0.5, 0.5])
-        assert s == pytest.approx(0.5 * math.sqrt(2), rel=1e-12)
+        assert self._sigma([0.0, 1.0], [0.5, 0.5]) == pytest.approx(0.5 * math.sqrt(2), rel=1e-12)
 
     def test_shift_invariance(self):
         xs = [0.1, 0.4, 0.9, 1.3]
         sig = [0.2, 0.1, 0.3, 0.15]
-        a = slope_uncertainty(xs, sig)
-        b = slope_uncertainty([x + 5.0 for x in xs], sig)
+        a = self._sigma(xs, sig)
+        b = self._sigma([x + 5.0 for x in xs], sig)
         assert a == pytest.approx(b, rel=1e-9)
-
-    def test_symmetric_design_decorrelates(self):
-        # Equal sigmas symmetric about zero: Sx = 0, so slope and
-        # intercept estimates are uncorrelated.
-        xs = np.array([-2.0, -1.0, 1.0, 2.0])
-        w = 1.0 / 0.3**2
-        sx = (w * xs).sum()
-        assert sx == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize("xs, sigmas", [([1.0, 2.0, 3.0], [1.0, 1.0]),
-                                            ([1.0, 2.0], [1.0, 1.0, 1.0]),
-                                            ([1.0, 2.0], 1.0)])
-    def test_one_sigma_per_abscissa(self, xs, sigmas):
-        with pytest.raises(ValueError, match="^need one sigma per abscissa, got "):
-            slope_uncertainty(xs, sigmas)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateDesign):
-            slope_uncertainty([1.0, 1.0, 1.0], [0.1, 0.1, 0.1])
-        with pytest.raises(InsufficientData):
-            slope_uncertainty([1.0], [0.1])
+            self._sigma([1.0, 1.0, 1.0], [0.1, 0.1, 0.1])
 
     @settings(max_examples=300, deadline=None)
     @given(x=st.floats(allow_nan=False, allow_infinity=False),
            sigmas=st.lists(st.floats(1e-70, 1e70), min_size=2, max_size=12))
     @example(x=0.86, sigmas=[0.78, 0.48])  # the uncentred sums gave 2.9e7
     def test_equal_abscissas_are_refused_whatever_the_weights(self, x, sigmas):
-        # Shifted by the first abscissa, equal ones centre to exactly 0.
+        # Shifted by the heaviest abscissa, equal ones centre to exactly 0.
         with pytest.raises(DegenerateDesign, match="^abscissas do not constrain a slope$"):
-            slope_uncertainty([x] * len(sigmas), sigmas)
-
-    @pytest.mark.parametrize("sigma", [0.0, -0.1])
-    def test_sigmas_must_be_positive(self, sigma):
-        with pytest.raises(ValueError, match="sigmas must be positive"):
-            slope_uncertainty([0.0, 1.0], [0.1, sigma])
-
-    @pytest.mark.parametrize("xs, sigmas", [
-        ([0.0, 1.0], [0.1, math.nan]), ([0.0, 1.0], [0.1, math.inf]),
-        ([0.0, math.nan], [0.1, 0.1]), ([0.0, math.inf], [0.1, 0.1]),
-        ([-math.inf, 1.0], [0.1, 0.1]),
-    ], ids=["nan-sigma", "inf-sigma", "nan-x", "inf-x", "-inf-x"])
-    def test_non_finite_inputs_are_refused(self, xs, sigmas):
-        # Unchecked, a nan sigma reads as a degenerate design and an
-        # infinite one drops its point from a finite slope error.
-        with pytest.raises(ValueError, match="must be (positive and )?finite"):
-            slope_uncertainty(xs, sigmas)
+            self._sigma([x] * len(sigmas), sigmas)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_is_the_line_fits_slope_sigma(self, seed):
@@ -214,30 +193,31 @@ class TestSlopeUncertainty:
         sigmas = 10.0 ** rng.uniform(-4, 0, n)
         ys = rng.normal(size=n)
         slope, sigma = inference._line(xs, sigmas, ys)
-        assert slope_uncertainty(xs, sigmas) == sigma
+        assert inference._line(xs, sigmas) == (None, sigma)
         coef, cov = np.polyfit(xs, ys, 1, w=1.0 / sigmas, cov="unscaled")
         assert slope == pytest.approx(coef[0], rel=1e-9)
         assert sigma == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-9)
 
     def test_overflowing_sums_are_degenerate(self):
         with pytest.raises(DegenerateDesign, match="^abscissas do not constrain a slope$"):
-            slope_uncertainty([1e200, -1e200], [1.0, 1.0])
+            self._sigma([1e200, -1e200], [1.0, 1.0])
         with pytest.raises(DegenerateDesign, match="^abscissas do not constrain a slope$"), \
                 np.errstate(over="ignore", invalid="ignore"):  # as its callers run it
             inference._line(np.array([1e200, -1e200]), np.ones(2), np.zeros(2))
 
     @pytest.mark.parametrize("sigma", [1e-300, 1e-76, 1e76, 1e300])
-    def test_weights_out_of_range_are_refused(self, sigma):
+    def test_weights_out_of_range_are_refused(self, si_model, new_eight, sigma):
+        # A row error sy = sigma / b past 1e-75..1e75 never reaches the line.
         with pytest.raises(ValueError, match=re.escape(f"sigma = {sigma:.6g} fm gives a row")):
-            slope_uncertainty([0.0, 1.0], [0.1, sigma])
+            error_budget(si_model, SILICON, new_eight, sigma_b_meas=sigma)
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("forward", [True, False])
     @pytest.mark.parametrize("propagate", [True, False])
-    def test_budget_core_is_slope_uncertainty(self, si_model, pure_plans, seed, forward,
-                                              propagate, monkeypatch):
-        # error_budget reduces both stages through the private core; on the
-        # rows of each stage it equals the checked public function bit for bit.
+    def test_budget_core_is_the_line(self, si_model, pure_plans, seed, forward,
+                                     propagate, monkeypatch):
+        # error_budget reduces both stages through the line, which forms no
+        # slope there, and quotes its sigmas bit for bit.
         rng = np.random.default_rng(seed)
         pool = [p.reflection for p in pure_plans]
         refls = [pool[i] for i in sorted(rng.choice(len(pool), int(rng.integers(2, 10)),
@@ -248,17 +228,15 @@ class TestSlopeUncertainty:
         def spy(x, sy, *rest):
             assert rest == ()  # the budget forms no slope
             out = core(x, sy)
-            seen.append((x.copy(), sy.copy(), out[1]))
+            seen.append(out[1])
             return out
 
         monkeypatch.setattr(inference, "_line", spy)
         budget = error_budget(si_model, SILICON, refls, sigma_b_meas=sigma,
                               include_forward=forward, propagate_sigma_B=propagate)
         monkeypatch.undo()
-        (x_b, sy_b, sigma_big_b), (x_bne, sy_bne, slope_bne) = seen
+        sigma_big_b, slope_bne = seen
         assert (budget.sigma_B, budget.sigma_bne) == (sigma_big_b, slope_bne / SILICON.Z)
-        assert slope_uncertainty(x_b, sy_b) == sigma_big_b
-        assert slope_uncertainty(x_bne, sy_bne) == slope_bne
 
     def test_matches_budget_bne_stage(self, si_model, new_eight):
         # Rebuild the b_ne-stage slope error by hand from the same inputs.
@@ -272,7 +250,7 @@ class TestSlopeUncertainty:
             b_q = b_meas(SILICON, si_model, q) / dw
             xs.append(1.0 - si_model.form_factor.f_at(q))
             sigs.append(0.0008 / dw + b_q * q * q * budget.sigma_B)
-        assert slope_uncertainty(xs, sigs) / 14 == pytest.approx(budget.sigma_bne, rel=1e-12)
+        assert self._sigma(xs, sigs) / 14 == pytest.approx(budget.sigma_bne, rel=1e-12)
 
 
 class TestTemperatureFactorFit:
@@ -707,7 +685,7 @@ class TestModelAmplitudeNotPositive:
 
 
 class TestLineIsExact:
-    """The weighted line, reached through error_budget, slope_uncertainty,
+    """The weighted line, reached through error_budget, directly,
     fit_bne and fit_temperature_factor (free and fixed intercept), against
     exact rational arithmetic on the float rows each one builds
     (oracles.line_exact): every sigma within 1e-15 relative, every slope
@@ -728,8 +706,7 @@ class TestLineIsExact:
     @settings(max_examples=100, deadline=None)
     @given(indices=st.sets(st.integers(0, 8), min_size=2), sigma=st.floats(1e-5, 1e-2),
            forward=st.booleans(), propagate=st.booleans())
-    def test_budget_and_slope_uncertainty(self, si_model, pure_plans, indices, sigma,
-                                          forward, propagate):
+    def test_budget_and_line(self, si_model, pure_plans, indices, sigma, forward, propagate):
         refls = [pure_plans[i].reflection for i in sorted(indices)]
         assume(forward or len({r.n_sq for r in refls}) >= 2)  # (551), (711) share one Q
         budget = error_budget(si_model, SILICON, refls, sigma_b_meas=sigma,
@@ -743,7 +720,7 @@ class TestLineIsExact:
                                       ((x_bne, sy_bne), budget.sigma_bne, SILICON.Z)):
             exact = line_exact(x.tolist(), sy.tolist())
             self._near(None, sigma_got, exact, z)
-            self._near(None, slope_uncertainty(x.tolist(), sy.tolist()), exact)
+            self._near(None, inference._line(x, sy)[1], exact)
 
     @settings(max_examples=100, deadline=None)
     @given(indices=st.sets(st.integers(0, 8), min_size=2), seed=st.integers(0, 2**32),
@@ -773,7 +750,7 @@ class TestLineIsExact:
         rng = np.random.default_rng(0)
         for u, a in zip(rng.uniform(-0.05, 0.05, 3000), 7e-5 * rng.uniform(0.5, 1.5, 3000)):
             x, sy = [0.3 + u, 1 - a, 1 + a], [1e4, 1.0, 1.0]
-            self._near(None, slope_uncertainty(x, sy), line_exact(x, sy))
+            self._near(None, inference._line(np.array(x), np.array(sy))[1], line_exact(x, sy))
 
 
 class TestDegenerateFitBranches:
@@ -1373,9 +1350,7 @@ class TestMeasurementInvariants:
 
 
 _HUGE = 10**400  # an int that float() cannot take
-_DWC = "b_meas, sigma_b_meas and sigma_B must lie in the float range"
-_EXTRACT = "amplitudes, errors, Z and f must lie in the float range"
-_SLOPE = "abscissas and sigmas must be finite"
+_FLOAT_Q = "Q/4pi must be a real number in the float range"
 
 
 @pytest.mark.parametrize("enter, error, message", [
@@ -1393,21 +1368,28 @@ _SLOPE = "abscissas and sigmas must be finite"
      "Si: q=inf beyond tabulated domain (max 0.68898 + 5% margin)"),
     (lambda m, r: m.form_factor.f_at(-_HUGE), FormFactorRangeError,
      "negative momentum transfer q=-inf"),
-    (lambda m, r: debye_waller(0.46, _HUGE), ValueError, "Q/4pi must lie in the float range"),
-    (lambda m, r: debye_waller_correct(_HUGE, 0.001, 0.46, 0.01, 0.5), ValueError, _DWC),
-    (lambda m, r: debye_waller_correct(3.8, _HUGE, 0.46, 0.01, 0.5), ValueError, _DWC),
-    (lambda m, r: debye_waller_correct(3.8, 0.001, 0.46, _HUGE, 0.5), ValueError, _DWC),
-    (lambda m, r: extract_bne_single(_HUGE, 0.001, 4.15, 0.001, 14, 0.5), ValueError, _EXTRACT),
-    (lambda m, r: extract_bne_single(3.8, _HUGE, 4.15, 0.001, 14, 0.5), ValueError, _EXTRACT),
-    (lambda m, r: extract_bne_single(3.8, 0.001, _HUGE, 0.001, 14, 0.5), ValueError, _EXTRACT),
-    (lambda m, r: extract_bne_single(3.8, 0.001, 4.15, 0.001, _HUGE, 0.5), ValueError, _EXTRACT),
-    (lambda m, r: extract_bne_single(3.8, 0.001, 4.15, 0.001, 14, -_HUGE), ValueError, _EXTRACT),
-    (lambda m, r: slope_uncertainty([0.1, _HUGE], [0.01, 0.01]), ValueError, _SLOPE),
-    (lambda m, r: slope_uncertainty([0.1, 0.2], [0.01, _HUGE]), ValueError, _SLOPE),
+    (lambda m, r: debye_waller(0.46, _HUGE), ValueError, _FLOAT_Q),
+    (lambda m, r: debye_waller_correct(_HUGE, 0.001, 0.46, 0.01, 0.5), ValueError,
+     "b_meas must be a real number in the float range"),
+    (lambda m, r: debye_waller_correct(3.8, _HUGE, 0.46, 0.01, 0.5), ValueError,
+     "sigma_b_meas must be non-negative and finite"),
+    (lambda m, r: debye_waller_correct(3.8, 0.001, 0.46, _HUGE, 0.5), ValueError,
+     "sigma_B must be non-negative and finite"),
+    (lambda m, r: debye_waller_correct(3.8, 0.001, 0.46, 0.01, _HUGE), ValueError, _FLOAT_Q),
+    (lambda m, r: extract_bne_single(_HUGE, 0.001, 4.15, 0.001, 14, 0.5), ValueError,
+     "b_q must be finite"),
+    (lambda m, r: extract_bne_single(3.8, _HUGE, 4.15, 0.001, 14, 0.5), ValueError,
+     "sigma_b_q must be non-negative and finite"),
+    (lambda m, r: extract_bne_single(3.8, 0.001, _HUGE, 0.001, 14, 0.5), ValueError,
+     "b_nuclear must be finite"),
+    (lambda m, r: extract_bne_single(3.8, 0.001, 4.15, 0.001, _HUGE, 0.5), ValueError,
+     "Z must lie in the float range"),
+    (lambda m, r: extract_bne_single(3.8, 0.001, 4.15, 0.001, 14, -_HUGE), ValueError,
+     "f must be finite"),
 ], ids=["error_budget", "synth", "synth-list", "monte_carlo", "Measurement-sigma",
         "Measurement-b_meas", "f_at", "f_at-negative", "debye_waller-q", "correct-b_meas",
-        "correct-sigma", "correct-sigma_B", "extract-b_q", "extract-sigma", "extract-b_nuclear",
-        "extract-z", "extract-f", "slope-abscissa", "slope-sigma"])
+        "correct-sigma", "correct-sigma_B", "correct-q", "extract-b_q", "extract-sigma",
+        "extract-b_nuclear", "extract-z", "extract-f"])
 def test_an_int_past_the_float_range_is_refused(si_model, new_eight, enter, error, message):
     # Each entry point converts with float(), or catches the OverflowError of
     # the first arithmetic on the int, and refuses with its own error.

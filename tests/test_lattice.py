@@ -244,7 +244,7 @@ class TestDebyeWaller:
         assert debye_waller(0.46, math.inf) == 0.0
 
     def test_int_q_past_the_float_range_is_refused(self):
-        with pytest.raises(ValueError, match="^Q/4pi must lie in the float range$"):
+        with pytest.raises(ValueError, match="^Q/4pi must be a real number in the float range$"):
             debye_waller(0.46, 10**400)
 
 
