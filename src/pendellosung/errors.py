@@ -84,7 +84,7 @@ def _real_array(a, message: str):
 
     if not isinstance(a, np.ndarray):
         entries = np.asarray(a, dtype=object)
-        return np.array([_real(v, lambda _: True, message) for v in entries.flat],
+        return np.array([_real(v, _any, message) for v in entries.flat],
                         dtype=float).reshape(entries.shape)
     if a.dtype.kind in "iuf":
         return a.astype(float, copy=False)

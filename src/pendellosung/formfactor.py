@@ -146,15 +146,16 @@ def table_from_csv(path, element: str = "") -> FormFactorTable:
     ValueError, naming the file, for one that is not UTF-8 or that breaks
     the layout."""
     with open(path, newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            header, *rows = list(csv.reader(fh)) or [None]
+            header = next(reader, None)
+            if header is None or [c.strip() for c in header[:2]] != ["q_over_4pi_A_inv", "f"]:
+                raise ValueError(f"{path}: expected header 'q_over_4pi_A_inv,f'")
+            samples = []
+            for row in filter(None, reader):  # blank lines skipped, extra fields ignored
+                if len(row) < 2:
+                    raise ValueError(f"{path}: expected at least 2 fields, got {len(row)}")
+                samples.append((float(row[0]), float(row[1])))
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    if header is None or [c.strip() for c in header[:2]] != ["q_over_4pi_A_inv", "f"]:
-        raise ValueError(f"{path}: expected header 'q_over_4pi_A_inv,f'")
-    samples = []
-    for row in filter(None, rows):  # blank lines skipped, extra fields ignored
-        if len(row) < 2:
-            raise ValueError(f"{path}: expected at least 2 fields, got {len(row)}")
-        samples.append((float(row[0]), float(row[1])))
     return FormFactorTable(element=element or "custom", samples=tuple(samples))

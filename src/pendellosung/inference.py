@@ -164,14 +164,12 @@ def extract_bne_single(b_q: float, sigma_b_q: float,
     b_nuclear = _real(b_nuclear, math.isfinite, "b_nuclear must be finite")
     sigma_b_nuclear = _real(sigma_b_nuclear, _non_negative,
                             "sigma_b_nuclear must be non-negative and finite")
-    z = _integer(z, lambda n: n >= 1, "Z must be an integer >= 1")
+    z = _real(_integer(z, lambda n: n >= 1, "Z must be an integer >= 1"), _positive,
+              "Z must lie in the float range")
     f = _real(f, math.isfinite, "f must be finite")
     if f >= 1.0:
         raise DegenerateDesign("f(Q) = 1 carries no b_ne signal")
-    try:
-        denom = z * (1.0 - f)
-    except OverflowError:  # an int Z past the float range
-        raise ValueError("Z must lie in the float range") from None
+    denom = z * (1.0 - f)
     return (b_nuclear - b_q) / denom, math.hypot(sigma_b_q, sigma_b_nuclear) / denom
 
 

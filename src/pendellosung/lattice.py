@@ -178,9 +178,7 @@ def debye_waller(B: float, q_over_4pi: float) -> float:
     for a Q/4pi that is not a real number in the float range or leaves it
     undefined (NaN, or infinite at B = 0)."""
     B = _real(B, _non_negative, "B must be non-negative and finite")
-    q = q_over_4pi
-    if type(q) is not float:  # an exact float, the common case, skips the helper's call
-        q = _real(q, _any, "Q/4pi must be a real number in the float range")
+    q = _real(q_over_4pi, _any, "Q/4pi must be a real number in the float range")
     dw = math.exp(-B * q * q)  # B >= 0: no overflow
     if dw != dw:
         raise ValueError(f"Q/4pi = {q:.6g} 1/A leaves exp(-B (Q/4pi)^2) undefined "
