@@ -7,7 +7,7 @@ module. Every other name is private."""
 
 from types import ModuleType as _ModuleType
 
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA, charge_radius_from_bne
 from .errors import (
     ConfigError,
     DegenerateDesign,
@@ -35,7 +35,6 @@ from .inference import (
     FitResult,
     Measurement,
     MonteCarloResult,
-    charge_radius_from_bne,
     debye_waller_correct,
     error_budget,
     extract_bne_single,

@@ -53,7 +53,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import fringes, inference, lattice, planner
-from .constants import CODATA
+from .constants import CODATA, charge_radius_from_bne
 from .errors import (ConfigError, FormFactorRangeError, PendellosungError, SurveyTooLarge,
                      _non_negative, _positive)
 from .formfactor import table_from_csv
@@ -519,7 +519,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
         print(f"  b_ne = {bne:.6g} +- {s_bne:.2g} fm")
         rows += [["param", "b_ne", "", _fmt(bne)], ["sigma", "b_ne", "", _fmt(s_bne)]]
     if mode != "B":
-        r2, s_r2 = inference.charge_radius_from_bne(CODATA, bne, s_bne)
+        r2, s_r2 = charge_radius_from_bne(bne, s_bne)
         print(f"  <r_n^2> = {r2:.6g} +- {s_r2:.2g} fm^2")
         rows += [["param", "r2", "", _fmt(r2)], ["sigma", "r2", "", _fmt(s_r2)]]
     out = cfg.out_dir / "fit_report.csv"
@@ -580,11 +580,11 @@ def cmd_budget(cfg: RunConfig, args) -> int:
 
 
 def cmd_radius(cfg: RunConfig, args) -> int:
-    r2, s = inference.charge_radius_from_bne(CODATA, args.bne, args.sigma)
+    r2, s = charge_radius_from_bne(args.bne, args.sigma)
     print(f"b_ne = {args.bne:.6g} fm -> <r_n^2> = {r2:.6g} +- {s:.2g} fm^2")
     print("reference values:")
     for label, bne, sig in _REFERENCE_BNE.values():
-        rr, ss = inference.charge_radius_from_bne(CODATA, bne, sig)
+        rr, ss = charge_radius_from_bne(bne, sig)
         print(f"  {label:15s} b_ne = {bne:.6g} fm  <r_n^2> = {rr:.6g} +- {ss:.2g} fm^2")
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormFactorRangeError, _real
+from .errors import FormFactorRangeError, _any, _real
 
 # Fractional q margin past the last sample over which linear extrapolation
 # (in the transformed coordinates) is still accepted.
@@ -124,10 +124,7 @@ class FormFactorTable:
         extended linearly in (q^2, ln f); beyond that the value is
         undefined and a FormFactorRangeError is raised.
         """
-        try:
-            q = float(q_over_4pi)
-        except OverflowError:  # an int past the float range lies past any table
-            q = math.inf if q_over_4pi > 0 else -math.inf
+        q = _real(q_over_4pi, _any, "Q/4pi must be a real number in the float range")
         if q < 0.0:
             raise FormFactorRangeError(f"negative momentum transfer q={q}")
         if q <= self.q_max:
@@ -143,19 +140,19 @@ class FormFactorTable:
 
 def table_from_csv(path, element: str = "") -> FormFactorTable:
     """Load a one-element table from CSV with header q_over_4pi_A_inv,f.
-    ValueError, naming the file, for one that is not UTF-8 or that breaks
-    the layout."""
+    ValueError, naming the file, for one that is not UTF-8, that breaks the
+    layout or that holds a value float() cannot read."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None or [c.strip() for c in header[:2]] != ["q_over_4pi_A_inv", "f"]:
-                raise ValueError(f"{path}: expected header 'q_over_4pi_A_inv,f'")
+                raise ValueError("expected header 'q_over_4pi_A_inv,f'")
             samples = []
             for row in filter(None, reader):  # blank lines skipped, extra fields ignored
                 if len(row) < 2:
-                    raise ValueError(f"{path}: expected at least 2 fields, got {len(row)}")
+                    raise ValueError(f"expected at least 2 fields, got {len(row)}")
                 samples.append((float(row[0]), float(row[1])))
-        except UnicodeDecodeError as exc:
+        except ValueError as exc:  # a UnicodeDecodeError among them
             raise ValueError(f"{path}: {exc}") from exc
     return FormFactorTable(element=element or "custom", samples=tuple(samples))

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import PhysicalConstants
 from .errors import (DegenerateDesign, InsufficientData, _any, _integer, _non_negative,
                      _positive, _real)
 from .formfactor import FormFactorTable
@@ -171,24 +170,6 @@ def extract_bne_single(b_q: float, sigma_b_q: float,
         raise DegenerateDesign("f(Q) = 1 carries no b_ne signal")
     denom = z * (1.0 - f)
     return (b_nuclear - b_q) / denom, math.hypot(sigma_b_q, sigma_b_nuclear) / denom
-
-
-def charge_radius_from_bne(constants: PhysicalConstants, b_ne: float,
-                           sigma_b_ne: float = 0.0):
-    """Mean-square charge radius <r_n^2> = 3 hbar c b_ne / (alpha m_n c^2).
-
-    Input in fm, output in fm^2; exactly linear, sigma scales alike.
-    ValueError for an input whose quotient is past the float range.
-    """
-    message = "b_ne must be finite, sigma_b_ne non-negative and finite"
-    b_ne = _real(b_ne, math.isfinite, message)
-    sigma_b_ne = _real(sigma_b_ne, _non_negative, message)
-    factor = constants.radius_factor_per_fm()
-    for name, value in (("<r_n^2>", b_ne), ("sigma(<r_n^2>)", sigma_b_ne)):
-        if math.isinf(value / factor):
-            raise ValueError(f"{name} = {value:.6g} fm / {factor:.6g} fm^-1 "
-                             "is past the float range")
-    return b_ne / factor, sigma_b_ne / factor
 
 
 # --- shared reduction core ------------------------------------------------

@@ -19,7 +19,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ForbiddenReflection, NoReflection, _any, _integer, _non_negative, _real
+from .errors import (ForbiddenReflection, NoReflection, _any, _integer, _non_negative, _positive,
+                     _real)
 from .formfactor import FormFactorTable
 
 
@@ -138,7 +139,9 @@ class CrystalSpec:
                                                  f"{name} must be finite"))
         if self.a0 <= 0:
             raise ValueError("a0 must be positive")
-        _integer(self.Z, lambda n: n >= 1, "Z must be an integer >= 1")
+        z = _integer(self.Z, lambda n: n >= 1, "Z must be an integer >= 1")
+        _real(z, _positive, "Z must lie in the float range")  # b(Q) takes b_ne * Z
+        object.__setattr__(self, "Z", z)
         if self.b_nuclear <= 0:
             raise ValueError("b_nuclear must be positive")
         for name in ("B", "sigma_b_nuclear", "sigma_B"):

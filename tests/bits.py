@@ -432,7 +432,7 @@ def _build() -> None:
         CASES[f"real_args {form} fit_bne"] = partial(fit_bne, ms, crystal, table)
         CASES[f"real_args {form} fit_temperature_factor"] = partial(
             fit_temperature_factor, ms, crystal)
-        CASES[f"real_args {form} radius"] = partial(charge_radius_from_bne, CODATA, v["b_ne"],
+        CASES[f"real_args {form} radius"] = partial(charge_radius_from_bne, v["b_ne"],
                                                     v["sigma"])
         samples = ((conv(0), conv(1)), (conv(values["t"]), conv(values["t"]) / 4))
         CASES[f"real_args {form} f_at"] = lambda s=samples: [

@@ -60,6 +60,7 @@ FILES = {
     "ge_ff.csv": "q_over_4pi_A_inv,f\n0,1\n0.15,0.86\n0.3,0.62\n0.45,0.46\n0.6,0.37\n0.75,0.31\n",
     "nan_ff.csv": "q_over_4pi_A_inv,f\n0,1\n0.2,0.8\n0.3,nan\n0.5,0.5\n",
     "short_ff.csv": "q_over_4pi_A_inv,f\n0,1\n0.5\n",
+    "word_ff.csv": "q_over_4pi_A_inv,f\n0,1\nx,0.5\n",
     "si_meas.csv": _SI_MEASUREMENTS,
     # The same rows with a blank line inside: the same fit.
     "si_meas_blank.csv": _SI_MEASUREMENTS.replace("6,2,0", "\n6,2,0"),
@@ -110,6 +111,10 @@ CONFIGS = {
     "nan_table": "[crystal]\nform_factor_csv = nan_ff.csv\n",
     # A table row of one field.
     "short_table": "[crystal]\nform_factor_csv = short_ff.csv\n",
+    # A table value that is not a number.
+    "word_table": "[crystal]\nform_factor_csv = word_ff.csv\n",
+    # An atomic number past the float range.
+    "huge_z": "[crystal]\nz = 1" + "0" * 400 + "\n",
     "nan_blade": "[blade]\nthickness_cm = nan\n",
     # Finite, but the J0 argument overflows.
     "huge_blade": "[blade]\nthickness_cm = 1e300\n",
@@ -175,8 +180,8 @@ _add("narrow", [["plan"], ["plan", "--all", "--strict"], ["budget"], ["synth"],
 _add("blade", [["plan"], ["simulate", "711"], ["simulate", "531", "--spectrum", "maxwellian"],
                ["synth"], ["mc", "--trials", "500"]])
 for _config in ("malformed", "unknown_crystal", "inline_no_table", "bad_reference",
-                "unknown_key", "missing_table", "short_table", "nan_blade", "bad_seed",
-                "not_utf8"):
+                "unknown_key", "missing_table", "short_table", "word_table", "nan_blade",
+                "bad_seed", "not_utf8"):
     _add(_config, [["plan"]])
 _add("nan_table", _ERRORS)
 _add("deep_peak", [["plan"]])
@@ -186,6 +191,7 @@ _add("big_bne", [["plan"], ["simulate", "711"], ["budget"], ["mc", "--trials", "
 _add("zero_sigma_forward", [["budget"], ["mc", "--trials", "100"], ["fit", "si_meas.csv"]])
 _add("tiny_sigma_forward", [["budget"], ["mc", "--trials", "100"], ["fit", "si_meas.csv"]])
 _add("huge_b", [["fit", "si_meas.csv", "--mode", "bne"]])
+_add("huge_z", [["plan"], ["budget"]])
 
 
 def _sha256(data: bytes) -> str:

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from pendellosung import (
-    CODATA,
     GERMANIUM,
     SILICON,
     Reflection,
     ReflectionClass,
     bessel_j0,
     b_meas,
+    charge_radius_from_bne,
     classify,
     contamination,
     debye_waller_correct,
@@ -30,7 +30,6 @@ from pendellosung import (
     survey,
     synth_measurements,
 )
-from pendellosung.inference import charge_radius_from_bne
 
 from oracles import j0_oracle
 
@@ -229,7 +228,7 @@ def test_criterion_9_radius_conversion():
     hbar_c = 197.3269804   # MeV fm
     b_ne = -1.467971e-3
     oracle = 3.0 * hbar_c * b_ne / (alpha * m_n_c2)
-    r2, _ = charge_radius_from_bne(CODATA, b_ne)
+    r2, _ = charge_radius_from_bne(b_ne)
     ok = abs(r2 - oracle) < 1e-4 and abs(r2 + 0.1267) < 2e-4
     _report(9, "charge-radius conversion", ok,
             f"<r^2> = {r2:.6f} fm^2 vs oracle {oracle:.6f}")

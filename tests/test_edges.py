@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from pendellosung import (
-    CODATA,
     GERMANIUM_TABLE,
     SILICON,
     SILICON_TABLE,
@@ -560,9 +559,9 @@ _REAL_SITES = {
                         "wavelength must be positive and finite"),
     "BladeGeometry thickness_cm": (lambda model, v: BladeGeometry(v),
                                    "thickness must be positive and finite"),
-    "charge_radius_from_bne b_ne": (lambda model, v: charge_radius_from_bne(CODATA, v), _RADIUS),
+    "charge_radius_from_bne b_ne": (lambda model, v: charge_radius_from_bne(v), _RADIUS),
     "charge_radius_from_bne sigma_b_ne": (
-        lambda model, v: charge_radius_from_bne(CODATA, 0.0, v), _RADIUS),
+        lambda model, v: charge_radius_from_bne(0.0, v), _RADIUS),
     "synth_measurements sigma": (lambda model, v: synth_measurements(model, SILICON, _TWO,
                                                                      sigma=v),
                                  "sigma must be non-negative and finite"),
@@ -577,6 +576,7 @@ _REAL_SITES = {
         c.tolist() for c in vars(monte_carlo_validate(model, SILICON, _TWO, sigma=v,
                                                        n_trials=4)).values()
         if isinstance(c, np.ndarray)], "sigma must be positive and finite"),
+    "FormFactorTable.f_at q": (lambda model, v: SILICON_TABLE.f_at(v), _FLOAT_Q),
     "FormFactorTable sample": (lambda model, v: FormFactorTable("X", ((0.0, 1.0), (v, 0.5))),
                                "q and f samples must be finite"),
     # Array arguments, alone or beside a float in a list: a list is checked
@@ -590,7 +590,7 @@ _REAL_SITES = {
 }
 
 
-@settings(max_examples=520, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=535, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(site=st.sampled_from(sorted(_REAL_SITES)), value=_REAL_LIKE)
 # Each of these built a window, ran, or raised a bare TypeError or OverflowError.
 @example(site="SpectrumWindow lambda_min", value=True)
@@ -603,6 +603,8 @@ _REAL_SITES = {
 @example(site="debye_waller q_over_4pi", value="0.5")
 @example(site="debye_waller_correct q_over_4pi", value=True)
 @example(site="extract_bne_single f", value="0.5")
+@example(site="FormFactorTable.f_at q", value="0.3")
+@example(site="FormFactorTable.f_at q", value=False)
 # A bool in a list of floats ran as 1.0, and an int past 64 bits was refused.
 @example(site="bessel_j0 list", value=True)
 @example(site="bessel_j0 list", value=10**20)

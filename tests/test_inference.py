@@ -15,7 +15,6 @@ from pendellosung import (
     SILICON,
     DegenerateDesign,
     ForbiddenReflection,
-    FormFactorRangeError,
     InsufficientData,
     Measurement,
     PendellosungError,
@@ -39,6 +38,7 @@ from pendellosung import (
     synth_measurements,
 )
 from pendellosung import inference
+from pendellosung.constants import RADIUS_FACTOR_PER_FM
 from pendellosung.inference import temperature_factor_sigmas
 from pendellosung.lattice import ReflectionClass
 
@@ -114,23 +114,23 @@ class TestExtractBneSingle:
 
 class TestChargeRadius:
     def test_zero(self):
-        assert charge_radius_from_bne(CODATA, 0.0) == (0.0, 0.0)
+        assert charge_radius_from_bne(0.0) == (0.0, 0.0)
 
     def test_theory_value(self):
-        r2, _ = charge_radius_from_bne(CODATA, CODATA.b_ne_theory_fm)
+        r2, _ = charge_radius_from_bne(b_ne=CODATA.b_ne_theory_fm)
         assert r2 == pytest.approx(-0.1267, abs=2e-4)
 
     def test_survey_hypothesis(self):
-        r2, _ = charge_radius_from_bne(CODATA, -1.31e-3)
+        r2, _ = charge_radius_from_bne(-1.31e-3)
         assert r2 == pytest.approx(-0.1131, abs=2e-4)
 
     def test_conversion_factor(self):
-        assert CODATA.radius_factor_per_fm() == pytest.approx(0.011582, abs=1e-6)
+        assert RADIUS_FACTOR_PER_FM == pytest.approx(0.011582, abs=1e-6)
 
     @given(st.floats(-2e-3, 2e-3), st.floats(1.0, 5.0))
     def test_exactly_linear(self, bne, a):
-        r1, _ = charge_radius_from_bne(CODATA, bne)
-        r2, _ = charge_radius_from_bne(CODATA, a * bne)
+        r1, _ = charge_radius_from_bne(bne)
+        r2, _ = charge_radius_from_bne(a * bne)
         assert r2 == pytest.approx(a * r1, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("bne, sigma", [
@@ -138,16 +138,16 @@ class TestChargeRadius:
     ])
     def test_impossible_inputs_rejected(self, bne, sigma):
         with pytest.raises(ValueError, match="^b_ne must be finite, sigma_b_ne non-negative"):
-            charge_radius_from_bne(CODATA, bne, sigma)
+            charge_radius_from_bne(bne, sigma)
 
     @pytest.mark.parametrize("bne, sigma, name", [
         (1e308, 0.0, "<r_n^2>"), (-1e308, 0.0, "<r_n^2>"), (1.0, 1e308, "sigma(<r_n^2>)"),
     ])
     def test_results_past_the_float_range_rejected(self, bne, sigma, name):
         with pytest.raises(ValueError, match=rf"^{re.escape(name)} = .* is past the float range$"):
-            charge_radius_from_bne(CODATA, bne, sigma)
+            charge_radius_from_bne(bne, sigma)
         # Inputs a hundred times smaller have finite quotients and convert.
-        r2, sigma_r2 = charge_radius_from_bne(CODATA, bne / 100, sigma / 100)
+        r2, sigma_r2 = charge_radius_from_bne(bne / 100, sigma / 100)
         assert math.isfinite(r2) and math.isfinite(sigma_r2)
 
 
@@ -1364,10 +1364,8 @@ _FLOAT_Q = "Q/4pi must be a real number in the float range"
      "sigma must be positive and finite"),
     (lambda m, r: Measurement(r[0], 3.0, _HUGE), ValueError, "sigma must be positive and finite"),
     (lambda m, r: Measurement(r[0], _HUGE, 3.0), ValueError, "b_meas must be positive and finite"),
-    (lambda m, r: m.form_factor.f_at(_HUGE), FormFactorRangeError,
-     "Si: q=inf beyond tabulated domain (max 0.68898 + 5% margin)"),
-    (lambda m, r: m.form_factor.f_at(-_HUGE), FormFactorRangeError,
-     "negative momentum transfer q=-inf"),
+    (lambda m, r: m.form_factor.f_at(_HUGE), ValueError, _FLOAT_Q),
+    (lambda m, r: m.form_factor.f_at(-_HUGE), ValueError, _FLOAT_Q),
     (lambda m, r: debye_waller(0.46, _HUGE), ValueError, _FLOAT_Q),
     (lambda m, r: debye_waller_correct(_HUGE, 0.001, 0.46, 0.01, 0.5), ValueError,
      "b_meas must be a real number in the float range"),
@@ -1386,13 +1384,14 @@ _FLOAT_Q = "Q/4pi must be a real number in the float range"
      "Z must lie in the float range"),
     (lambda m, r: extract_bne_single(3.8, 0.001, 4.15, 0.001, 14, -_HUGE), ValueError,
      "f must be finite"),
+    (lambda m, r: replace(SILICON, Z=_HUGE), ValueError, "Z must lie in the float range"),
 ], ids=["error_budget", "synth", "synth-list", "monte_carlo", "Measurement-sigma",
         "Measurement-b_meas", "f_at", "f_at-negative", "debye_waller-q", "correct-b_meas",
         "correct-sigma", "correct-sigma_B", "correct-q", "extract-b_q", "extract-sigma",
-        "extract-b_nuclear", "extract-z", "extract-f"])
+        "extract-b_nuclear", "extract-z", "extract-f", "CrystalSpec-Z"])
 def test_an_int_past_the_float_range_is_refused(si_model, new_eight, enter, error, message):
-    # Each entry point converts with float(), or catches the OverflowError of
-    # the first arithmetic on the int, and refuses with its own error.
+    # Each entry point converts through errors._real and refuses with its own
+    # ValueError.
     with pytest.raises(error) as refused:
         enter(si_model, new_eight)
     assert str(refused.value) == message

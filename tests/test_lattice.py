@@ -345,6 +345,10 @@ class TestCrystalSpec:
         with pytest.raises(ValueError, match="^Z must be an integer >= 1$"):
             replace(SILICON, Z=Z)
 
+    def test_z_is_stored_as_the_checked_int(self):
+        crystal = replace(SILICON, Z=np.int64(14))
+        assert type(crystal.Z) is int and crystal == SILICON
+
 
 class TestReflection:
     def test_exact_ints_skip_the_integer_check(self, monkeypatch):

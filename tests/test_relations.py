@@ -16,7 +16,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pendellosung import (
-    CODATA,
     SILICON,
     BladeGeometry,
     SpectrumWindow,
@@ -214,8 +213,8 @@ class TestExactScalings:
     @given(b_ne=st.floats(1e-6, 1e-2) | st.floats(-1e-2, -1e-6) | st.just(0.0),
            sigma=st.floats(1e-6, 1e-3) | st.just(0.0), k=st.floats(0.1, 10.0))
     def test_radius_is_linear_in_bne(self, b_ne, sigma, k):
-        r2, s2 = charge_radius_from_bne(CODATA, b_ne, sigma)
-        r2_k, s2_k = charge_radius_from_bne(CODATA, k * b_ne, k * sigma)
+        r2, s2 = charge_radius_from_bne(b_ne, sigma)
+        r2_k, s2_k = charge_radius_from_bne(k * b_ne, k * sigma)
         assert r2_k == pytest.approx(k * r2, rel=1e-15, abs=0)
         assert s2_k == pytest.approx(k * s2, rel=1e-15, abs=0)
 

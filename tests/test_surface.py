@@ -1,5 +1,6 @@
 """The package's public surface: pendellosung.__all__, declared once."""
 
+import inspect
 import re
 import types
 from pathlib import Path
@@ -10,8 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 INIT = ROOT / "src" / "pendellosung" / "__init__.py"
 
 
-def test_all_is_the_sixty_public_names():
-    assert len(pendellosung.__all__) == len(set(pendellosung.__all__)) == 60
+def test_all_is_the_fifty_nine_public_names():
+    assert len(pendellosung.__all__) == len(set(pendellosung.__all__)) == 59
     public = {name for name, value in vars(pendellosung).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(pendellosung.__all__) == public
@@ -39,3 +40,16 @@ def test_removed_slope_function_is_named_nowhere():
     assert named == []
     assert not hasattr(pendellosung.inference, removed)
 
+
+
+def test_constants_type_is_private_to_its_module():
+    assert "PhysicalConstants" not in pendellosung.__all__
+    assert not hasattr(pendellosung, "PhysicalConstants")
+    assert type(pendellosung.CODATA) is pendellosung.constants.PhysicalConstants
+
+
+def test_radius_conversion_has_one_binding_and_no_constants_argument():
+    convert = pendellosung.charge_radius_from_bne
+    assert convert is pendellosung.constants.charge_radius_from_bne
+    assert not hasattr(pendellosung.inference, "charge_radius_from_bne")
+    assert list(inspect.signature(convert).parameters) == ["b_ne", "sigma_b_ne"]
