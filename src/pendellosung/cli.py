@@ -590,12 +590,16 @@ def cmd_radius(cfg: RunConfig, args) -> int:
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
+    temperature_factor = args.error_model == "temperature-factor"
+    if temperature_factor and args.sigma is not None:
+        raise ConfigError("--sigma applies only to --error-model flat; the temperature-factor "
+                          "model takes each sigma from the crystal's sigma_B")
     pure = planner.survey(cfg.crystal, cfg.window).pure
     refls = [p.reflection for p in pure] if args.all_pure else _new_reflections(pure)
-    if args.error_model == "temperature-factor":
+    if temperature_factor:
         sigma = inference.temperature_factor_sigmas(cfg.model, cfg.crystal, refls)
     else:
-        sigma = args.sigma
+        sigma = inference.DEFAULT_SIGMA_B_MEAS if args.sigma is None else args.sigma
     ms = inference.synth_measurements(cfg.model, cfg.crystal, refls,
                                       sigma=sigma, seed=cfg.seed)
     out = cfg.out_dir / "measurements.csv"
@@ -669,7 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma", type=_NON_NEGATIVE, default=0.0)
 
     sp = sub.add_parser("synth", help="synthetic measurement CSV", parents=[common])
-    sp.add_argument("--sigma", type=_NON_NEGATIVE, default=inference.DEFAULT_SIGMA_B_MEAS)
+    sp.add_argument("--sigma", type=_NON_NEGATIVE, default=None,
+                    help=f"fm, flat error model only (default {inference.DEFAULT_SIGMA_B_MEAS:g})")
     sp.add_argument("--error-model", choices=("flat", "temperature-factor"),
                     default="flat")
     sp.add_argument("--all-pure", action="store_true",

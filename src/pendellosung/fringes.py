@@ -291,14 +291,18 @@ def intensity_profile(spectrum: BeamSpectrum, crystal: CrystalSpec,
         theta, arg_tile = _sweep(crystal, r, geom, f_mag, lt, out=arg[tile])
         tt = np.multiply(theta, 2.0, out=two_theta[tile])
         tt *= 180.0 / math.pi  # np.degrees
-        # (I0 lambda^2) |F|^2, then J0^2, in place.
+        # (I0 lambda^2) |F|^2, then J0^2, in place; an overflow is refused at the peak.
         j = bessel_j0(arg_tile)
         j *= j
         i0 = spectrum.intensity(lt)
-        i0 *= lt * lt
-        i0 *= f_mag**2
+        with np.errstate(over="ignore"):
+            i0 *= lt * lt
+            i0 *= f_mag**2
         np.multiply(i0, j, out=raw[tile])
     peak = raw.max()
+    if not math.isfinite(peak):
+        raise PendellosungError(f"({r.label()}): peak intensity I0 lambda^2 |F|^2 J0^2 is past "
+                                f"the float range (|F| = {f_mag:.6g} fm)")
     if peak > 0:
         raw /= peak
     return FringeProfile(lam=lam, two_theta_deg=two_theta, argument=arg, intensity=raw)

@@ -181,12 +181,12 @@ _SY_MIN, _SY_MAX = 1e-75, 1e75
 
 
 def _require_weighable(sy, sigma, name="sigma"):
-    """ValueError naming the sigma (one, or a list aligned with sy's end) of
-    the first row error in sy whose weight is out of range."""
+    """ValueError naming sigma[i], the sigma behind the first row error sy[i]
+    whose weight is out of range."""
     bad = [i for i, v in enumerate(sy) if not _SY_MIN <= v <= _SY_MAX]
     if bad:
-        s = sigma if isinstance(sigma, (int, float)) else sigma[bad[0] - len(sy) + len(sigma)]
-        raise ValueError(f"{name} = {s:.6g} fm gives a row weight 1/sy^2 outside 1e-150..1e150")
+        raise ValueError(f"{name} = {sigma[bad[0]]:.6g} fm gives a row weight 1/sy^2 "
+                         "outside 1e-150..1e150")
 
 
 def _forward(crystal: CrystalSpec, include_forward: bool):
@@ -201,7 +201,7 @@ def _forward(crystal: CrystalSpec, include_forward: bool):
         raise DegenerateDesign(f"{crystal.name}: sigma_b_nuclear = 0 gives the forward "
                                "datum infinite weight; set it or exclude the datum")
     s0 = crystal.sigma_b_nuclear
-    _require_weighable((s0 / crystal.b_nuclear, s0), s0, "sigma_b_nuclear")
+    _require_weighable((s0 / crystal.b_nuclear, s0), (s0, s0), "sigma_b_nuclear")
     return crystal.b_nuclear, s0
 
 

@@ -19,8 +19,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import (ForbiddenReflection, NoReflection, _any, _integer, _non_negative, _positive,
-                     _real)
+from .errors import (ForbiddenReflection, NoReflection, PendellosungError, _any, _integer,
+                     _non_negative, _positive, _real)
 from .formfactor import FormFactorTable
 
 
@@ -216,13 +216,18 @@ def _positive_amplitude(m: ScatteringModel, r: Reflection, b: float) -> float:
 def structure_factor_magnitude(crystal: CrystalSpec, m: ScatteringModel, r: Reflection) -> float:
     """|F_hkl| in fm: 4 |1 + i^(h+k+l)| b_meas(Q_hkl); 0 if extinct.
 
-    ValueError when b_meas of an observable reflection is not positive.
+    ValueError when b_meas of an observable reflection is not positive, and
+    PendellosungError when |F|^2 is past the float range.
     """
     cls = classify(r)
     if cls.extinct:
         return 0.0
     b = _positive_amplitude(m, r, b_meas(crystal, m, q_over_4pi(crystal, r)))
-    return cls.amplitude * b
+    f = cls.amplitude * b
+    if f * f == math.inf:  # a float product overflows to inf, where f ** 2 raises
+        raise PendellosungError(f"({r.label()}): |F| = {f:.6g} fm is too large to square "
+                                f"(b_ne = {m.b_ne:.6g} fm, Z = {crystal.Z:.6g})")
+    return f
 
 
 def require_observable(r: Reflection) -> ReflectionClass:

@@ -1,4 +1,5 @@
-"""Byte-identity grid of the command line.
+"""Byte-identity grid of the command line: the one record of the bytes
+each command prints and writes.
 
 Each case runs ``pendellosung`` in process (``cli.main``) in a fresh
 directory that holds the config and data files below, with ``--out out``,
@@ -99,8 +100,14 @@ CONFIGS = {
     # A peak wavelength whose survey walk is past the planner's bound.
     "deep_peak": "[spectrum]\nlambda_peak = 0.01\n",
     "blade": "[blade]\nthickness_cm = 0.5\n[model]\nb_ne = 0.01\nB = 0.3\n[run]\nseed = 9\n",
+    "ge_thin": "[crystal]\nname = Ge\n[blade]\nthickness_cm = 0.5\n",
     # b(Q) DW is negative at every planned reflection past (111).
     "big_bne": "[model]\nb_ne = 1.0\n",
+    # |F| is finite but its square is not, at every planned reflection.
+    "huge_bne": "[model]\nb_ne = -1e200\n",
+    # |F|^2 is finite at (711), its profile's peak I0 lambda^2 |F|^2 is not;
+    # from (422) on, plan's |F|^2 is not.
+    "large_bne": "[model]\nb_ne = -3e152\n",
     # Error configurations.
     "malformed": "[crystal\nname = Si\n",
     "unknown_crystal": "[crystal]\nname = W\n",
@@ -167,6 +174,8 @@ _add("si", _FULL + [
     ["plan", "--out", "si_meas.csv"],  # an existing file as the output directory
     ["radius", "--", "1e308"], ["radius", "--sigma", "1e308", "--", "1"],
     ["fit", "latin1_meas.csv"],
+    ["simulate", "642", "--samples", "50000", "--spectrum", "maxwellian"],
+    ["synth", "--error-model", "temperature-factor", "--sigma", "0.5"],  # --sigma not taken
 ])
 _add("ge", [["plan"], ["plan", "--all", "--strict"], ["simulate", "111"], ["simulate", "711"],
             ["budget"], ["synth"], ["mc"]])
@@ -192,6 +201,9 @@ _add("zero_sigma_forward", [["budget"], ["mc", "--trials", "100"], ["fit", "si_m
 _add("tiny_sigma_forward", [["budget"], ["mc", "--trials", "100"], ["fit", "si_meas.csv"]])
 _add("huge_b", [["fit", "si_meas.csv", "--mode", "bne"]])
 _add("huge_z", [["plan"], ["budget"]])
+_add("ge_thin", [["simulate", "111"]])
+_add("huge_bne", [["plan"], ["simulate", "711"]])
+_add("large_bne", [["plan"], ["simulate", "711"]])
 
 
 def _sha256(data: bytes) -> str:

@@ -36,6 +36,8 @@ from pendellosung import (
     monte_carlo_validate,
     pendellosung_argument,
     q_over_4pi,
+    scattering_model,
+    structure_factor_magnitude,
     synth_measurements,
 )
 from pendellosung import fringes
@@ -154,6 +156,16 @@ class TestFringeEdges:
         with pytest.raises(PendellosungError, match="overflows at lambda = 6.271 A"):
             pendellosung_argument(SILICON, si_model, r, thick, lam)
 
+    def test_overflowing_peak_is_a_typed_error(self):
+        # |F|^2 at (711) is finite, I0 lambda^2 |F|^2 is not at the longer wavelengths;
+        # pytest's filter makes a numpy overflow or divide warning an error.
+        model = scattering_model(SILICON, -3e152)
+        r = Reflection(7, 1, 1)
+        assert math.isfinite(structure_factor_magnitude(SILICON, model, r) ** 2)
+        with pytest.raises(PendellosungError, match=r"^\(711\): peak intensity .* is past the "
+                                                    r"float range \(\|F\| = 1\.27835e\+154 fm\)$"):
+            intensity_profile(BeamSpectrum(), SILICON, model, r, BladeGeometry())
+
     def test_cli_nan_blade_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "nan.ini"
         cfg.write_text("[blade]\nthickness_cm = nan\n")
@@ -220,6 +232,16 @@ class TestCliOptionPaths:
         assert len(rows) == 10  # header + nine survey reflections
         sigmas = [float(r[4]) for r in rows[1:]]
         assert sigmas == sorted(sigmas)  # grow with Q^2 along the survey order
+
+    def test_synth_temperature_factor_takes_no_sigma(self, tmp_path, capsys):
+        # Even the default value is refused when given: the model never reads it.
+        for sigma in ("0.5", "0.0008"):
+            assert run("synth", "--error-model", "temperature-factor", "--sigma", sigma,
+                       "--out", str(tmp_path)) == 2
+            assert capsys.readouterr().err == (
+                "config error: --sigma applies only to --error-model flat; the "
+                "temperature-factor model takes each sigma from the crystal's sigma_B\n")
+        assert not (tmp_path / "measurements.csv").exists()
 
     def test_radius_with_sigma(self, capsys):
         assert run("radius", "--sigma", "0.0003", "--", "-0.00131") == 0

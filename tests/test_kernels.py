@@ -1,12 +1,12 @@
 """The byte contract under other BLAS kernels.
 
 numpy's scipy-openblas is built with DYNAMIC_ARCH, so OPENBLAS_CORETYPE
-picks its gemm and LAPACK kernel per process. The golden digests and the
-command-line grid must hold under each kernel, and so must the Monte-Carlo
-tests, which bound the covariance against np.cov and across draw sizes; the
-last bits of fit values and covariances and of Monte-Carlo covariances need
-not (README, Determinism). Each run is a fresh process, since OpenBLAS reads
-the variable once, when it loads.
+picks its gemm and LAPACK kernel per process. Two runs must pass under each
+kernel: the command-line grid (grid.py --check, the CLI's byte contract) and
+the Monte-Carlo tests, which bound the covariance against np.cov and across
+draw sizes; the last bits of fit values and covariances and of Monte-Carlo
+covariances need not (README, Determinism). Each run is a fresh process,
+since OpenBLAS reads the variable once, when it loads.
 """
 
 import os
@@ -34,10 +34,9 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
 @pytest.mark.parametrize("argv", [
-    ["-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_golden.py"],
     ["tests/grid.py", "--check"],
     ["-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_inference.py", "-k", "MonteCarlo"],
-], ids=["goldens", "grid", "monte-carlo"])
+], ids=["grid", "monte-carlo"])
 def test_byte_contract_holds_under_kernel(coretype, argv):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": path}

@@ -12,6 +12,7 @@ from pendellosung import (
     SILICON_TABLE,
     CrystalSpec,
     NoReflection,
+    PendellosungError,
     Reflection,
     ReflectionClass,
     b_meas,
@@ -316,6 +317,17 @@ class TestStructureFactor:
         with pytest.raises(ValueError, match=r"^model amplitude at \(111\) is nan fm, "):
             structure_factor_magnitude(SILICON, si_model, Reflection(1, 1, 1))
         assert structure_factor_magnitude(SILICON, si_model, Reflection(2, 2, 2)) == 0.0
+
+    def test_refuses_an_amplitude_too_large_to_square(self):
+        # A finite |F| whose square is not: refused, not an OverflowError.
+        huge_z = replace(SILICON, Z=10**300)
+        for crystal, b_ne, text in [
+                (SILICON, -1e200, r"1\.93646e\+201 fm .* = -1e\+200 fm, Z = 14"),
+                (huge_z, -1.31e-3, r"1\.81197e\+297 fm .* = -0\.00131 fm, Z = 1e\+300")]:
+            model = scattering_model(crystal, b_ne)
+            with pytest.raises(PendellosungError, match=rf"^\(111\): \|F\| = {text}\)$"):
+                structure_factor_magnitude(crystal, model, Reflection(1, 1, 1))
+            assert structure_factor_magnitude(crystal, model, Reflection(2, 2, 2)) == 0.0
 
     def test_strong_to_weak_ratio(self, si_model):
         # Same b_meas: the class amplitudes differ by sqrt(2) exactly.
