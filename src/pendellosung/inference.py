@@ -521,7 +521,8 @@ def synth_measurements(model: ScatteringModel, crystal: CrystalSpec,
     model values (each Measurement still needs a positive quoted sigma,
     so the quoted error floor is kept at DEFAULT_SIGMA_B_MEAS). An empty set
     raises InsufficientData, an extinct reflection ForbiddenReflection,
-    (000) DegenerateDesign.
+    (000) DegenerateDesign, and a draw that is not positive and finite
+    ValueError naming its reflection, sigma and seed.
     """
     refls = [r.canonical() for r in reflections]
     if not refls:
@@ -533,9 +534,15 @@ def synth_measurements(model: ScatteringModel, crystal: CrystalSpec,
     else:
         sl = [_real(s, _non_negative, message) for s in
               np.broadcast_to(np.asarray(sigma, dtype=object), (len(refls),)).tolist()]
-    noise = np.random.default_rng(_check_seed(seed)).standard_normal(len(refls))
-    return [Measurement(reflection=r, b_meas=b + s * e, sigma=s if s > 0 else DEFAULT_SIGMA_B_MEAS)
-            for r, b, s, e in zip(refls, b_pred, sl, noise.tolist())]
+    seed = _check_seed(seed)
+    noise = np.random.default_rng(seed).standard_normal(len(refls))
+    rows = [(r, b + s * e, s) for r, b, s, e in zip(refls, b_pred, sl, noise.tolist())]
+    for r, b, s in rows:
+        if not 0 < b < math.inf:
+            raise ValueError(f"synthetic amplitude at ({r.label()}) is {b:.6g} fm, not positive "
+                             f"and finite (sigma = {s:.6g} fm, seed {seed})")
+    return [Measurement(reflection=r, b_meas=b, sigma=s if s > 0 else DEFAULT_SIGMA_B_MEAS)
+            for r, b, s in rows]
 
 
 def temperature_factor_sigmas(model: ScatteringModel, crystal: CrystalSpec,

@@ -209,7 +209,7 @@ def _positive_amplitude(m: ScatteringModel, r: Reflection, b: float) -> float:
     |F|, log row or weight could take it."""
     if not b > 0:
         raise ValueError(f"model amplitude at ({r.label()}) is {b:.6g} fm, not positive "
-                         f"(b_ne = {m.b_ne:.6g} fm)")
+                         f"(b_ne = {m.b_ne:.6g} fm, B = {m.B:.6g} A^2)")
     return b
 
 

@@ -1,12 +1,14 @@
-"""Byte-identity grid of the command line: the one record of the bytes
-each command prints and writes.
+"""Byte-identity grid of the command line: the one record of what each
+command prints and writes.
 
 Each case runs ``pendellosung`` in process (``cli.main``) in a fresh
-directory that holds the config and data files below, with ``--out out``,
-so every path a command prints is the same from run to run. ``grid.json``
-records per case the exit code (or the type and message of an exception
-the command let escape), the warnings raised, and the sha256 of stdout, of
-stderr and of every file written under ``out/``.
+directory that holds the config and data files below, with ``--out out``
+and an 80-column terminal, so every path and usage line a command prints is
+the same from run to run. ``grid.json`` records per case the exit code (or
+the type and message of an exception the command let escape), the warnings
+raised, the text of stdout and of stderr, and the sha256 of every file
+written under ``out/``. A change to what a command prints shows in the
+diff of ``grid.json`` as the lines that moved.
 
     python tests/grid.py --check     # run every case against grid.json
     python tests/grid.py --record    # rewrite grid.json, naming what changes
@@ -26,6 +28,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 GRID_JSON = Path(__file__).with_name("grid.json")
 
@@ -81,6 +84,17 @@ FILES = {
     "tiny_sigma_meas.csv": _SI_MEASUREMENTS.replace(",0.0008", ",1e-300"),
     # A byte that is not UTF-8 in a row.
     "latin1_meas.csv": _SI_MEASUREMENTS.encode().replace(b"3.78769", b"3.78\xb0"),
+    # A (000) row: q = 0 and f = 1 would make it a second forward datum.
+    "forward_meas.csv": "h,k,l,b_meas_fm,sigma_fm\n0,0,0,4.1507,0.0008\n1,1,1,4.1053,0.0008\n",
+    "empty_meas.csv": "h,k,l,b_meas_fm,sigma_fm\n",
+    "header_meas.csv": "a,b,c\n1,2,3\n",
+    "word_meas.csv": "h,k,l,b_meas_fm,sigma_fm\n1,1,1,abc,0.0008\n",
+    "nan_meas.csv": "h,k,l,b_meas_fm,sigma_fm\n4,2,2,nan,0.0008\n6,2,0,3.9,0.0008\n",
+    "short_meas.csv": "h,k,l,b_meas_fm,sigma_fm\n4,2,2,3.9\n6,2,0,3.9,0.0008\n",
+    "latin1_ff.csv": b"q_over_4pi_A_inv,f\n0,1\n0.2,0.8\xb0\n",
+    "coarse_ff.csv": "q_over_4pi_A_inv,f\n0,1\n0.2,0.8\n0.5,0.5\n0.7,0.35\n",
+    # The built-in Ge samples, which end at (111), loaded as a table.
+    "ge_builtin_ff.csv": "q_over_4pi_A_inv,f\n0.0,1.0\n0.15307563478293215,0.8542\n",
 }
 
 _INLINE = ("[crystal]\nname = Si28\na0 = 5.43072\nZ = 14\nb_nuclear = 4.1507\n"
@@ -103,6 +117,8 @@ CONFIGS = {
     "ge_thin": "[crystal]\nname = Ge\n[blade]\nthickness_cm = 0.5\n",
     # b(Q) DW is negative at every planned reflection past (111).
     "big_bne": "[model]\nb_ne = 1.0\n",
+    # The model's Debye-Waller factor underflows to 0 from (551) on.
+    "big_model_b": "[model]\nb = 2000\n",
     # |F| is finite but its square is not, at every planned reflection.
     "huge_bne": "[model]\nb_ne = -1e200\n",
     # |F|^2 is finite at (711), its profile's peak I0 lambda^2 |F|^2 is not;
@@ -132,6 +148,28 @@ CONFIGS = {
     "huge_b": _INLINE.replace("B = 0.4613", "B = 100000"),
     # A UTF-16 byte-order mark, which is not UTF-8.
     "not_utf8": b"\xff\xfe[crystal]\nname = Si\n",
+    "word_a0": "[crystal]\na0 = not-a-number\n",
+    # Each malformed file is named with the line where it goes wrong.
+    "no_value": "[crystal]\nname\n",
+    "repeated_section": "[crystal]\nname = Si\n[crystal]\nname = Ge\n",
+    # SpectrumWindow's stored sines are fields, but not constructor ones.
+    "window_field": "[spectrum]\n_sin_min = 0.3\n",
+    "latin1_table": "[crystal]\nform_factor_csv = latin1_ff.csv\n",
+    "percent_table": "[crystal]\nform_factor_csv = a%b.csv\n",
+    "bad_forward": "[fit]\ninclude_forward = maybe\n",
+    "bad_intercept": "[fit]\nfree_intercept = 2\n",
+    "inf_b": "[crystal]\nb = inf\n",
+    "negative_sigma_b": "[crystal]\nsigma_b = -0.01\n",
+    "negative_sigma_b_nuclear": "[crystal]\nsigma_b_nuclear = -0.01\n",
+    "nan_peak": "[spectrum]\nlambda_peak = nan\n",
+    # A named crystal with every constant given inline, and with a coarse table.
+    "si_inline": _INLINE.replace("Si28", "Si").replace("form_factor_csv = si_ff.csv\n", ""),
+    "coarse_table": "[crystal]\nname = Si\nform_factor_csv = coarse_ff.csv\n",
+    "ge_builtin_table": "[crystal]\nname = Ge\nform_factor_csv = ge_builtin_ff.csv\n",
+    # A detector arc that holds no reflection.
+    "empty_survey": "[spectrum]\ntwo_theta_min = 2\ntwo_theta_max = 5\n",
+    # No temperature factor and no electron term: a valid model.
+    "zero_model": "[model]\nb = 0\nb_ne = 0\n",
 }
 
 _FIT_MODES = [["fit", "si_meas.csv", "--mode", m] for m in ("auto", "joint", "bne", "B")]
@@ -176,6 +214,24 @@ _add("si", _FULL + [
     ["fit", "latin1_meas.csv"],
     ["simulate", "642", "--samples", "50000", "--spectrum", "maxwellian"],
     ["synth", "--error-model", "temperature-factor", "--sigma", "0.5"],  # --sigma not taken
+    ["--config", "nope.ini", "plan"],  # a config file that does not exist
+    ["simulate", "zzz"],  # Miller indices that do not parse
+    # Every fit mode refuses an extinct row and a (000) row, writing nothing.
+    *[["fit", "extinct_meas.csv", "--mode", m] for m in ("joint", "bne", "B")],
+    *[["fit", "forward_meas.csv", "--mode", m] for m in ("auto", "joint", "bne", "B")],
+    # Measurement files with no row, another header, a word, a NaN or a short row.
+    ["fit", "empty_meas.csv"], ["fit", "header_meas.csv"], ["fit", "word_meas.csv"],
+    ["fit", "nan_meas.csv"], ["fit", "short_meas.csv"],
+    ["budget", "--hkl", "222"], ["budget", "--hkl", "422", "110"],  # the extinct member named
+    ["budget", "--hkl"],  # an empty custom set, not the default sets
+    ["mc", "--trials", "20000", "--seed", "5"],  # each sigma ratio within 1 % of 1
+    # Values the argument parser refuses, each a usage error without a traceback.
+    ["mc", "--sigma", "-1"], ["mc", "--sigma", "nan"], ["synth", "--sigma", "-1"],
+    ["synth", "--seed", "-1"], ["--seed", "-1", "mc"],
+    ["radius", "--sigma", "-1", "--", "-0.00131"],
+    # An existing file as the output directory, or as its parent.
+    ["simulate", "711", "--out", "si_meas.csv"], ["plan", "--out", "si_meas.csv/x"],
+    ["simulate", "711", "--out", "si_meas.csv/x"],
 ])
 _add("ge", [["plan"], ["plan", "--all", "--strict"], ["simulate", "111"], ["simulate", "711"],
             ["budget"], ["synth"], ["mc"]])
@@ -190,8 +246,15 @@ _add("blade", [["plan"], ["simulate", "711"], ["simulate", "531", "--spectrum", 
                ["synth"], ["mc", "--trials", "500"]])
 for _config in ("malformed", "unknown_crystal", "inline_no_table", "bad_reference",
                 "unknown_key", "missing_table", "short_table", "word_table", "nan_blade",
-                "bad_seed", "not_utf8"):
+                "bad_seed", "not_utf8", "word_a0", "no_value", "repeated_section", "window_field",
+                "latin1_table", "percent_table", "bad_forward", "bad_intercept", "si_inline",
+                "coarse_table", "empty_survey"):
     _add(_config, [["plan"]])
+for _config in ("inf_b", "negative_sigma_b", "negative_sigma_b_nuclear", "ge_builtin_table"):
+    _add(_config, [["budget"]])
+_add("nan_blade", [["simulate", "711"]])
+_add("nan_peak", [["simulate", "711", "--spectrum", "maxwellian"]])
+_add("zero_model", [["simulate", "711", "--samples", "50"]])
 _add("nan_table", _ERRORS)
 _add("deep_peak", [["plan"]])
 _add("huge_blade", [["simulate", "711"]])
@@ -202,6 +265,7 @@ _add("tiny_sigma_forward", [["budget"], ["mc", "--trials", "100"], ["fit", "si_m
 _add("huge_b", [["fit", "si_meas.csv", "--mode", "bne"]])
 _add("huge_z", [["plan"], ["budget"]])
 _add("ge_thin", [["simulate", "111"]])
+_add("big_model_b", [["plan"], ["simulate", "711"]])
 _add("huge_bne", [["plan"], ["simulate", "711"]])
 _add("large_bne", [["plan"], ["simulate", "711"]])
 
@@ -227,8 +291,9 @@ def run_case(name: str, workdir: Path) -> dict:
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
-                warnings.catch_warnings(record=True) as caught:
+        # argparse wraps its usage text at the terminal's width.
+        with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
                 code = main(head + argv)
@@ -242,8 +307,8 @@ def run_case(name: str, workdir: Path) -> dict:
     files = sorted(p for p in out.rglob("*") if p.is_file()) if out.exists() else []
     return {
         "exit": code,
-        "stdout": _sha256(stdout.getvalue().encode()),
-        "stderr": _sha256(stderr.getvalue().encode()),
+        "stdout": stdout.getvalue(),
+        "stderr": stderr.getvalue(),
         "warnings": sorted({w.category.__name__ for w in caught}),
         "files": {p.relative_to(out).as_posix(): _sha256(p.read_bytes()) for p in files},
     }

@@ -472,7 +472,7 @@ class TestNonPositiveModelAmplitude:
     ], ids=["argument", "profile", "count"])
     def test_refused_naming_the_reflection(self, blade, call):
         with pytest.raises(ValueError, match=r"^model amplitude at \(711\) is -4\.13246 fm, "
-                                             r"not positive \(b_ne = 1 fm\)$"):
+                                             r"not positive \(b_ne = 1 fm, B = 0\.4613 A\^2\)$"):
             call(scattering_model(SILICON, 1.0), Reflection(7, 1, 1), blade)
 
 

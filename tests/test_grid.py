@@ -1,6 +1,8 @@
 """The command-line byte-identity grid (grid.py), case by case; the same
 check runs outside pytest with ``python tests/grid.py --check``."""
 
+import os
+
 import pytest
 
 import grid
@@ -14,6 +16,14 @@ def test_every_case_is_recorded():
 @pytest.mark.parametrize("name", grid.CASES)
 def test_case_matches_record(tmp_path, name):
     assert grid.run_case(name, tmp_path) == grid.load()[name]
+
+
+def test_records_hold_at_any_terminal_width(tmp_path, monkeypatch):
+    # argparse wraps a usage message at the terminal's width; a case runs at 80 columns.
+    monkeypatch.setenv("COLUMNS", "200")
+    name = "si: mc --trials 1"
+    assert grid.run_case(name, tmp_path) == grid.load()[name]
+    assert os.environ["COLUMNS"] == "200"
 
 
 def test_a_crashing_command_is_its_cases_mismatch(tmp_path, monkeypatch, capsys):

@@ -660,7 +660,7 @@ class TestModelAmplitudeNotPositive:
                              ids=lambda f: f.__name__)
     def test_refused_naming_the_reflection(self, big_bne, new_eight, route):
         with pytest.raises(ValueError, match=r"^model amplitude at \(422\) is -2\.86428 fm, "
-                                             r"not positive \(b_ne = 1 fm\)$"):
+                                             r"not positive \(b_ne = 1 fm, B = 0\.4613 A\^2\)$"):
             route(big_bne, SILICON, new_eight)
 
     def test_structure_factor_gives_the_same_refusal(self, big_bne, new_eight):
@@ -814,6 +814,18 @@ class TestSynthMeasurements:
         with pytest.raises(ValueError, match="^sigma must be non-negative and finite$"):
             synth_measurements(si_model, SILICON, [Reflection(4, 2, 2), Reflection(6, 2, 0)],
                                sigma=sigma)
+
+    @pytest.mark.parametrize("reflections, sigma, seed, message", [
+        ("new_eight", 10.0, 0, r"\(533\) is -1\.83872 fm, not positive and finite "
+                               r"\(sigma = 10 fm, seed 0\)"),
+        ("422", 1e308, 3, r"\(422\) is inf fm, not positive and finite "
+                          r"\(sigma = 1e\+308 fm, seed 3\)"),
+    ], ids=["negative", "infinite"])
+    def test_a_draw_off_the_positive_floats_is_named(self, si_model, new_eight, reflections,
+                                                     sigma, seed, message):
+        refls = new_eight if reflections == "new_eight" else [Reflection(4, 2, 2)]
+        with pytest.raises(ValueError, match="^synthetic amplitude at " + message + "$"):
+            synth_measurements(si_model, SILICON, refls, sigma=sigma, seed=seed)
 
     @pytest.mark.parametrize("v", [0, 1])
     def test_sigma_forms_give_the_same_bits(self, si_model, new_eight, v):

@@ -306,11 +306,19 @@ class TestStructureFactor:
         model = scattering_model(SILICON, 1.0)
         assert structure_factor_magnitude(SILICON, model, Reflection(1, 1, 1)) > 0.0
         with pytest.raises(ValueError, match=r"^model amplitude at \(711\) is -4\.13246 fm, "
-                                             r"not positive \(b_ne = 1 fm\)$"):
+                                             r"not positive \(b_ne = 1 fm, B = 0\.4613 A\^2\)$"):
             structure_factor_magnitude(SILICON, model, Reflection(7, 1, 1))
         # An extinct reflection has |F| = 0 whatever the model.
         assert structure_factor_magnitude(SILICON, model, Reflection(2, 2, 2)) == 0.0
         assert structure_factor_magnitude(SILICON, model, Reflection(1, 1, 0)) == 0.0
+
+    def test_an_underflowing_debye_waller_factor_is_named(self):
+        # At B = 2000 A^2 the factor underflows to 0 from (551) on, whatever b_ne.
+        model = replace(scattering_model(SILICON, -1.31e-3), B=2000.0)
+        assert structure_factor_magnitude(SILICON, model, Reflection(5, 3, 3)) > 0.0
+        with pytest.raises(ValueError, match=r"^model amplitude at \(551\) is 0 fm, not positive "
+                                             r"\(b_ne = -0\.00131 fm, B = 2000 A\^2\)$"):
+            structure_factor_magnitude(SILICON, model, Reflection(5, 5, 1))
 
     def test_refuses_a_nan_model_amplitude(self, si_model, monkeypatch):
         monkeypatch.setattr(lattice, "b_meas", lambda *args: math.nan)

@@ -7,7 +7,8 @@ module inverts the CSV that `simulate` writes, using only its lambda, 2theta
 and intensity columns, and asks for the |F| that inference works with.
 That checks the forward formula end to end: a unit, a power of cos(theta)
 or an |F|^2 shared by the profile and a sample-by-sample oracle would pass
-those, not this.
+those, not this. The eight new reflections' inverted amplitudes then feed
+the fits, which must give back the model's b_ne and B.
 """
 
 import csv
@@ -15,7 +16,8 @@ import csv
 import numpy as np
 import pytest
 
-from pendellosung import SILICON, Reflection, structure_factor_magnitude
+from pendellosung import (SILICON, Measurement, Reflection, classify, fit_bne, joint_fit,
+                          structure_factor_magnitude)
 from pendellosung.cli import main
 
 # The nine survey reflections' |F| came back within 1.3e-6 relative at the
@@ -64,6 +66,12 @@ def _slope(u, j0_zeros):
     return best[1]
 
 
+def _inverted_f(u, j0_zeros, thickness_cm):
+    """|F| in fm from the scan's minima u."""
+    c = _slope(u, j0_zeros)
+    return c * SILICON.a0**3 / (thickness_cm * _ANGSTROM_PER_CM * _ANGSTROM_PER_FM)
+
+
 @pytest.mark.parametrize("hkl", ["111", "422", "511", "531", "620", "533", "551", "711", "642"])
 @pytest.mark.parametrize("thickness_cm", [1.0, 0.25])
 @pytest.mark.parametrize("spectrum", ["flat", "maxwellian"])
@@ -76,7 +84,31 @@ def test_fringes_carry_the_structure_factor(si_model, j0_zeros, tmp_path, hkl, t
                  "--out", str(tmp_path)]) == 0
     u = _minima_u(tmp_path / f"fringes_{hkl}.csv")
     assert len(u) >= 12  # enough zeros to tell one starting order from the next
-    c = _slope(u, j0_zeros)
-    f_mag = c * SILICON.a0**3 / (thickness_cm * _ANGSTROM_PER_CM * _ANGSTROM_PER_FM)
     want = structure_factor_magnitude(SILICON, si_model, Reflection(*map(int, hkl)))
-    assert abs(f_mag / want - 1) < _F_REL_BOUND
+    assert abs(_inverted_f(u, j0_zeros, thickness_cm) / want - 1) < _F_REL_BOUND
+
+
+@pytest.fixture(scope="module")
+def inverted_new_eight(tmp_path_factory, j0_zeros):
+    """The eight new reflections as measurements read off their default scans
+    (2000 samples, 1 cm, flat): b_meas = |F| / the class's amplitude, at the
+    budget's sigma of 0.0008 fm."""
+    out = tmp_path_factory.mktemp("scans")
+    ms = []
+    for hkl in ["422", "511", "531", "620", "533", "551", "711", "642"]:
+        assert main(["simulate", hkl, "--out", str(out)]) == 0
+        r = Reflection(*map(int, hkl))
+        f_mag = _inverted_f(_minima_u(out / f"fringes_{hkl}.csv"), j0_zeros, 1.0)
+        ms.append(Measurement(r, f_mag / classify(r).amplitude, 0.0008))
+    return ms
+
+
+def test_inverted_amplitudes_give_back_the_model(si_model, inverted_new_eight):
+    # The worst |F| came back within 7.2e-7 relative, about 300 times finer
+    # than sigma / b_meas; each fit then lands within 0.002 sigma of the model
+    # (fit_temperature_factor's log-only B is biased, so it is left out).
+    bne, sigma = fit_bne(inverted_new_eight, SILICON, si_model.form_factor)
+    assert abs(bne - si_model.b_ne) < 0.01 * sigma
+    fit = joint_fit(inverted_new_eight, SILICON, si_model.form_factor)
+    for name, want in (("B", si_model.B), ("b_ne", si_model.b_ne)):
+        assert abs(fit.value(name) - want) < 0.01 * fit.sigma(name)
