@@ -170,6 +170,12 @@ CONFIGS = {
     "empty_survey": "[spectrum]\ntwo_theta_min = 2\ntwo_theta_max = 5\n",
     # No temperature factor and no electron term: a valid model.
     "zero_model": "[model]\nb = 0\nb_ne = 0\n",
+    # Model values out of range, each named by its key.
+    "nan_model_b": "[model]\nb = nan\n",
+    "inf_model_b": "[model]\nb = inf\n",
+    "negative_model_b": "[model]\nb = -0.1\n",
+    "inf_bne": "[model]\nb_ne = inf\n",
+    "nan_bne": "[model]\nb_ne = nan\n",
 }
 
 _FIT_MODES = [["fit", "si_meas.csv", "--mode", m] for m in ("auto", "joint", "bne", "B")]
@@ -213,7 +219,9 @@ _add("si", _FULL + [
     ["radius", "--", "1e308"], ["radius", "--sigma", "1e308", "--", "1"],
     ["fit", "latin1_meas.csv"],
     ["simulate", "642", "--samples", "50000", "--spectrum", "maxwellian"],
-    ["synth", "--error-model", "temperature-factor", "--sigma", "0.5"],  # --sigma not taken
+    # --sigma is not taken, not even at its default value.
+    ["synth", "--error-model", "temperature-factor", "--sigma", "0.5"],
+    ["synth", "--error-model", "temperature-factor", "--sigma", "0.0008"],
     ["--config", "nope.ini", "plan"],  # a config file that does not exist
     ["simulate", "zzz"],  # Miller indices that do not parse
     # Every fit mode refuses an extinct row and a (000) row, writing nothing.
@@ -255,6 +263,8 @@ for _config in ("inf_b", "negative_sigma_b", "negative_sigma_b_nuclear", "ge_bui
 _add("nan_blade", [["simulate", "711"]])
 _add("nan_peak", [["simulate", "711", "--spectrum", "maxwellian"]])
 _add("zero_model", [["simulate", "711", "--samples", "50"]])
+for _config in ("nan_model_b", "inf_model_b", "negative_model_b", "inf_bne", "nan_bne"):
+    _add(_config, [["budget"], ["simulate", "711"]])
 _add("nan_table", _ERRORS)
 _add("deep_peak", [["plan"]])
 _add("huge_blade", [["simulate", "711"]])

@@ -213,16 +213,6 @@ class TestCliOptionPaths:
         sigmas = [float(r[4]) for r in rows[1:]]
         assert sigmas == sorted(sigmas)  # grow with Q^2 along the survey order
 
-    def test_synth_temperature_factor_takes_no_sigma(self, tmp_path, capsys):
-        # Even the default value is refused when given: the model never reads it.
-        for sigma in ("0.5", "0.0008"):
-            assert run("synth", "--error-model", "temperature-factor", "--sigma", sigma,
-                       "--out", str(tmp_path)) == 2
-            assert capsys.readouterr().err == (
-                "config error: --sigma applies only to --error-model flat; the "
-                "temperature-factor model takes each sigma from the crystal's sigma_B\n")
-        assert not (tmp_path / "measurements.csv").exists()
-
 
 class TestErrorBoundary:
     """Every bad argument or value ends in exit 2 (configuration) or 3 (data)
@@ -608,15 +598,6 @@ class TestRangeChecks:
 
     def test_zero_crystal_sigmas_are_allowed(self):
         assert replace(SILICON, sigma_b_nuclear=0.0, sigma_B=0.0).sigma_B == 0.0
-
-    @pytest.mark.parametrize("key, value", [("b", "nan"), ("b", "inf"), ("b", "-0.1"),
-                                            ("b_ne", "inf"), ("b_ne", "nan")])
-    def test_cli_model_values_are_range_checked(self, tmp_path, capsys, key, value):
-        cfg = tmp_path / "c.ini"
-        cfg.write_text(f"[model]\n{key} = {value}\n")
-        for argv in (["budget"], ["simulate", "711"]):
-            assert run("--config", str(cfg), *argv, "--out", str(tmp_path)) == 2
-            assert capsys.readouterr().err.strip() == f"config error: bad value for [model] {key}"
 
 
 class TestConfigSchema:
